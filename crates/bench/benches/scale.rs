@@ -33,7 +33,7 @@ use bytes::Bytes;
 use lsl_netsim::{
     Dur, LinkSpec, NodeId, Output, Packet, Simulator, StormPlan, Time, TopologyBuilder,
 };
-use lsl_workloads::{run_striped_storm, striped_case, StripedChaosConfig};
+use lsl_workloads::{Campaign, CampaignConfig, ClientKind, Scenario};
 
 /// Externally visible events to process per measurement (setup excluded).
 const EVENT_BUDGET: u64 = 400_000;
@@ -153,22 +153,23 @@ fn send_session_packet(sim: &mut Simulator, a: NodeId, z: NodeId, _session: u64)
 /// the pair prices the dispatcher itself, not the topology.
 fn striped_sessions_per_sec(smoke: bool, max_cascades: usize) -> f64 {
     let n: u64 = if smoke { 2 } else { 16 };
-    let case = striped_case();
-    let mut cfg = StripedChaosConfig {
+    let mut cfg = CampaignConfig {
         size: 256 * 1024,
-        ..StripedChaosConfig::default()
+        ..CampaignConfig::default()
     };
     cfg.stripe.max_cascades = max_cascades;
     let t0 = Instant::now();
     for seed in 0..n {
-        let r = run_striped_storm(
-            &case,
-            &cfg,
-            StormPlan {
+        let r = Scenario {
+            campaign: Campaign::Striped,
+            client: ClientKind::Striped,
+            storm: StormPlan {
                 seed,
                 atoms: Vec::new(),
             },
-        );
+            cfg: cfg.clone(),
+        }
+        .run();
         assert!(r.completed(), "calm striped run failed: {:?}", r.state);
         black_box(r.certified);
     }

@@ -37,7 +37,7 @@ use lsl_obs::export::{
     write_span_dat, write_span_jsonl,
 };
 use lsl_obs::report::flight_recorder;
-use lsl_workloads::{run_chaos_seed, ChaosConfig, ChaosRun};
+use lsl_workloads::{Campaign, CampaignConfig, ClientKind, RunReport, Scenario};
 
 /// Mirror of the micro-benchmark's event-rate scenario: 1000 packets
 /// through a lossy 2-hop path. Returns the number of events processed,
@@ -111,14 +111,12 @@ fn committed_rate() -> Option<(f64, bool)> {
     Some((rate, smoke))
 }
 
-fn replay(seed: u64) -> ChaosRun {
-    run_chaos_seed(
-        &ChaosConfig {
-            size: 256 * 1024,
-            ..ChaosConfig::default()
-        },
-        seed,
-    )
+fn replay(seed: u64) -> RunReport {
+    let cfg = CampaignConfig {
+        size: 256 * 1024,
+        ..CampaignConfig::default()
+    };
+    Scenario::seeded(Campaign::Chaos, ClientKind::Plain, &cfg, seed).run()
 }
 
 fn smoke(seed: u64) -> i32 {

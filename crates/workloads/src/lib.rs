@@ -1,4 +1,5 @@
-//! Calibrated experiment topologies and the experiment runner.
+//! Calibrated experiment topologies, the experiment runner, and the
+//! fault-campaign harness.
 //!
 //! The paper's testbed is unavailable (Abilene circa 2001), so each
 //! measurement case is modelled as a small topology whose link
@@ -17,41 +18,32 @@
 //! [`runner`] executes one measured transfer (direct TCP or LSL) on a
 //! case and returns wall-clock timing plus the sender-side traces of
 //! every connection, exactly as the paper instruments its runs;
-//! [`sweep`] repeats across sizes/iterations and aggregates; [`faults`]
-//! drills the session recovery layer against scripted failures on a
-//! redundant-depot topology; [`chaos`] soaks the same topology under
-//! seeded random fault storms with a machine-checked per-run contract;
-//! [`striping`] soaks RAIL-style striped multi-cascade sessions on a
-//! three-depot topology with a targeted cascade kill every seed and the
-//! zero-verified-resend counter checked per run.
+//! [`sweep`] repeats across sizes/iterations and aggregates.
+//!
+//! [`scenario`] is the one harness behind every fault campaign: a
+//! [`Scenario`] (campaign, client kind, fault storm, size and bounds)
+//! runs on the redundant-depot topologies of [`paths`] and returns a
+//! [`RunReport`] checked against the recovery contract — scripted drills
+//! ([`Drill`]), seeded chaos storms, forecast-routed sessions driven by
+//! the [`forecast`] plane, and RAIL-style striped sessions with a
+//! targeted cascade kill every seed.
 
 pub mod campaign;
-pub mod chaos;
-pub mod faults;
+pub mod forecast;
 pub mod paths;
 pub mod report;
-pub mod routing;
 pub mod runner;
-pub mod striping;
+pub mod scenario;
 pub mod sweep;
 
 pub use campaign::{default_jobs, run_campaign};
-pub use chaos::{
-    chaos_spec, run_chaos_campaign, run_chaos_seed, run_chaos_storm, shrink_chaos_run,
-    shrink_storm, ChaosConfig, ChaosRun, ChaosViolation,
-};
-pub use faults::{
-    failover_case, run_access_flap, run_all_depots_down, run_depot_crash, run_fault_transfer,
-    run_sublink_rst, FailoverCase, FaultRunConfig, FaultRunResult,
-};
-pub use paths::{case1, case2, case3, case4, PathCase};
-pub use routing::{
-    run_routing_campaign, run_routing_seed, run_routing_storm, ForecastPlane, RoutingConfig,
-    RoutingMode, RoutingPair, RoutingRun, FORECAST_TIMER_TAG,
+pub use forecast::{ForecastPlane, FORECAST_TIMER_TAG};
+pub use paths::{
+    case1, case2, case3, case4, failover_case, striped_case, FailoverCase, PathCase, StripedCase,
 };
 pub use runner::{run_transfer, Mode, RunConfig, RunResult};
-pub use striping::{
-    run_striped_campaign, run_striped_seed, run_striped_storm, shrink_striped_run, striped_case,
-    striped_spec, striped_vs_single, StripedCase, StripedChaosConfig, StripedRun,
+pub use scenario::{
+    chaos_spec, run_scenarios, shrink_storm, striped_spec, Campaign, CampaignConfig, ClientKind,
+    Drill, FaultRunConfig, RoutingConfig, RunReport, Scenario, StripedChaosConfig, Violation,
 };
 pub use sweep::{sweep_sizes, sweep_sizes_jobs, SweepPoint};

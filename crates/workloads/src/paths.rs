@@ -1,6 +1,8 @@
-//! The four calibrated experiment topologies.
+//! The four calibrated experiment topologies, plus the redundant-depot
+//! topologies the fault campaigns run on.
 
-use lsl_netsim::{Dur, LinkSpec, LossModel, NodeId, Topology, TopologyBuilder};
+use lsl_netsim::{Dur, LinkId, LinkSpec, LossModel, NodeId, Topology, TopologyBuilder};
+use lsl_session::{Hop, LslPath, RoutePlan};
 
 /// Sink listening port in every case.
 pub const SINK_PORT: u16 = 5001;
@@ -200,6 +202,140 @@ pub fn case4() -> PathCase {
     }
 }
 
+/// A topology with redundant depots: `src — pop — dst` backbone with two
+/// depot spurs hanging off the POP, so a session has a real failover
+/// target when its primary depot dies (the four paper cases are
+/// single-depot and can only demonstrate degradation).
+#[derive(Clone)]
+pub struct FailoverCase {
+    pub name: &'static str,
+    pub topo: Topology,
+    pub src: NodeId,
+    pub dst: NodeId,
+    /// Primary depot (first candidate route).
+    pub depot_a: NodeId,
+    /// Backup depot (second candidate route).
+    pub depot_b: NodeId,
+    /// Both directions of the src↔POP access link — the flap target that
+    /// takes *every* route down at once.
+    pub access_links: (LinkId, LinkId),
+}
+
+impl FailoverCase {
+    /// The typed candidate plan: primary depot, then backup. The direct
+    /// path is *not* listed — `RecoveryConfig::direct_fallback` appends
+    /// it as the route of last resort.
+    pub fn plan(&self) -> RoutePlan {
+        star_plan(self.dst, &[self.depot_a, self.depot_b])
+    }
+
+    /// The per-sublink probe pairs the forecast plane measures: every
+    /// distinct (src, dst) directed sublink any candidate (or the direct
+    /// fallback) would ride.
+    pub fn sublinks(&self) -> Vec<(NodeId, NodeId)> {
+        crate::forecast::plan_sublinks(self.src, &self.plan())
+    }
+}
+
+/// Build the two-depot failover topology (link parameters modeled on
+/// `case1`, with enough backbone loss that the seed actually matters to
+/// packet-level timing — determinism tests need seeds to be observable).
+pub fn failover_case() -> FailoverCase {
+    let (topo, src, dst, depots, access_links) = depot_star(2);
+    FailoverCase {
+        name: "failover-two-depots",
+        topo,
+        src,
+        dst,
+        depot_a: depots[0],
+        depot_b: depots[1],
+        access_links,
+    }
+}
+
+/// The failover topology with a third depot spur — enough distinct
+/// single-depot cascades for a three-wide stripe plus failover headroom.
+/// Every cascade crosses the lossy backbone, so each is Mathis-limited
+/// while the access link stays uncongested: striping buys real aggregate
+/// throughput, the paper's RAIL argument.
+#[derive(Clone)]
+pub struct StripedCase {
+    pub name: &'static str,
+    pub topo: Topology,
+    pub src: NodeId,
+    pub dst: NodeId,
+    /// Depot spurs in candidate-rank order (a is fastest).
+    pub depots: [NodeId; 3],
+    /// Both directions of the src↔POP access link, the flap target that
+    /// takes every cascade down at once.
+    pub access_links: (LinkId, LinkId),
+}
+
+impl StripedCase {
+    /// One single-depot cascade per spur, in spur order; the direct path
+    /// is appended by `RecoveryConfig::direct_fallback`, as for the
+    /// failover case.
+    pub fn plan(&self) -> RoutePlan {
+        star_plan(self.dst, &self.depots)
+    }
+}
+
+/// Build the three-depot striping topology.
+pub fn striped_case() -> StripedCase {
+    let (topo, src, dst, depots, access_links) = depot_star(3);
+    StripedCase {
+        name: "striped-three-depots",
+        topo,
+        src,
+        dst,
+        depots: [depots[0], depots[1], depots[2]],
+        access_links,
+    }
+}
+
+/// `src — pop — dst` (100 Mb/s access, lossy 622 Mb/s core) with
+/// `spurs` 1 Gb/s depot spurs at 1.5/2/2.5 ms off the POP. Returns the
+/// topology, src, dst, the depots and the access link pair.
+pub(crate) fn depot_star(
+    spurs: usize,
+) -> (Topology, NodeId, NodeId, Vec<NodeId>, (LinkId, LinkId)) {
+    let mut b = TopologyBuilder::new();
+    let src = b.node("src");
+    let pop = b.node("pop");
+    let dst = b.node("dst");
+    let depots: Vec<NodeId> = ["depot-a", "depot-b", "depot-c"][..spurs]
+        .iter()
+        .map(|&name| b.node(name))
+        .collect();
+    let access_links = b.duplex(
+        src,
+        pop,
+        LinkSpec::new(100_000_000, Dur::from_millis(1)).with_queue_bytes(2 << 20),
+    );
+    b.duplex(
+        pop,
+        dst,
+        LinkSpec::new(622_000_000, Dur::from_millis(13)).with_loss(LossModel::bernoulli(2e-3)),
+    );
+    for (i, &depot) in depots.iter().enumerate() {
+        let delay = Dur::from_micros(1500 + 500 * i as u64);
+        b.duplex(pop, depot, LinkSpec::new(1_000_000_000, delay));
+    }
+    (b.build(), src, dst, depots, access_links)
+}
+
+/// One single-depot cascade per depot, in order, all to `dst`'s sink.
+pub(crate) fn star_plan(dst: NodeId, depots: &[NodeId]) -> RoutePlan {
+    let dst = Hop::new(dst, SINK_PORT);
+    depots
+        .iter()
+        .fold(RoutePlan::builder(), |b, &d| {
+            b.path(LslPath::via(vec![Hop::new(d, DEPOT_PORT)], dst))
+        })
+        .build()
+        .expect("single-depot cascades to one sink are always valid")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,5 +415,42 @@ mod tests {
                 .as_secs_f64();
         assert!((0.090..0.110).contains(&s1), "wired sublink {s1}");
         assert!(s2 < 0.01, "wireless sublink {s2}");
+    }
+
+    #[test]
+    fn failover_case_routes_everywhere() {
+        let c = failover_case();
+        let sim = c.topo.into_sim(1);
+        for (from, to) in [
+            (c.src, c.dst),
+            (c.src, c.depot_a),
+            (c.src, c.depot_b),
+            (c.depot_a, c.dst),
+            (c.depot_b, c.dst),
+            (c.dst, c.src),
+        ] {
+            assert!(sim.route(from, to).is_some(), "{}", c.name);
+        }
+    }
+
+    #[test]
+    fn candidate_routes_are_ranked_and_share_dst() {
+        let c = failover_case();
+        let plan = c.plan();
+        assert_eq!(plan.len(), 2);
+        assert_eq!(plan.get(0).unwrap().path.depots[0].node, c.depot_a);
+        assert_eq!(plan.get(1).unwrap().path.depots[0].node, c.depot_b);
+        assert_eq!(plan.dst().node, c.dst);
+        assert!(!plan.has_depot_free(), "direct fallback is appended later");
+        assert_eq!(
+            c.sublinks(),
+            vec![
+                (c.src, c.depot_a),
+                (c.depot_a, c.dst),
+                (c.src, c.depot_b),
+                (c.depot_b, c.dst),
+                (c.src, c.dst),
+            ]
+        );
     }
 }

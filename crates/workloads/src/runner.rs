@@ -64,11 +64,6 @@ impl RunConfig {
         }
     }
 
-    #[deprecated(note = "use RunConfig::builder(size, mode).seed(seed).build()")]
-    pub fn new(size: u64, mode: Mode, seed: u64) -> RunConfig {
-        RunConfig::builder(size, mode).seed(seed).build()
-    }
-
     pub fn with_trace(mut self) -> RunConfig {
         self.trace = true;
         self

@@ -7,12 +7,18 @@
 use std::collections::BTreeSet;
 
 use lsl_session::SessionEvent;
-use lsl_workloads::{default_jobs, run_chaos_campaign, ChaosConfig};
+use lsl_workloads::{default_jobs, run_scenarios, Campaign, CampaignConfig, RunReport};
+
+fn chaos(n: usize, jobs: usize) -> Vec<RunReport> {
+    run_scenarios(
+        &Campaign::Chaos.scenarios(&CampaignConfig::default(), n),
+        jobs,
+    )
+}
 
 #[test]
 fn chaos_soak_64_seeds_pass_contract_and_cover_every_fault_kind() {
-    let cfg = ChaosConfig::default();
-    let runs = run_chaos_campaign(&cfg, 64, default_jobs());
+    let runs = chaos(64, default_jobs());
     assert_eq!(runs.len(), 64);
 
     let mut kinds: BTreeSet<&'static str> = BTreeSet::new();
@@ -20,7 +26,7 @@ fn chaos_soak_64_seeds_pass_contract_and_cover_every_fault_kind() {
         assert!(
             r.ok(),
             "seed {} violated the contract: {:?}\n{}",
-            r.seed,
+            r.seed(),
             r.violations,
             r.fingerprint()
         );
@@ -48,15 +54,8 @@ fn chaos_soak_64_seeds_pass_contract_and_cover_every_fault_kind() {
 /// whether seeds run sequentially or fanned out over 8 workers.
 #[test]
 fn chaos_campaign_fingerprints_identical_across_job_counts() {
-    let cfg = ChaosConfig::default();
-    let seq: Vec<String> = run_chaos_campaign(&cfg, 8, 1)
-        .iter()
-        .map(|r| r.fingerprint())
-        .collect();
-    let par: Vec<String> = run_chaos_campaign(&cfg, 8, 8)
-        .iter()
-        .map(|r| r.fingerprint())
-        .collect();
+    let seq: Vec<String> = chaos(8, 1).iter().map(RunReport::fingerprint).collect();
+    let par: Vec<String> = chaos(8, 8).iter().map(RunReport::fingerprint).collect();
     assert_eq!(
         seq, par,
         "chaos campaign must be byte-identical at --jobs 1 vs --jobs 8"

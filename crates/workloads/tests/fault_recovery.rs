@@ -3,16 +3,17 @@
 //! direct TCP, access flap → reconnect persistence, and byte-identical
 //! fault traces under a fixed seed.
 
-use lsl_netsim::{Dur, FaultPlan, Time};
+use lsl_netsim::{Dur, StormAtom};
 use lsl_session::{SessionError, SessionEvent, TransferStatus, RESUME_BLOCK};
-use lsl_workloads::{
-    failover_case, run_access_flap, run_all_depots_down, run_depot_crash, run_fault_transfer,
-    run_sublink_rst, FaultRunConfig,
-};
+use lsl_workloads::{failover_case, Drill, RunReport};
+
+fn run(drill: Drill, seed: u64) -> RunReport {
+    drill.scenario(seed).run()
+}
 
 #[test]
 fn depot_crash_fails_over_and_verifies_digest() {
-    let r = run_depot_crash(7);
+    let r = run(Drill::DepotCrash, 7);
     assert!(r.completed(), "state {:?}\n{}", r.state, r.fingerprint());
 
     // The primary depot died *silently* (a crash sends no RST), so the
@@ -37,7 +38,7 @@ fn depot_crash_fails_over_and_verifies_digest() {
 
 #[test]
 fn sublink_rst_reconnects_and_sink_logs_typed_failure() {
-    let r = run_sublink_rst(7);
+    let r = run(Drill::SublinkRst, 7);
     assert!(r.completed(), "state {:?}\n{}", r.state, r.fingerprint());
 
     // The RST killed only the connections, not the depots: recovery is a
@@ -64,7 +65,7 @@ fn sublink_rst_reconnects_and_sink_logs_typed_failure() {
 
 #[test]
 fn all_depots_down_degrades_to_direct_tcp() {
-    let r = run_all_depots_down(7);
+    let r = run(Drill::AllDepotsDown, 7);
     assert!(r.completed(), "state {:?}\n{}", r.state, r.fingerprint());
 
     // Both depot routes were exhausted before the client fell back.
@@ -82,7 +83,7 @@ fn all_depots_down_degrades_to_direct_tcp() {
 
 #[test]
 fn access_flap_recovers_by_reconnecting() {
-    let r = run_access_flap(7);
+    let r = run(Drill::AccessFlap, 7);
     assert!(r.completed(), "state {:?}\n{}", r.state, r.fingerprint());
 
     // The outage took every route down at once; completion must have
@@ -104,9 +105,14 @@ fn access_flap_recovers_by_reconnecting() {
 #[test]
 fn late_depot_crash_resumes_instead_of_restarting() {
     let size: u64 = 8 << 20;
-    let case = failover_case();
-    let plan = FaultPlan::new().node_down(Time::ZERO + Dur::from_millis(10_500), case.depot_a);
-    let r = run_fault_transfer(&case, &FaultRunConfig::new(size, 7, plan));
+    let mut scenario = Drill::DepotCrash.scenario(7);
+    scenario.cfg.size = size;
+    scenario.storm.atoms = vec![StormAtom::NodeCrash {
+        node: failover_case().depot_a,
+        at: Dur::from_millis(10_500),
+        downtime: None,
+    }];
+    let r = scenario.run();
     assert!(r.completed(), "state {:?}\n{}", r.state, r.fingerprint());
 
     // The crash landed late: the dead attempt's verified boundary (the
@@ -145,8 +151,8 @@ fn late_depot_crash_resumes_instead_of_restarting() {
 
 #[test]
 fn same_seed_fault_runs_are_byte_identical() {
-    let a = run_depot_crash(42);
-    let b = run_depot_crash(42);
+    let a = run(Drill::DepotCrash, 42);
+    let b = run(Drill::DepotCrash, 42);
     assert_eq!(
         a.fingerprint(),
         b.fingerprint(),
@@ -155,14 +161,14 @@ fn same_seed_fault_runs_are_byte_identical() {
 
     // And the seed is load-bearing: a different seed shifts packet-level
     // timing, so the trace differs even though the scenario is the same.
-    let c = run_depot_crash(43);
+    let c = run(Drill::DepotCrash, 43);
     assert_ne!(a.fingerprint(), c.fingerprint());
     assert!(c.completed());
 }
 
 #[test]
 fn recovery_timeline_is_ordered_and_complete() {
-    let r = run_depot_crash(11);
+    let r = run(Drill::DepotCrash, 11);
     // Timestamps never go backwards.
     assert!(r.timeline.windows(2).all(|w| w[0].0 <= w[1].0));
     // Lifecycle bookends: an Established first, a Completed last.

@@ -10,11 +10,7 @@
 
 use lsl_netsim::Time;
 use lsl_session::{ClientState, SessionEvent, TransferOutcome};
-use lsl_workloads::{
-    default_jobs, run_access_flap, run_all_depots_down, run_chaos_campaign, run_depot_crash,
-    run_routing_campaign, run_striped_campaign, run_sublink_rst, ChaosConfig, RoutingConfig,
-    StripedChaosConfig,
-};
+use lsl_workloads::{default_jobs, run_scenarios, Campaign, CampaignConfig, Drill, RunReport};
 
 /// FNV-1a over the folded values.
 struct Fnv(u64);
@@ -54,10 +50,17 @@ impl Fnv {
 
 const SEEDS: usize = 8;
 
+fn campaign(c: Campaign) -> Vec<RunReport> {
+    run_scenarios(
+        &c.scenarios(&CampaignConfig::default(), SEEDS),
+        default_jobs(),
+    )
+}
+
 #[test]
 fn chaos_campaign_digest_is_pinned() {
     let mut h = Fnv::new();
-    for r in run_chaos_campaign(&ChaosConfig::default(), SEEDS, default_jobs()) {
+    for r in campaign(Campaign::Chaos) {
         h.session(r.state, &r.timeline, &r.outcomes);
         h.u64(r.route_used as u64);
         h.u64(r.events);
@@ -69,11 +72,8 @@ fn chaos_campaign_digest_is_pinned() {
 #[test]
 fn routing_campaign_digests_are_pinned() {
     let (mut fixed, mut forecast) = (Fnv::new(), Fnv::new());
-    for p in run_routing_campaign(&RoutingConfig::default(), SEEDS, default_jobs()) {
-        for (h, r) in [
-            (&mut fixed, &p.static_run),
-            (&mut forecast, &p.forecast_run),
-        ] {
+    for p in campaign(Campaign::Routing).chunks(2) {
+        for (h, r) in [(&mut fixed, &p[0]), (&mut forecast, &p[1])] {
             h.session(r.state, &r.timeline, &r.outcomes);
             h.u64(r.route_used as u64);
             h.u64(r.events);
@@ -92,7 +92,7 @@ fn routing_campaign_digests_are_pinned() {
 #[test]
 fn striped_campaign_digest_is_pinned() {
     let mut h = Fnv::new();
-    for r in run_striped_campaign(&StripedChaosConfig::default(), SEEDS, default_jobs()) {
+    for r in campaign(Campaign::Striped) {
         h.session(r.state, &r.timeline, &r.outcomes);
         h.u64(r.events);
         h.u64(r.certified);
@@ -105,13 +105,13 @@ fn striped_campaign_digest_is_pinned() {
 #[test]
 fn fault_drill_digest_is_pinned() {
     let mut h = Fnv::new();
-    for run in [
-        run_depot_crash,
-        run_all_depots_down,
-        run_access_flap,
-        run_sublink_rst,
+    for drill in [
+        Drill::DepotCrash,
+        Drill::AllDepotsDown,
+        Drill::AccessFlap,
+        Drill::SublinkRst,
     ] {
-        let r = run(7);
+        let r = drill.scenario(7).run();
         h.session(r.state, &r.timeline, &r.outcomes);
         h.u64(r.route_used as u64);
     }

@@ -7,21 +7,28 @@
 //! contract (the fingerprint embeds the telemetry digest).
 
 use lsl_obs::export::{chrome_trace_json, validate_chrome_trace};
-use lsl_workloads::{run_chaos_campaign, run_chaos_seed, ChaosConfig};
+use lsl_workloads::{run_scenarios, Campaign, CampaignConfig, ClientKind, RunReport, Scenario};
 
-fn quick_cfg() -> ChaosConfig {
-    ChaosConfig {
+fn quick_cfg() -> CampaignConfig {
+    CampaignConfig {
         size: 256 * 1024,
-        ..ChaosConfig::default()
+        ..CampaignConfig::default()
     }
+}
+
+fn chaos_seed(seed: u64) -> RunReport {
+    Scenario::seeded(Campaign::Chaos, ClientKind::Plain, &quick_cfg(), seed).run()
+}
+
+fn chaos_campaign(n: usize, jobs: usize) -> Vec<RunReport> {
+    run_scenarios(&Campaign::Chaos.scenarios(&quick_cfg(), n), jobs)
 }
 
 #[test]
 fn same_seed_telemetry_is_byte_identical() {
-    let cfg = quick_cfg();
     for seed in [1u64, 3, 7] {
-        let a = run_chaos_seed(&cfg, seed);
-        let b = run_chaos_seed(&cfg, seed);
+        let a = chaos_seed(seed);
+        let b = chaos_seed(seed);
         assert!(!a.obs.is_empty(), "seed {seed} recorded no telemetry");
         // Full canonical rendering: every span line and every metric.
         assert_eq!(
@@ -35,23 +42,22 @@ fn same_seed_telemetry_is_byte_identical() {
 
 #[test]
 fn telemetry_identical_across_job_counts() {
-    let cfg = quick_cfg();
-    let seq = run_chaos_campaign(&cfg, 8, 1);
-    let par = run_chaos_campaign(&cfg, 8, 8);
+    let seq = chaos_campaign(8, 1);
+    let par = chaos_campaign(8, 8);
     for (a, b) in seq.iter().zip(par.iter()) {
         assert_eq!(
             a.obs.render(),
             b.obs.render(),
             "seed {}: telemetry must not depend on --jobs",
-            a.seed
+            a.seed()
         );
     }
     // Index-ordered merge: the combined perfetto trace is one artifact,
     // byte-identical whichever worker produced each report.
-    let merge = |runs: &[lsl_workloads::ChaosRun]| {
+    let merge = |runs: &[RunReport]| {
         let labelled: Vec<(String, &lsl_obs::ObsReport)> = runs
             .iter()
-            .map(|r| (format!("chaos seed {}", r.seed), &r.obs))
+            .map(|r| (format!("chaos seed {}", r.seed()), &r.obs))
             .collect();
         chrome_trace_json(&labelled)
     };
@@ -66,7 +72,7 @@ fn span_log_is_time_ordered_and_instrumentation_covers_the_ladder() {
     // One stormy seed: spans must be nondecreasing in sim time, and the
     // instrumented surface (sublink establish, verdict drain, depot
     // relay occupancy) must actually appear.
-    let r = run_chaos_seed(&quick_cfg(), 3);
+    let r = chaos_seed(3);
     let spans = &r.obs.spans;
     assert!(spans.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
     for name in [

@@ -9,12 +9,12 @@
 use std::collections::BTreeSet;
 
 use lsl_session::SessionEvent;
-use lsl_workloads::{default_jobs, run_striped_campaign, StripedChaosConfig};
+use lsl_workloads::{default_jobs, run_scenarios, Campaign, CampaignConfig};
 
 #[test]
 fn striped_soak_64_seeds_never_resend_a_verified_block() {
-    let cfg = StripedChaosConfig::default();
-    let runs = run_striped_campaign(&cfg, 64, default_jobs());
+    let scenarios = Campaign::Striped.scenarios(&CampaignConfig::default(), 64);
+    let runs = run_scenarios(&scenarios, default_jobs());
     assert_eq!(runs.len(), 64);
 
     let mut kinds: BTreeSet<&'static str> = BTreeSet::new();
@@ -22,16 +22,17 @@ fn striped_soak_64_seeds_never_resend_a_verified_block() {
         assert!(
             r.ok(),
             "seed {} violated the striped contract: {:?}\n{}",
-            r.seed,
+            r.seed(),
             r.violations,
             r.fingerprint()
         );
         // The contract already folds this in; assert it explicitly so a
         // future contract refactor can't silently drop the clause.
         assert_eq!(
-            r.regrants, 0,
+            r.regrants,
+            0,
             "seed {}: a stripe grant contained a verified block",
-            r.seed
+            r.seed()
         );
         kinds.extend(r.kinds());
     }

@@ -45,47 +45,41 @@ cargo test -q --workspace
 echo "==> cargo test --features invariants (runtime invariant auditor)"
 cargo test -q --features invariants
 
-echo "==> fault campaign smoke (1 depot crash + 1 link flap)"
-# End-to-end proof that fault injection, typed session errors, and the
-# recovery layer still compose: a depot crash must fail over and verify
-# the digest; an access-link flap must be survived by reconnect backoff.
-cargo run -q -p lsl-bench --bin faults -- --smoke
-
-echo "==> chaos-storm smoke (8 storm seeds, per-run contract)"
-# Seeded random fault storms against the failover topology; every run
-# must terminate, end in verified delivery or a typed SessionError,
-# never re-send a verified block, and leave the invariant registry
-# clean. A violation shrinks to a minimal drill and fails the gate.
-cargo run -q -p lsl-bench --bin chaos -- --smoke
-
-echo "==> striped-session smoke (8 storm seeds + targeted kill, zero verified re-sends)"
-# RAIL-style striped sessions on the three-depot topology: every seed's
-# storm includes a targeted permanent depot kill mid-transfer. Each run
-# must satisfy the striped contract — terminate, certify every block on
-# Done, keep the sink's stripe_regrants counter at zero (no verified
-# block ever re-sent) — and striping must beat the single cascade on
-# the calm comparison seed. Release build: 64-seed full runs reuse it.
-cargo run -q -p lsl-bench --release --bin striped -- --smoke
-[ -s results/striped_outcomes.dat ] \
-  || { echo "results/striped_outcomes.dat missing or empty"; exit 1; }
-for col in duration_s certified_blocks stolen_blocks regrants; do
-  grep -q "$col" results/striped_outcomes.dat \
-    || { echo "striped_outcomes.dat missing column: $col"; exit 1; }
-done
-
-echo "==> forecast-routing smoke (8 storm seeds, forecast vs static)"
-# The closed NWS loop: each seed's storm runs with blind next-in-list
-# recovery and again with forecast-driven selection + proactive
-# re-routing. Both must satisfy the chaos contract, fingerprints must be
-# byte-identical across job counts, and the forecast arm must complete
-# at least as many transfers at least as fast (in aggregate).
-cargo run -q -p lsl-bench --bin routing -- --smoke
-[ -s results/routing_outcomes.dat ] \
-  || { echo "results/routing_outcomes.dat missing or empty"; exit 1; }
-for col in static_duration_s forecast_duration_s forecast_reroutes; do
-  grep -q "$col" results/routing_outcomes.dat \
-    || { echo "routing_outcomes.dat missing column: $col"; exit 1; }
-done
+echo "==> fault campaign smokes (drills, chaos, striped, routing)"
+# One release build of the campaign binary, then each campaign's CI
+# gate. Every run must satisfy the contract — terminate, end in verified
+# delivery or a typed SessionError, never re-send a verified block,
+# leave the invariant registry clean — and the first runs must
+# fingerprint byte-identically when re-run sequentially; a violation
+# ships the run's telemetry, shrinks its storm to a minimal drill and
+# fails the gate.
+cargo build -q --release -p lsl-bench --bin campaign
+campaign=target/release/campaign
+check_dat() { # file, columns...
+  local f="results/$1.dat"; shift
+  [ -s "$f" ] || { echo "$f missing or empty"; exit 1; }
+  for col in "$@"; do
+    grep -q "$col" "$f" || { echo "$f missing column: $col"; exit 1; }
+  done
+}
+# Scripted drills: a depot crash must fail over and verify the digest;
+# an access-link flap must be survived by reconnect backoff.
+"$campaign" faults --smoke
+# Seeded random fault storms against the failover topology.
+"$campaign" chaos --smoke
+check_dat chaos_outcomes duration_s resume_offset
+# RAIL-style striped sessions on the three-depot topology: every storm
+# includes a targeted permanent depot kill mid-transfer; every block is
+# certified on Done, the sink's stripe_regrants counter stays zero, and
+# striping must beat the single cascade on the calm comparison seed.
+"$campaign" striped --smoke
+check_dat striped_outcomes duration_s certified_blocks stolen_blocks regrants
+# The closed NWS loop: each storm runs with blind next-in-list recovery
+# and again with forecast-driven selection + proactive re-routing; the
+# forecast arm must complete at least as many transfers at least as
+# fast (in aggregate).
+"$campaign" routing --smoke
+check_dat routing_outcomes static_duration_s forecast_duration_s forecast_reroutes
 
 echo "==> observability smoke (telemetry determinism, trace shape, idle overhead)"
 # The obs-report gate replays a chaos seed twice (telemetry must be

@@ -5,10 +5,7 @@
 #![cfg(feature = "invariants")]
 
 use lsl_netsim::invariants;
-use lsl_workloads::{
-    case1, case3, run_access_flap, run_all_depots_down, run_depot_crash, run_sublink_rst,
-    run_transfer, Mode, RunConfig,
-};
+use lsl_workloads::{case1, case3, run_transfer, Drill, Mode, RunConfig};
 
 #[test]
 fn transfers_run_clean_under_the_invariant_auditor() {
@@ -32,22 +29,12 @@ fn transfers_run_clean_under_the_invariant_auditor() {
 fn fault_scenarios_run_clean_under_the_invariant_auditor() {
     // Crashes, flaps, and resets stress exactly the teardown paths the
     // structural checks guard (queue flushes, socket aborts, relay
-    // cleanup) — recovery must not leave the registry dirty.
-    let _ = invariants::take();
-    for (name, run) in [
-        ("depot-crash", run_depot_crash as fn(u64) -> _),
-        ("all-depots-down", run_all_depots_down),
-        ("access-flap", run_access_flap),
-        ("sublink-rst", run_sublink_rst),
-    ] {
-        let r: lsl_workloads::FaultRunResult = run(7);
-        assert!(r.completed(), "{name}: {:?}", r.state);
-        let v = invariants::take();
-        assert!(
-            v.is_empty(),
-            "scenario {name}:\n{}",
-            lsl_trace::violations::report(&v)
-        );
+    // cleanup) — recovery must not leave the registry dirty. Each run
+    // drains the registry into its contract verdict.
+    for drill in Drill::ALL {
+        let r = drill.scenario(7).run();
+        assert!(r.completed(), "{}: {:?}", drill.name(), r.state);
+        assert!(r.ok(), "{}: {:?}", drill.name(), r.violations);
     }
 }
 
