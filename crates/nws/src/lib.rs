@@ -10,7 +10,7 @@
 //!
 //! [`registry::LinkRegistry`] stores measurement series per (src, dst)
 //! pair and produces the per-sublink forecasts that feed
-//! `lsl_session::path` ranking.
+//! `lsl_session::score` route ranking.
 
 pub mod forecast;
 pub mod registry;

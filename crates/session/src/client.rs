@@ -1,48 +1,69 @@
-//! Session-layer recovery: reconnect, failover, retransfer, degrade.
+//! Session-layer recovery: one engine for every session, single or
+//! striped.
 //!
 //! The paper's session layer gives the *endpoints* responsibility for
 //! end-to-end correctness (the depots hold only small, volatile relay
-//! buffers). [`SessionClient`] is that endpoint logic: it owns a
-//! [`BulkSender`] attempt and, when the attempt dies, decides — in
-//! order — whether to
+//! buffers). [`SessionClient`] is that endpoint logic. It drives one or
+//! more *lanes* — a lane is a route plus the [`BulkSender`] attempt
+//! riding it — and when a lane's attempt dies it decides, in order,
+//! whether to
 //!
 //! 1. **reconnect** over the same route with capped exponential backoff,
-//! 2. **fail over** to the next candidate depot route (as ranked by
-//!    [`crate::path`]),
+//! 2. **fail over** to the best-ranked candidate route no live lane is
+//!    using (see [`rank_candidates`]),
 //! 3. **degrade** to a direct TCP path when every depot route is gone,
-//! 4. give up with a typed [`SessionError`].
+//! 4. retire the lane; the last lane's death gives up with
+//!    [`SessionError::RoutesExhausted`].
+//!
+//! A one-lane session is the single cascade: its lane carries the whole
+//! stream with a [`Resume`] request (v2 header) and streams from the
+//! offset the sink grants — the last contiguously verified
+//! [`RESUME_BLOCK`] boundary — so reconnects, failovers and retransfers
+//! resend only unverified bytes. An N-lane session
+//! ([`crate::StripedSession`]) is RAIL's striped array: each lane
+//! carries block-range chunks with [`StripeReq`] requests (v3 header),
+//! and only the dispatch policy — macro-stripes, work stealing, k-of-n
+//! tail, re-striping a dead lane's blocks — is multi-lane. The ladder,
+//! watchdog, timers, events and teardown are the same code for both.
 //!
 //! Verified delivery failures (digest/content mismatch, truncation)
-//! reported by the sink trigger a bounded **retransfer**. With
-//! [`RecoveryConfig::resume`] on (the default), retransfer and failover
-//! attempts do *not* restart from byte 0: each new attempt carries a
-//! [`Resume`] request and streams from the offset the sink grants — the
-//! last contiguously verified [`RESUME_BLOCK`] boundary — so only
-//! unverified bytes are resent. Every decision is recorded as a
-//! timestamped [`SessionEvent`], which experiments export as a recovery
-//! timeline.
+//! reported by the sink trigger a bounded **retransfer** on the lane
+//! that carried the range. Every decision is recorded as a timestamped
+//! [`SessionEvent`], which experiments export as a recovery timeline.
 //!
 //! Detection does not rely on TCP alone: an idle-but-dead sublink (a
 //! depot host that crashed while the sender awaited the session
-//! confirmation) produces no segments and thus no RTO, so a progress
-//! watchdog declares the attempt [`SessionError::Stalled`] when no byte
-//! moves for a full timeout window.
+//! confirmation) produces no segments and thus no RTO, so a per-lane
+//! progress watchdog declares the attempt [`SessionError::Stalled`] when
+//! no byte moves for a full timeout window.
+
+use std::collections::VecDeque;
 
 use lsl_netsim::{Dur, NodeId, Time};
 use lsl_tcp::{AppEvent, Net};
 
-use crate::endpoint::{BulkSender, SendMode, SenderState, TransferOutcome, RESUME_BLOCK};
+use crate::endpoint::{
+    stream_blocks, BulkSender, SendMode, SenderState, TransferOutcome, RESUME_BLOCK,
+};
 use crate::error::{Handled, SessionError, SessionEvent};
-use crate::header::{Resume, NO_VERIFIED_BLOCK};
+use crate::header::{Resume, StripeReq, NO_VERIFIED_BLOCK};
 use crate::id::SessionId;
 use crate::plan::RoutePlan;
 use crate::route::LslPath;
 use crate::score::rank_candidates;
+use crate::stripe::{chop, lane_weights, partition, Chunk, LaneStat, StripeConfig};
 
 /// App-timer tokens with this bit belong to a [`SessionClient`], not to
 /// a depot that happens to share the node. (Bit 63 is the net-layer
 /// app-timer discriminator; bit 62 is ours.)
 pub const CLIENT_TIMER_TAG: u64 = 1 << 62;
+
+/// Session-id bits a timer token carries (token bits 32..62).
+const TOKEN_SESSION_MASK: u64 = 0x3fff_ffff;
+/// Lane-index bits a timer token carries (token bits 28..32).
+const TOKEN_LANE_MASK: u64 = 0xf;
+/// Generation bits a timer token carries (token bits 0..28).
+const TOKEN_GEN_MASK: u64 = 0x0fff_ffff;
 
 /// Proactive-reroute hysteresis: the live route's forecast score must be
 /// at least this many times worse than the best alternative before the
@@ -50,7 +71,7 @@ pub const CLIENT_TIMER_TAG: u64 = 1 << 62;
 /// cascade setup, so a marginal forecast edge must not cause flapping.
 const REROUTE_HYSTERESIS: u64 = 2;
 
-/// Recovery policy knobs.
+/// Recovery policy knobs, applied per lane.
 #[derive(Clone, Debug)]
 pub struct RecoveryConfig {
     /// Reconnection attempts per route before failing over.
@@ -63,19 +84,12 @@ pub struct RecoveryConfig {
     /// accepted by the socket for this long. `None` disables it (then
     /// only TCP errors trigger recovery).
     pub progress_timeout: Option<Dur>,
-    /// Retransfers allowed after failed delivery checks. With
-    /// [`RecoveryConfig::resume`] on, each retransfer resumes from the
-    /// last sink-verified block rather than resending the whole stream.
+    /// Retransfers allowed per lane after failed delivery checks. Each
+    /// retransfer resumes past whatever the sink already verified.
     pub max_retransfers: u32,
     /// Append a direct (depot-free) path as the route of last resort
     /// when the candidate list has none.
     pub direct_fallback: bool,
-    /// Negotiate mid-stream resume: every attempt carries a [`Resume`]
-    /// request (version-2 header) and streams from the offset the sink
-    /// grants. Requires the full-verification send mode
-    /// (`SendMode::Lsl { digest: true, sync: true }`); silently inert
-    /// for any other mode.
-    pub resume: bool,
 }
 
 impl Default for RecoveryConfig {
@@ -87,84 +101,28 @@ impl Default for RecoveryConfig {
             progress_timeout: Some(Dur::from_secs(3)),
             max_retransfers: 2,
             direct_fallback: true,
-            resume: true,
         }
     }
 }
 
 impl RecoveryConfig {
-    /// Validated construction; see [`RecoveryConfigBuilder`].
-    pub fn builder() -> RecoveryConfigBuilder {
-        RecoveryConfigBuilder {
-            cfg: RecoveryConfig::default(),
-        }
+    /// Delay before reconnect attempt `attempt` (1-based):
+    /// `backoff_base` doubling per attempt, capped at `backoff_cap`.
+    fn backoff(&self, attempt: u32) -> Dur {
+        let exp = attempt.saturating_sub(1).min(16);
+        (self.backoff_base * 2u64.pow(exp)).min(self.backoff_cap)
     }
 }
 
-/// Builder for [`RecoveryConfig`] that rejects nonsensical policies at
-/// construction time instead of letting them produce a client that can
-/// never recover (or whose backoff ladder is inverted).
-#[derive(Clone, Debug)]
-pub struct RecoveryConfigBuilder {
-    cfg: RecoveryConfig,
-}
-
-impl RecoveryConfigBuilder {
-    pub fn max_reconnects(mut self, n: u32) -> Self {
-        self.cfg.max_reconnects = n;
-        self
-    }
-
-    pub fn backoff_base(mut self, d: Dur) -> Self {
-        self.cfg.backoff_base = d;
-        self
-    }
-
-    pub fn backoff_cap(mut self, d: Dur) -> Self {
-        self.cfg.backoff_cap = d;
-        self
-    }
-
-    pub fn progress_timeout(mut self, d: Option<Dur>) -> Self {
-        self.cfg.progress_timeout = d;
-        self
-    }
-
-    pub fn max_retransfers(mut self, n: u32) -> Self {
-        self.cfg.max_retransfers = n;
-        self
-    }
-
-    pub fn direct_fallback(mut self, on: bool) -> Self {
-        self.cfg.direct_fallback = on;
-        self
-    }
-
-    pub fn resume(mut self, on: bool) -> Self {
-        self.cfg.resume = on;
-        self
-    }
-
-    /// Validate and produce the config.
-    ///
-    /// # Panics
-    ///
-    /// On policies that cannot work: a backoff base above the cap (the
-    /// ladder would *shrink* on the first doubling, violating the
-    /// monotone-backoff contract), or zero reconnects combined with
-    /// `direct_fallback: false` (a client whose only route dies would
-    /// have no recovery arm left at all).
-    pub fn build(self) -> RecoveryConfig {
-        assert!(
-            self.cfg.backoff_base <= self.cfg.backoff_cap,
-            "backoff_base exceeds backoff_cap: the backoff ladder must be monotone"
-        );
-        assert!(
-            self.cfg.max_reconnects > 0 || self.cfg.direct_fallback,
-            "max_reconnects of 0 with direct_fallback off leaves no recovery arm"
-        );
-        self.cfg
-    }
+/// A client timer token: [`CLIENT_TIMER_TAG`], 30 bits of session id (so
+/// concurrent clients on one node ignore each other's timers), 4 bits of
+/// lane index and 28 bits of the lane's timer generation.
+pub fn client_timer_token(session: SessionId, lane: usize, gen: u64) -> u64 {
+    let sid = (session.0 as u64) & TOKEN_SESSION_MASK;
+    CLIENT_TIMER_TAG
+        | (sid << 32)
+        | ((lane as u64 & TOKEN_LANE_MASK) << 28)
+        | (gen & TOKEN_GEN_MASK)
 }
 
 /// Where the client is in its lifecycle.
@@ -172,7 +130,8 @@ impl RecoveryConfigBuilder {
 pub enum ClientState {
     /// An attempt is in flight (or its outcome is awaited).
     Running,
-    /// Backing off before the next reconnect.
+    /// Backing off before the next reconnect (no lane has an attempt in
+    /// flight).
     Backoff,
     /// The sink verified a complete delivery.
     Done,
@@ -180,9 +139,55 @@ pub enum ClientState {
     Failed(SessionError),
 }
 
-/// A recovering session endpoint: drives [`BulkSender`] attempts across
-/// a ranked list of candidate routes until the sink verifies delivery
-/// or the [`RecoveryConfig`] budgets run out.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum LaneState {
+    /// No chunk in hand (queues dry, redundancy budget spent).
+    Idle,
+    /// An attempt is in flight.
+    Running,
+    /// Backing off before re-attempting.
+    Backoff,
+    /// Routes exhausted; its work was re-striped onto survivors.
+    Dead,
+}
+
+/// One cascade of the session: a route, the attempt riding it, its
+/// recovery counters and watchdog, and (striped only) the chunk it is
+/// carrying plus its share of the dispatch queue.
+struct Lane {
+    route: usize,
+    state: LaneState,
+    sender: Option<BulkSender>,
+    /// The chunk in flight, kept across reconnects of the same lane:
+    /// the re-attempt re-requests it and the sink's grant skips whatever
+    /// certified before the failure. Always `None` on a one-lane
+    /// session, whose lane carries the whole stream.
+    chunk: Option<Chunk>,
+    queue: VecDeque<Chunk>,
+    /// Reconnect attempts burned on the current route.
+    reconnects: u32,
+    retransfers: u32,
+    /// Progress snapshot at the last watchdog check.
+    last_progress: u64,
+    /// Timer generation; a fired token with a stale generation is void.
+    timer_gen: u64,
+    /// Id of the current attempt's `session.attempt` /
+    /// `session.sublink.establish` obs spans.
+    attempt: u64,
+    /// Whether the current attempt reached `Established` (closes the
+    /// establish span exactly once).
+    established: bool,
+    /// Sim time of the first unrecovered `SublinkDown`, for the
+    /// `session.recovery_ns` fault-recovery-latency histogram.
+    down_since: Option<Time>,
+    dispatched: u64,
+    stolen: u64,
+    redundant: u64,
+}
+
+/// A recovering session endpoint: drives [`BulkSender`] attempts on one
+/// or more lanes across a ranked list of candidate routes until the sink
+/// verifies delivery or the [`RecoveryConfig`] budgets run out.
 pub struct SessionClient {
     node: NodeId,
     session: SessionId,
@@ -191,34 +196,24 @@ pub struct SessionClient {
     tcp: lsl_tcp::TcpConfig,
     trace_label: Option<String>,
     plan: RoutePlan,
-    route_idx: usize,
     /// Candidates spent by the recovery ladder (reconnect budget
-    /// exhausted); never offered again.
+    /// exhausted); never offered again unless a fresh score revives them.
     dead: Vec<bool>,
     cfg: RecoveryConfig,
-    sender: Option<BulkSender>,
+    lanes: Vec<Lane>,
+    /// k-of-n tail attempts left (striped sessions only).
+    redundant_left: u32,
+    /// `Running` until terminal; [`SessionClient::state`] derives
+    /// `Backoff` from the lanes.
     state: ClientState,
-    /// Reconnect attempts burned on the current route.
-    reconnects: u32,
-    retransfers: u32,
-    /// Progress snapshot at the last watchdog check.
-    last_progress: u64,
-    /// Highest sink-verified block count this client has learned of
-    /// (from delivery verdicts and resume grants) — the floor every new
-    /// attempt's [`Resume`] request advertises.
+    /// Highest contiguously verified block count this client has learned
+    /// of (from delivery verdicts and resume grants) — the floor every
+    /// whole-stream attempt's [`Resume`] request advertises.
     verified_floor: u64,
-    /// Timer generation; a fired token with a stale generation is void.
-    timer_gen: u64,
     events: Vec<(Time, SessionEvent)>,
-    /// Attempt ordinal across the whole client lifetime: the id of the
-    /// `session.attempt` / `session.sublink.establish` obs spans.
+    /// Attempt ordinal across the whole client lifetime: the id source
+    /// of the per-attempt obs spans.
     attempt_seq: u64,
-    /// Whether the current attempt reached `Established` (closes the
-    /// establish span exactly once).
-    attempt_established: bool,
-    /// Sim time of the first unrecovered `SublinkDown`, for the
-    /// `session.recovery_ns` fault-recovery-latency histogram.
-    down_since: Option<Time>,
     /// Highest absolute stream offset any attempt reached; a resume
     /// grant below it means the gap is resent
     /// (`session.bytes_resent_after_resume`).
@@ -228,13 +223,16 @@ pub struct SessionClient {
 }
 
 impl SessionClient {
-    /// Begin the session: connect the first attempt over the best route.
+    /// Begin a single-cascade session: connect the first attempt over
+    /// the best route.
     ///
     /// `plan` is the validated candidate set (see [`RoutePlan`]); the
     /// client starts on the best-ranked candidate — forecast score
     /// ascending when scores are present, plan order otherwise. With
     /// [`RecoveryConfig::direct_fallback`] set and no depot-free
     /// candidate present, a direct path is appended as the last resort.
+    /// Resume is negotiated whenever `mode` is [`SendMode::lsl`] (digest
+    /// and sync), the only mode that can certify blocks.
     #[allow(clippy::too_many_arguments)] // one-shot constructor mirroring BulkSender::start
     pub fn start(
         net: &mut Net,
@@ -247,13 +245,84 @@ impl SessionClient {
         recovery: RecoveryConfig,
         trace_label: Option<&str>,
     ) -> SessionClient {
-        let mut plan = plan;
-        if recovery.direct_fallback && !plan.has_depot_free() {
+        let single = StripeConfig {
+            max_cascades: 1,
+            chunk_blocks: 1,
+            redundant_tail: 0,
+            recovery,
+        };
+        Self::open(
+            net,
+            node,
+            plan,
+            session,
+            total,
+            mode,
+            tcp,
+            single,
+            trace_label,
+        )
+    }
+
+    /// Begin a session over `min(cfg.max_cascades, plan.len())` lanes on
+    /// the top-ranked candidates (one lane for a sub-2-block stream).
+    #[allow(clippy::too_many_arguments)] // shared body of both public constructors
+    pub(crate) fn open(
+        net: &mut Net,
+        node: NodeId,
+        mut plan: RoutePlan,
+        session: SessionId,
+        total: u64,
+        mode: SendMode,
+        tcp: lsl_tcp::TcpConfig,
+        cfg: StripeConfig,
+        trace_label: Option<&str>,
+    ) -> SessionClient {
+        let total_blocks = stream_blocks(total);
+        let n = if total_blocks < 2 {
+            1
+        } else {
+            cfg.max_cascades.min(plan.len())
+        };
+        if cfg.recovery.direct_fallback && !plan.has_depot_free() {
             // A direct path to the plan's own destination always
             // validates, so the Result carries no information here.
             let _ = plan.push_failover(LslPath::direct(plan.dst()));
         }
-        let dead = vec![false; plan.len()];
+        // Lanes ride the top-ranked candidates (forecast score ascending
+        // when scored, plan order otherwise). Striped lanes get
+        // contiguous macro-stripes sized by those scores; a lone lane
+        // carries the whole stream and queues nothing.
+        let scores: Vec<Option<u64>> = plan.candidates().iter().map(|c| c.score).collect();
+        let routes = rank_candidates(&scores)[..n].to_vec();
+        let stripes = match n {
+            1 => vec![(0, 0)],
+            _ => partition(
+                total_blocks,
+                &lane_weights(&routes.iter().map(|&i| scores[i]).collect::<Vec<_>>()),
+            ),
+        };
+        let lanes = routes
+            .iter()
+            .zip(stripes)
+            .map(|(&route, (a, b))| Lane {
+                route,
+                state: LaneState::Idle,
+                sender: None,
+                chunk: None,
+                queue: chop(a, b, cfg.chunk_blocks),
+                reconnects: 0,
+                retransfers: 0,
+                last_progress: 0,
+                timer_gen: 0,
+                attempt: 0,
+                established: false,
+                down_since: None,
+                dispatched: 0,
+                stolen: 0,
+                redundant: 0,
+            })
+            .collect();
         let mut client = SessionClient {
             node,
             session,
@@ -261,31 +330,21 @@ impl SessionClient {
             mode,
             tcp,
             trace_label: trace_label.map(str::to_owned),
+            dead: vec![false; plan.len()],
             plan,
-            route_idx: 0,
-            dead,
-            cfg: recovery,
-            sender: None,
+            cfg: cfg.recovery,
+            lanes,
+            redundant_left: cfg.redundant_tail,
             state: ClientState::Running,
-            reconnects: 0,
-            retransfers: 0,
-            last_progress: 0,
             verified_floor: 0,
-            timer_gen: 0,
             events: Vec::new(),
             attempt_seq: 0,
-            attempt_established: false,
-            down_since: None,
             high_offset: 0,
             started_at: net.now(),
             finished_at: None,
         };
-        // Forecast-best start: with scored candidates the ranking picks
-        // the lowest predicted transfer time; unscored (static) plans
-        // keep plan order, so pre-forecast behavior is unchanged.
-        client.route_idx = client.next_route().unwrap_or(0);
         lsl_obs::span_begin(net.now().0, "session.client", session.0 as u64);
-        client.start_attempt(net);
+        client.pump_idle(net);
         client
     }
 
@@ -294,17 +353,23 @@ impl SessionClient {
     }
 
     pub fn state(&self) -> ClientState {
-        self.state
+        let any = |s| self.lanes.iter().any(|l| l.state == s);
+        match self.state {
+            ClientState::Running if !any(LaneState::Running) && any(LaneState::Backoff) => {
+                ClientState::Backoff
+            }
+            s => s,
+        }
     }
 
     pub fn is_done(&self) -> bool {
         matches!(self.state, ClientState::Done | ClientState::Failed(_))
     }
 
-    /// The route currently (or last) in use, as an index into the
+    /// The route lane 0 currently (or last) uses, as an index into the
     /// candidate list passed to [`SessionClient::start`].
     pub fn route_index(&self) -> usize {
-        self.route_idx
+        self.lanes[0].route
     }
 
     /// The validated candidate set, including any appended direct
@@ -313,22 +378,45 @@ impl SessionClient {
         &self.plan
     }
 
-    /// The path currently (or last) in use.
+    /// The path lane 0 currently (or last) uses.
     pub fn current_path(&self) -> &LslPath {
-        &self.plan.candidates()[self.route_idx].path
+        &self.plan.candidates()[self.route_index()].path
     }
 
-    /// The active sublink socket, if an attempt is in flight — lets a
-    /// measurement plane piggyback passive RTT observations off live
+    /// Lane 0's active sublink socket, if an attempt is in flight — lets
+    /// a measurement plane piggyback passive RTT observations off live
     /// session traffic.
     pub fn sock(&self) -> Option<lsl_tcp::SockId> {
-        self.sender.as_ref().map(BulkSender::sock)
+        self.lanes[0].sender.as_ref().map(BulkSender::sock)
     }
 
-    /// Bytes the active attempt has pushed into its socket so far (for
-    /// passive goodput estimation); `None` between attempts.
+    /// Bytes lane 0's active attempt has pushed into its socket so far
+    /// (for passive goodput estimation); `None` between attempts.
     pub fn attempt_progress(&self) -> Option<u64> {
-        self.sender.as_ref().map(BulkSender::progress)
+        self.lanes[0].sender.as_ref().map(BulkSender::progress)
+    }
+
+    /// Number of lanes (concurrent cascades) the session runs.
+    pub fn cascades(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// Per-lane dispatch statistics (empty for a one-lane session, which
+    /// dispatches no chunks).
+    pub fn lane_stats(&self) -> Vec<LaneStat> {
+        if self.lanes.len() == 1 {
+            return Vec::new();
+        }
+        self.lanes
+            .iter()
+            .map(|l| LaneStat {
+                route: l.route,
+                blocks_dispatched: l.dispatched,
+                blocks_stolen: l.stolen,
+                redundant_attempts: l.redundant,
+                dead: l.state == LaneState::Dead,
+            })
+            .collect()
     }
 
     /// The timestamped lifecycle so far.
@@ -340,30 +428,29 @@ impl SessionClient {
         std::mem::take(&mut self.events)
     }
 
-    fn push_event(&mut self, net: &Net, ev: SessionEvent) {
-        self.obs_event(net.now(), &ev);
-        self.events.push((net.now(), ev));
-    }
-
-    /// Mirror a lifecycle event into the observability plane: recovery
-    /// arms become instants, establishment closes the per-attempt
-    /// establish span, and recovery latency feeds a histogram.
-    fn obs_event(&mut self, t: Time, ev: &SessionEvent) {
+    /// Record a lifecycle event concerning lane `i` (any lane for the
+    /// session-wide `Completed`/`Failed`) and mirror it into the
+    /// observability plane: recovery arms become instants, establishment
+    /// closes the attempt's establish span, recovery latency feeds a
+    /// histogram.
+    fn push_event(&mut self, net: &Net, i: usize, ev: SessionEvent) {
+        let t = net.now();
         let sid = self.session.0 as u64;
-        match ev {
+        let lane = &mut self.lanes[i];
+        match &ev {
             SessionEvent::Established => {
-                if !self.attempt_established {
-                    self.attempt_established = true;
-                    lsl_obs::span_end(t.0, "session.sublink.establish", self.attempt_seq);
+                if !lane.established {
+                    lane.established = true;
+                    lsl_obs::span_end(t.0, "session.sublink.establish", lane.attempt);
                 }
-                if let Some(down) = self.down_since.take() {
+                if let Some(down) = lane.down_since.take() {
                     lsl_obs::hist_observe("session.recovery_ns", (t - down).0);
                 }
             }
             SessionEvent::Confirmed => lsl_obs::instant(t.0, "session.confirmed", sid),
             SessionEvent::SublinkDown(_) => {
                 lsl_obs::instant(t.0, "session.sublink.down", sid);
-                self.down_since.get_or_insert(t);
+                lane.down_since.get_or_insert(t);
             }
             SessionEvent::Reconnecting { attempt, .. } => {
                 lsl_obs::instant(t.0, "session.reconnect", *attempt as u64);
@@ -375,7 +462,7 @@ impl SessionClient {
                 lsl_obs::instant(t.0, "session.reroute", *to as u64);
             }
             SessionEvent::Degraded => {
-                lsl_obs::instant(t.0, "session.degrade", self.route_idx as u64);
+                lsl_obs::instant(t.0, "session.degrade", lane.route as u64);
             }
             SessionEvent::Retransfer { attempt } => {
                 lsl_obs::instant(t.0, "session.retransfer", *attempt as u64);
@@ -404,38 +491,21 @@ impl SessionClient {
                 lsl_obs::span_end(t.0, "session.client", sid);
             }
         }
+        self.events.push((t, ev));
     }
 
-    /// Timer token: tag bit, 30 bits of session id (so concurrent
-    /// clients on one node ignore each other's timers), 32 bits of
-    /// generation.
-    fn timer_token(&self, gen: u64) -> u64 {
-        let sid = (self.session.0 as u64) & 0x3fff_ffff;
-        CLIENT_TIMER_TAG | (sid << 32) | (gen & 0xffff_ffff)
-    }
-
-    fn arm_timer(&mut self, net: &mut Net, delay: Dur) {
-        self.timer_gen += 1;
-        let token = self.timer_token(self.timer_gen);
+    fn arm_timer(&mut self, net: &mut Net, i: usize, delay: Dur) {
+        self.lanes[i].timer_gen += 1;
+        let token = client_timer_token(self.session, i, self.lanes[i].timer_gen);
         net.set_app_timer(self.node, net.now() + delay, token);
     }
 
-    /// The [`Resume`] request the next attempt should carry: the highest
+    /// The [`Resume`] request a whole-stream attempt carries: the highest
     /// verified boundary this client knows of. Advisory — the sink's own
-    /// verified state decides the actual grant. `None` when resume is
-    /// off or the send mode cannot support it.
+    /// verified state decides the actual grant. `None` when the send
+    /// mode cannot certify blocks.
     fn resume_request(&self) -> Option<Resume> {
-        if !self.cfg.resume {
-            return None;
-        }
-        let SendMode::Lsl {
-            digest: true,
-            sync: true,
-        } = self.mode
-        else {
-            return None;
-        };
-        Some(Resume {
+        (self.mode == SendMode::lsl()).then(|| Resume {
             offset: self.verified_floor * RESUME_BLOCK,
             verified_block: match self.verified_floor {
                 0 => NO_VERIFIED_BLOCK,
@@ -444,129 +514,243 @@ impl SessionClient {
         })
     }
 
-    /// Fold a resume grant or delivery verdict into the verified floor
-    /// (monotone: the sink never un-verifies a block).
-    fn observe_verified(&mut self, blocks: u64) {
-        self.verified_floor = self.verified_floor.max(blocks);
+    /// Give every idle lane work (initial kick, and after a re-stripe).
+    fn pump_idle(&mut self, net: &mut Net) {
+        for i in 0..self.lanes.len() {
+            if self.lanes[i].state == LaneState::Idle && self.lanes[i].sender.is_none() {
+                self.dispatch(net, i);
+            }
+        }
     }
 
-    fn start_attempt(&mut self, net: &mut Net) {
+    /// Start lane `i` on its next piece of work. A lone lane carries the
+    /// whole stream. A striped lane takes its next chunk: own queue
+    /// first, then steal from the back of the longest surviving queue,
+    /// then (tail only) a redundant re-request of a chunk in flight
+    /// elsewhere.
+    fn dispatch(&mut self, net: &mut Net, i: usize) {
+        if self.is_done() || self.lanes[i].state == LaneState::Dead {
+            return;
+        }
+        if self.lanes.len() > 1 && self.lanes[i].chunk.is_none() {
+            let mut chunk = self.lanes[i].queue.pop_front();
+            if chunk.is_none() {
+                // Work-stealing: the longest queue loses its tail chunk.
+                let victim = (0..self.lanes.len())
+                    .filter(|&j| j != i && !self.lanes[j].queue.is_empty())
+                    .max_by_key(|&j| (self.lanes[j].queue.len(), usize::MAX - j));
+                if let Some(j) = victim {
+                    chunk = self.lanes[j].queue.pop_back();
+                    if let Some(c) = &chunk {
+                        self.lanes[i].stolen += c.blocks();
+                        lsl_obs::counter_add("stripe.blocks_stolen", i as u64, c.blocks());
+                    }
+                }
+            }
+            if chunk.is_none() && self.redundant_left > 0 {
+                // k-of-n tail: double up on a chunk a slower lane is
+                // still carrying. The sink discards the duplicates.
+                let target = (0..self.lanes.len())
+                    .filter(|&j| j != i && self.lanes[j].state != LaneState::Dead)
+                    .find_map(|j| self.lanes[j].chunk.as_ref());
+                if let Some(c) = target {
+                    chunk = Some(Chunk {
+                        start: c.start,
+                        end: c.end,
+                        lost_at: None,
+                    });
+                    self.redundant_left -= 1;
+                    self.lanes[i].redundant += 1;
+                    lsl_obs::counter_add("stripe.redundant_dispatch", i as u64, 1);
+                }
+            }
+            let Some(mut c) = chunk else {
+                self.lanes[i].state = LaneState::Idle;
+                return;
+            };
+            if let Some(lost) = c.lost_at.take() {
+                // This chunk came off a dead lane: it is now safely
+                // re-striped; record how long the blocks sat orphaned.
+                let blocks = c.blocks();
+                lsl_obs::hist_observe("session.stripe.rebalance_ns", (net.now() - lost).0);
+                self.push_event(net, i, SessionEvent::StripeRebalanced { to: i, blocks });
+            }
+            self.lanes[i].dispatched += c.blocks();
+            lsl_obs::counter_add("stripe.blocks_dispatched", i as u64, c.blocks());
+            self.lanes[i].chunk = Some(c);
+        }
+        self.start_attempt(net, i);
+    }
+
+    /// Open a cascade on lane `i`'s route: a v3 chunk request for a
+    /// striped lane, the whole stream with a v2 resume request for a
+    /// lone one.
+    fn start_attempt(&mut self, net: &mut Net, i: usize) {
         self.attempt_seq += 1;
-        self.attempt_established = false;
-        lsl_obs::span_begin(net.now().0, "session.attempt", self.attempt_seq);
-        lsl_obs::span_begin(net.now().0, "session.sublink.establish", self.attempt_seq);
-        let path = self.current_path().clone();
-        let sender = BulkSender::start(
-            net,
-            self.node,
-            &path,
-            self.session,
-            self.total,
-            self.mode,
-            self.tcp.clone(),
-            self.trace_label.as_deref(),
-            self.resume_request(),
-        );
-        self.last_progress = sender.progress();
-        self.sender = Some(sender);
-        self.state = ClientState::Running;
-        if let Some(d) = self.cfg.progress_timeout {
-            self.arm_timer(net, d);
-        }
-    }
-
-    /// Drop the current attempt's socket (already failed or finished),
-    /// keeping any resume grant it learned: a grant is the sink
-    /// attesting that many blocks were already verified.
-    fn discard_sender(&mut self, net: &mut Net) {
-        if let Some(s) = self.sender.take() {
-            if let Some(granted) = s.resume_granted() {
-                self.observe_verified(granted / RESUME_BLOCK);
-            }
-            self.high_offset = self.high_offset.max(s.stream_offset());
-            net.abort(s.sock());
-            if !self.attempt_established {
-                // Attempt died while connecting: close the establish
-                // span so the trace pairs up.
-                self.attempt_established = true;
-                lsl_obs::span_end(net.now().0, "session.sublink.establish", self.attempt_seq);
-            }
-            lsl_obs::span_end(net.now().0, "session.attempt", self.attempt_seq);
-        }
-    }
-
-    /// The current attempt died with `err`: reconnect, fail over,
-    /// degrade, or give up.
-    fn on_attempt_failed(&mut self, net: &mut Net, err: SessionError) {
-        self.push_event(net, SessionEvent::SublinkDown(err));
-        self.discard_sender(net);
-        if self.reconnects < self.cfg.max_reconnects {
-            self.reconnects += 1;
-            let exp = self.reconnects.saturating_sub(1).min(16);
-            let delay = (self.cfg.backoff_base * 2u64.pow(exp)).min(self.cfg.backoff_cap);
-            self.push_event(
+        let resume = self.resume_request();
+        let lane = &mut self.lanes[i];
+        lane.attempt = self.attempt_seq;
+        lane.established = false;
+        lsl_obs::span_begin(net.now().0, "session.attempt", lane.attempt);
+        lsl_obs::span_begin(net.now().0, "session.sublink.establish", lane.attempt);
+        let path = &self.plan.candidates()[lane.route].path;
+        let label = self.trace_label.as_deref();
+        let sender = match &lane.chunk {
+            Some(c) => BulkSender::start_stripe(
                 net,
-                SessionEvent::Reconnecting {
-                    attempt: self.reconnects,
-                    delay,
+                self.node,
+                path,
+                self.session,
+                self.total,
+                self.tcp.clone(),
+                label,
+                StripeReq {
+                    start_block: c.start,
+                    end_block: c.end,
                 },
-            );
-            self.state = ClientState::Backoff;
-            self.arm_timer(net, delay);
+            ),
+            None => BulkSender::start(
+                net,
+                self.node,
+                path,
+                self.session,
+                self.total,
+                self.mode,
+                self.tcp.clone(),
+                label,
+                resume,
+            ),
+        };
+        lane.last_progress = sender.progress();
+        lane.sender = Some(sender);
+        lane.state = LaneState::Running;
+        if let Some(d) = self.cfg.progress_timeout {
+            self.arm_timer(net, i, d);
+        }
+    }
+
+    /// Drop lane `i`'s attempt (failed, finished or torn down), keeping
+    /// any resume grant it learned: a grant is the sink attesting that
+    /// many blocks were already verified.
+    fn discard_sender(&mut self, net: &mut Net, i: usize) {
+        let lane = &mut self.lanes[i];
+        let Some(s) = lane.sender.take() else {
+            return;
+        };
+        if let Some(granted) = s.resume_granted() {
+            self.verified_floor = self.verified_floor.max(granted / RESUME_BLOCK);
+        }
+        self.high_offset = self.high_offset.max(s.stream_offset());
+        net.abort(s.sock());
+        if !lane.established {
+            // Attempt died while connecting: close the establish span so
+            // the trace pairs up.
+            lane.established = true;
+            lsl_obs::span_end(net.now().0, "session.sublink.establish", lane.attempt);
+        }
+        lsl_obs::span_end(net.now().0, "session.attempt", lane.attempt);
+    }
+
+    /// Lane `i`'s attempt died with `err`: reconnect, fail over, degrade,
+    /// or retire the lane.
+    fn on_attempt_failed(&mut self, net: &mut Net, i: usize, err: SessionError) {
+        self.push_event(net, i, SessionEvent::SublinkDown(err));
+        self.discard_sender(net, i);
+        if self.lanes[i].reconnects < self.cfg.max_reconnects {
+            self.lanes[i].reconnects += 1;
+            let attempt = self.lanes[i].reconnects;
+            let delay = self.cfg.backoff(attempt);
+            self.push_event(net, i, SessionEvent::Reconnecting { attempt, delay });
+            self.lanes[i].state = LaneState::Backoff;
+            self.arm_timer(net, i, delay);
             return;
         }
-        // This route is spent: fail over to the best surviving
-        // candidate — forecast score ascending when scores are present,
-        // plan order otherwise (which is exactly the old next-in-list
-        // ladder for static plans).
-        self.dead[self.route_idx] = true;
-        if let Some(next) = self.next_route() {
-            self.route_idx = next;
-            self.reconnects = 0;
-            if self.current_path().depots.is_empty() {
-                self.push_event(net, SessionEvent::Degraded);
+        // This route is spent: fail over to the best candidate no live
+        // lane holds — forecast score ascending when scores are present,
+        // plan order otherwise (the next-in-list ladder for static plans).
+        self.dead[self.lanes[i].route] = true;
+        let next = self.free_routes().next();
+        if let Some(next) = next {
+            self.lanes[i].route = next;
+            self.lanes[i].reconnects = 0;
+            if self.plan.candidates()[next].path.depots.is_empty() {
+                self.push_event(net, i, SessionEvent::Degraded);
             } else {
-                self.push_event(
-                    net,
-                    SessionEvent::FailedOver {
-                        route: self.route_idx,
-                    },
-                );
+                self.push_event(net, i, SessionEvent::FailedOver { route: next });
             }
-            self.start_attempt(net);
+            self.start_attempt(net, i);
             return;
         }
-        self.fail(net, SessionError::RoutesExhausted);
+        self.kill_lane(net, i);
     }
 
-    /// The best candidate the ladder may use next: lowest forecast
-    /// score first (ties and unscored candidates by plan order),
-    /// skipping spent routes. `None` when every candidate is spent.
-    fn next_route(&self) -> Option<usize> {
+    /// Candidates the ladder may move a lane to, best first: not spent,
+    /// not held by a live lane.
+    fn free_routes(&self) -> impl Iterator<Item = usize> + '_ {
         let scores: Vec<Option<u64>> = self.plan.candidates().iter().map(|c| c.score).collect();
-        rank_candidates(&scores)
-            .into_iter()
-            .find(|&i| !self.dead[i])
+        rank_candidates(&scores).into_iter().filter(|&r| {
+            !self.dead[r]
+                && !self
+                    .lanes
+                    .iter()
+                    .any(|l| l.route == r && l.state != LaneState::Dead)
+        })
     }
 
-    /// The best *scored*, non-spent alternative to the current route.
-    fn best_alternative(&self) -> Option<(usize, u64)> {
-        let scores: Vec<Option<u64>> = self.plan.candidates().iter().map(|c| c.score).collect();
-        rank_candidates(&scores)
+    /// The best *scored* free alternative to lane `i`'s route, when
+    /// lane `i`'s own score is gone or `worse(own, alternative)`.
+    /// Unscored (static and striped) plans never have one.
+    fn better_route(&self, i: usize, worse: impl Fn(u64, u64) -> bool) -> Option<usize> {
+        let (to, alt) = self
+            .free_routes()
+            .find_map(|r| self.plan.candidates()[r].score.map(|s| (r, s)))?;
+        let own = self.plan.candidates()[self.lanes[i].route].score;
+        own.is_none_or(|c| worse(c, alt)).then_some(to)
+    }
+
+    /// Lane `i` is out of routes. The last live lane's death fails the
+    /// session; otherwise its unverified blocks go back on the dispatch
+    /// queue of the survivors, which are kicked so the re-striped work
+    /// starts moving immediately.
+    fn kill_lane(&mut self, net: &mut Net, i: usize) {
+        self.lanes[i].state = LaneState::Dead;
+        let survivors: Vec<usize> = (0..self.lanes.len())
+            .filter(|&j| self.lanes[j].state != LaneState::Dead)
+            .collect();
+        if survivors.is_empty() {
+            self.fail(net, SessionError::RoutesExhausted);
+            return;
+        }
+        let now = net.now();
+        let lane = &mut self.lanes[i];
+        let orphans: Vec<Chunk> = lane
+            .chunk
+            .take()
             .into_iter()
-            .filter(|&i| i != self.route_idx && !self.dead[i])
-            .find_map(|i| scores[i].map(|s| (i, s)))
+            .chain(lane.queue.drain(..))
+            .collect();
+        let blocks = orphans.iter().map(Chunk::blocks).sum();
+        self.push_event(net, i, SessionEvent::StripeLost { cascade: i, blocks });
+        // Round-robin the orphans across survivors; stealing evens out
+        // any imbalance this leaves.
+        for (k, mut c) in orphans.into_iter().enumerate() {
+            c.lost_at = Some(now);
+            self.lanes[survivors[k % survivors.len()]]
+                .queue
+                .push_back(c);
+        }
+        self.pump_idle(net);
     }
 
     /// Feed fresh forecast scores (index-aligned with
     /// [`SessionClient::plan`]; `None` = the forecaster has no usable
     /// prediction for that candidate), then consider a proactive
-    /// re-route: when the live route's forecast has degraded to at
-    /// least [`REROUTE_HYSTERESIS`]× the best alternative's predicted
-    /// time — or vanished entirely — the client abandons the working
-    /// sublink *before* it fails, resuming on the new route via the
-    /// sink's block grant. Static sessions never call this, so their
-    /// timelines are untouched.
+    /// re-route of each running lane: when its route's forecast has
+    /// degraded to at least [`REROUTE_HYSTERESIS`]× the best free
+    /// alternative's predicted time — or vanished entirely — the lane
+    /// abandons the working sublink *before* it fails, resuming on the
+    /// new route via the sink's block grant. Static sessions never call
+    /// this, so their timelines are untouched.
     ///
     /// A `Some` score also *revives* a candidate the ladder had written
     /// off: a spent route the sensors now see healthy (its outage
@@ -579,152 +763,144 @@ impl SessionClient {
                 self.dead[i] = false;
             }
         }
-        if self.state != ClientState::Running {
-            return;
+        for i in 0..self.lanes.len() {
+            // A finished sender's outcome is pending at the sink: too
+            // late to reroute.
+            let live = self.lanes[i].state == LaneState::Running
+                && self.lanes[i].sender.as_ref().is_some_and(|s| !s.is_done());
+            let Some(to) = live
+                .then(|| {
+                    self.better_route(i, |own, alt| own >= alt.saturating_mul(REROUTE_HYSTERESIS))
+                })
+                .flatten()
+            else {
+                continue;
+            };
+            let from = self.lanes[i].route;
+            self.push_event(net, i, SessionEvent::Rerouted { from, to });
+            self.discard_sender(net, i);
+            self.lanes[i].route = to;
+            self.lanes[i].reconnects = 0;
+            self.start_attempt(net, i);
         }
-        let Some(sender) = self.sender.as_ref() else {
-            return;
-        };
-        if sender.is_done() {
-            return; // outcome pending at the sink; too late to reroute
-        }
-        let Some((to, alt_score)) = self.best_alternative() else {
-            return;
-        };
-        let cur = self.plan.candidates()[self.route_idx].score;
-        let degraded = match cur {
-            // The forecaster dropped the live route entirely (e.g. the
-            // probe plane sees its sublink down).
-            None => true,
-            Some(c) => c >= alt_score.saturating_mul(REROUTE_HYSTERESIS),
-        };
-        if !degraded {
-            return;
-        }
-        let from = self.route_idx;
-        self.push_event(net, SessionEvent::Rerouted { from, to });
-        self.discard_sender(net);
-        self.route_idx = to;
-        self.reconnects = 0;
-        self.start_attempt(net);
     }
 
     fn fail(&mut self, net: &mut Net, err: SessionError) {
-        if self.sender.is_some() {
-            // Terminal failure with the attempt still in hand (e.g.
-            // retransfers exhausted): close its spans here — the sender
-            // is never discarded after this point.
-            if !self.attempt_established {
-                self.attempt_established = true;
-                lsl_obs::span_end(net.now().0, "session.sublink.establish", self.attempt_seq);
-            }
-            lsl_obs::span_end(net.now().0, "session.attempt", self.attempt_seq);
-        }
-        self.push_event(net, SessionEvent::Failed(err));
-        self.state = ClientState::Failed(err);
+        self.finish(net, ClientState::Failed(err), SessionEvent::Failed(err));
+    }
+
+    /// Terminal state: record it, abort every outstanding attempt
+    /// (redundant stragglers included) and void all timers.
+    fn finish(&mut self, net: &mut Net, state: ClientState, ev: SessionEvent) {
+        self.push_event(net, 0, ev);
+        self.state = state;
         self.finished_at.get_or_insert(net.now());
-        self.timer_gen += 1; // void outstanding timers
+        for i in 0..self.lanes.len() {
+            self.discard_sender(net, i);
+            self.lanes[i].timer_gen += 1;
+        }
     }
 
     /// Feed one event; [`Handled::Consumed`] means it was this client's
-    /// (its watchdog/retry timer or its active sublink socket).
+    /// (a lane's watchdog/retry timer or a lane's active sublink socket).
     pub fn handle(&mut self, net: &mut Net, ev: &AppEvent) -> Handled {
         if let AppEvent::Timer { node, token } = ev {
-            if *node == self.node
-                && token & CLIENT_TIMER_TAG != 0
-                && token & (0x3fff_ffff << 32) == self.timer_token(0) & (0x3fff_ffff << 32)
+            let sid = (self.session.0 as u64) & TOKEN_SESSION_MASK;
+            if *node != self.node
+                || token & CLIENT_TIMER_TAG == 0
+                || (token >> 32) & TOKEN_SESSION_MASK != sid
             {
-                self.on_timer(net, *token);
-                return Handled::Consumed;
+                return Handled::NotMine;
             }
-            return Handled::NotMine;
+            let lane = ((token >> 28) & TOKEN_LANE_MASK) as usize;
+            if lane < self.lanes.len() {
+                self.on_timer(net, lane, token & TOKEN_GEN_MASK);
+            }
+            return Handled::Consumed;
         }
-        let Some(sender) = self.sender.as_mut() else {
+        let hit = self.lanes.iter_mut().enumerate().find_map(|(i, lane)| {
+            let s = lane.sender.as_mut()?;
+            let before = s.state();
+            s.handle(net, ev).consumed().then(|| (i, before, s.state()))
+        });
+        let Some((i, before, after)) = hit else {
             return Handled::NotMine;
         };
-        let before = sender.state();
-        if !sender.handle(net, ev).consumed() {
-            return Handled::NotMine;
-        }
-        let after = sender.state();
-        if before != after {
-            match after {
-                SenderState::AwaitingConfirm | SenderState::Streaming
-                    if before == SenderState::Connecting =>
-                {
-                    self.push_event(net, SessionEvent::Established);
-                }
-                SenderState::Streaming if before == SenderState::AwaitingConfirm => {
-                    self.push_event(net, SessionEvent::Confirmed);
-                    // A non-zero grant means this attempt skips the
-                    // verified prefix: surface the resume decision.
-                    let granted = self.sender.as_ref().and_then(BulkSender::resume_granted);
-                    if let Some(offset) = granted.filter(|&g| g > 0) {
-                        self.observe_verified(offset / RESUME_BLOCK);
-                        self.push_event(
-                            net,
-                            SessionEvent::Resumed {
-                                from_block: offset / RESUME_BLOCK,
-                                offset,
-                            },
-                        );
-                    }
-                }
-                SenderState::Failed(err) => self.on_attempt_failed(net, err),
-                _ => {}
+        match after {
+            _ if before == after => {}
+            SenderState::AwaitingConfirm | SenderState::Streaming
+                if before == SenderState::Connecting =>
+            {
+                self.push_event(net, i, SessionEvent::Established);
             }
+            SenderState::Streaming if before == SenderState::AwaitingConfirm => {
+                self.push_event(net, i, SessionEvent::Confirmed);
+                // A non-zero grant means this attempt skips the verified
+                // prefix: surface the resume decision.
+                let granted = self.lanes[i]
+                    .sender
+                    .as_ref()
+                    .and_then(BulkSender::resume_granted);
+                if let Some(offset) = granted.filter(|&g| g > 0) {
+                    self.verified_floor = self.verified_floor.max(offset / RESUME_BLOCK);
+                    let from_block = offset / RESUME_BLOCK;
+                    self.push_event(net, i, SessionEvent::Resumed { from_block, offset });
+                }
+            }
+            SenderState::Failed(err) => self.on_attempt_failed(net, i, err),
+            _ => {}
         }
         Handled::Consumed
     }
 
-    fn on_timer(&mut self, net: &mut Net, token: u64) {
-        if token & 0xffff_ffff != self.timer_gen & 0xffff_ffff || self.is_done() {
+    fn on_timer(&mut self, net: &mut Net, i: usize, gen: u64) {
+        if gen != self.lanes[i].timer_gen & TOKEN_GEN_MASK || self.is_done() {
             return; // stale generation
         }
-        match self.state {
-            ClientState::Backoff => {
+        match self.lanes[i].state {
+            LaneState::Backoff => {
                 // Backoff elapsed. Before reconnecting over the same
-                // route, re-score the survivors: if the forecast now
-                // ranks another candidate strictly better than the one
-                // that just dropped us, reconnect *there* instead.
-                // Unscored (static) plans have no scored alternative,
-                // so they always stay put.
-                if let Some((to, alt_score)) = self.best_alternative() {
-                    let cur = self.plan.candidates()[self.route_idx].score;
-                    if cur.is_none_or(|c| c > alt_score) {
-                        let from = self.route_idx;
-                        self.push_event(net, SessionEvent::Rerouted { from, to });
-                        self.route_idx = to;
-                        self.reconnects = 0;
-                    }
+                // route, re-score the free candidates: if the forecast
+                // now ranks one strictly better than the route that just
+                // dropped us, reconnect *there* instead.
+                if let Some(to) = self.better_route(i, |own, alt| own > alt) {
+                    let from = self.lanes[i].route;
+                    self.push_event(net, i, SessionEvent::Rerouted { from, to });
+                    self.lanes[i].route = to;
+                    self.lanes[i].reconnects = 0;
                 }
-                self.start_attempt(net);
+                self.start_attempt(net, i);
             }
-            ClientState::Running => {
+            LaneState::Running => {
                 // Watchdog tick: stalled unless some byte moved.
-                let Some(sender) = self.sender.as_ref() else {
-                    return;
-                };
-                if sender.is_done() {
+                let Some(progress) = self.lanes[i]
+                    .sender
+                    .as_ref()
+                    .filter(|s| !s.is_done())
+                    .map(BulkSender::progress)
+                else {
                     return; // outcome pending at the sink; nothing to watch
-                }
-                let progress = sender.progress();
-                if progress == self.last_progress {
-                    self.on_attempt_failed(net, SessionError::Stalled);
+                };
+                if progress == self.lanes[i].last_progress {
+                    self.on_attempt_failed(net, i, SessionError::Stalled);
                 } else {
-                    self.last_progress = progress;
+                    self.lanes[i].last_progress = progress;
                     if let Some(d) = self.cfg.progress_timeout {
-                        self.arm_timer(net, d);
+                        self.arm_timer(net, i, d);
                     }
                 }
             }
-            ClientState::Done | ClientState::Failed(_) => {}
+            LaneState::Idle | LaneState::Dead => {}
         }
     }
 
-    /// The harness observed a sink outcome for this session: verified
-    /// delivery finishes the client; a failed delivery burns one
-    /// retransfer and resends the stream over the current route.
+    /// The harness observed a sink outcome for this session. The session
+    /// is delivered when the sink verified the whole stream — a
+    /// whole-stream attempt's verdict, or the block ledger certifying
+    /// every block for a striped one. Otherwise the outcome belongs to
+    /// the lane whose finished attempt carried its range: a certified
+    /// chunk frees the lane for its next one, a failed delivery check
+    /// burns one of the lane's retransfers and re-requests the range.
     pub fn on_outcome(&mut self, net: &mut Net, outcome: &TransferOutcome) {
         if self.is_done() {
             return;
@@ -735,36 +911,42 @@ impl SessionClient {
         );
         // The verdict's verified count feeds the next attempt's resume
         // request (fold it in before any retransfer starts below).
-        self.observe_verified(outcome.verified_blocks);
-        if outcome.ok() {
-            self.push_event(net, SessionEvent::Completed);
-            self.state = ClientState::Done;
-            self.finished_at.get_or_insert(net.now());
-            self.timer_gen += 1;
-            self.discard_sender(net);
+        self.verified_floor = self.verified_floor.max(outcome.verified_blocks);
+        let delivered = match outcome.stripe {
+            None => outcome.ok(),
+            Some(_) => outcome.session_verified >= stream_blocks(self.total),
+        };
+        if delivered {
+            self.finish(net, ClientState::Done, SessionEvent::Completed);
             return;
         }
-        // The *sink* rejected the stream (digest/content/truncation).
-        // If our sender also already knows it failed, the sublink error
-        // path owns recovery; only a completed-but-unverified attempt
-        // triggers a retransfer here.
-        // If the sublink instead died mid-stream, the sender's own
+        // Only a completed-but-unverified attempt is ours to act on
+        // here. If the sublink instead died mid-stream, the sender's own
         // failure handling (or its watchdog) drives the reconnect — the
-        // sink outcome is just the other half of the same event.
-        if let Some(SenderState::Done) = self.sender.as_ref().map(BulkSender::state) {
-            if self.retransfers < self.cfg.max_retransfers {
-                self.retransfers += 1;
-                self.push_event(
-                    net,
-                    SessionEvent::Retransfer {
-                        attempt: self.retransfers,
-                    },
-                );
-                self.discard_sender(net);
-                self.start_attempt(net);
-            } else {
-                self.fail(net, SessionError::RetransfersExhausted);
-            }
+        // sink outcome is just the other half of the same event — and
+        // outcomes of attempts already aborted match no lane.
+        let Some(i) = self.lanes.iter().position(|l| {
+            l.sender.as_ref().is_some_and(|s| {
+                s.state() == SenderState::Done && s.stripe_granted() == outcome.stripe
+            })
+        }) else {
+            return;
+        };
+        if outcome.ok() {
+            self.discard_sender(net, i);
+            let lane = &mut self.lanes[i];
+            lane.chunk = None;
+            lane.reconnects = 0;
+            lane.state = LaneState::Idle;
+            self.dispatch(net, i);
+        } else if self.lanes[i].retransfers < self.cfg.max_retransfers {
+            self.lanes[i].retransfers += 1;
+            let attempt = self.lanes[i].retransfers;
+            self.push_event(net, i, SessionEvent::Retransfer { attempt });
+            self.discard_sender(net, i);
+            self.start_attempt(net, i);
+        } else {
+            self.fail(net, SessionError::RetransfersExhausted);
         }
     }
 }
@@ -776,29 +958,35 @@ mod tests {
     #[test]
     fn backoff_doubles_and_caps() {
         let cfg = RecoveryConfig::default();
-        let mut delays = Vec::new();
-        for attempt in 1u32..=8 {
-            let exp = attempt.saturating_sub(1).min(16);
-            delays.push((cfg.backoff_base * 2u64.pow(exp)).min(cfg.backoff_cap));
-        }
+        let delays: Vec<Dur> = (1u32..=8).map(|n| cfg.backoff(n)).collect();
         assert_eq!(delays[0], Dur::from_millis(100));
         assert_eq!(delays[1], Dur::from_millis(200));
         assert_eq!(delays[2], Dur::from_millis(400));
         assert_eq!(*delays.last().unwrap(), Dur::from_secs(5));
         assert!(delays.windows(2).all(|w| w[0] <= w[1]));
+        // The exponent saturates instead of overflowing.
+        assert_eq!(cfg.backoff(u32::MAX), Dur::from_secs(5));
     }
 
     #[test]
-    fn timer_tokens_embed_tag_session_and_generation() {
-        // Two sessions on one node must never consume each other's
-        // timers: tokens differ in the session field.
-        let sid_a = SessionId(0x1111);
-        let sid_b = SessionId(0x2222);
-        let tok = |sid: SessionId, gen: u64| {
-            CLIENT_TIMER_TAG | (((sid.0 as u64) & 0x3fff_ffff) << 32) | (gen & 0xffff_ffff)
-        };
-        assert_ne!(tok(sid_a, 1), tok(sid_b, 1));
-        assert_ne!(tok(sid_a, 1), tok(sid_a, 2));
-        assert!(tok(sid_a, 1) & CLIENT_TIMER_TAG != 0);
+    fn timer_tokens_embed_tag_session_lane_and_generation() {
+        let (a, b) = (SessionId(0x1111), SessionId(0x2222));
+        // Two sessions on one node never consume each other's timers.
+        assert_ne!(client_timer_token(a, 0, 1), client_timer_token(b, 0, 1));
+        // Two lanes of one session never collide, at any generation.
+        for gen in [0, 1, TOKEN_GEN_MASK] {
+            let lanes: Vec<u64> = (0..16).map(|l| client_timer_token(a, l, gen)).collect();
+            for (i, x) in lanes.iter().enumerate() {
+                assert!(lanes[i + 1..].iter().all(|y| y != x), "lane {i} collides");
+            }
+        }
+        assert_ne!(client_timer_token(a, 0, 1), client_timer_token(a, 0, 2));
+        // The fields decode back out exactly as `handle` reads them.
+        let t = client_timer_token(SessionId(0x3fff_ffff), 15, TOKEN_GEN_MASK);
+        assert!(t & CLIENT_TIMER_TAG != 0);
+        assert_eq!(t >> 63, 0, "bit 63 is the net layer's");
+        assert_eq!((t >> 32) & TOKEN_SESSION_MASK, 0x3fff_ffff);
+        assert_eq!((t >> 28) & TOKEN_LANE_MASK, 15);
+        assert_eq!(t & TOKEN_GEN_MASK, TOKEN_GEN_MASK);
     }
 }

@@ -12,8 +12,10 @@
 //!
 //! Crate layout:
 //!
-//! * [`client`] — the recovering session endpoint (reconnect with
-//!   backoff, depot-route failover, retransfer, direct-TCP degradation),
+//! * [`client`] — the one recovery engine: a session is one or more
+//!   lanes, each running the same ladder (reconnect with backoff,
+//!   depot-route failover, direct-TCP degradation, retransfer); a
+//!   one-lane session is the single cascade,
 //! * [`error`] — typed wire/route/session errors, lifecycle
 //!   [`SessionEvent`]s and the [`Handled`] event-dispatch result,
 //! * [`header`] — the LSL wire header (magic, version, session id, loose
@@ -23,17 +25,16 @@
 //! * [`depot`] — the simulated `lsd` depot (bidirectional relay),
 //! * [`endpoint`] — bulk sender and sink applications for experiments,
 //! * [`model`] — analytic TCP/cascade throughput models (Mathis
-//!   steady-state plus a slow-start transient model) used for path
-//!   selection and calibration,
-//! * [`path`] — NWS-forecast-driven depot/path selection (float,
-//!   calibration-side),
+//!   steady-state plus a slow-start transient model), the float
+//!   reference [`score`] is checked against,
 //! * [`plan`] — typed, builder-validated route candidate sets
 //!   ([`RoutePlan`]) — the only way to hand the client routes,
 //! * [`score`] — deterministic fixed-point cascade scoring driving
 //!   forecast route selection and proactive re-routing,
-//! * [`stripe`] — RAIL-style striped multi-cascade sessions: N
-//!   concurrent cascades with work-stealing block dispatch, k-of-n
-//!   redundant tails, and loss-bounded cascade death.
+//! * [`stripe`] — RAIL-style striped sessions: the multi-lane dispatch
+//!   policy (macro-stripes, work stealing, k-of-n redundant tails,
+//!   re-striping a dead lane's blocks) and [`StripedSession`], the
+//!   N-lane [`SessionClient`].
 
 pub mod client;
 pub mod depot;
@@ -42,14 +43,13 @@ pub mod error;
 pub mod header;
 pub mod id;
 pub mod model;
-pub mod path;
 pub mod plan;
 pub mod route;
 pub mod score;
 pub mod stripe;
 
 pub use client::{
-    ClientState, RecoveryConfig, RecoveryConfigBuilder, SessionClient, CLIENT_TIMER_TAG,
+    client_timer_token, ClientState, RecoveryConfig, SessionClient, CLIENT_TIMER_TAG,
 };
 pub use depot::{Depot, DepotConfig, DepotConfigBuilder, DepotStats};
 pub use endpoint::{
@@ -62,4 +62,4 @@ pub use id::SessionId;
 pub use plan::{RouteCandidate, RoutePlan, RoutePlanBuilder, RouteProvenance};
 pub use route::{Hop, LslPath};
 pub use score::{cascade_score_ns, rank_candidates, SublinkForecast};
-pub use stripe::{LaneStat, StripeConfig, StripedSession, STRIPE_TIMER_TAG};
+pub use stripe::{LaneStat, StripeConfig, StripedSession};

@@ -50,7 +50,7 @@ use lsl_session::{
     SessionEvent, SessionId, SinkServer, StripeConfig, StripedSession, SublinkForecast,
     TransferOutcome, RESUME_BLOCK,
 };
-use lsl_tcp::{AppEvent, Net, TcpConfig};
+use lsl_tcp::{Net, TcpConfig};
 
 use crate::campaign::run_campaign;
 use crate::forecast::{plan_sublinks, ForecastPlane};
@@ -226,7 +226,6 @@ fn drill_recovery() -> RecoveryConfig {
         progress_timeout: Some(Dur::from_millis(500)),
         max_retransfers: 2,
         direct_fallback: true,
-        resume: true,
     }
 }
 
@@ -423,51 +422,19 @@ pub struct Scenario {
     pub cfg: CampaignConfig,
 }
 
-/// The live session a scenario drives: a plain client (with its
-/// forecast plane when forecast-routed) or a striped session.
-enum Driver {
-    Client(Box<SessionClient>, Option<ForecastPlane>),
-    Striped(StripedSession),
-}
-
-impl Driver {
-    /// Dispatch one event; `true` if the session (or its forecast
-    /// plane) consumed it.
-    fn handle(&mut self, net: &mut Net, ev: &AppEvent, size: u64) -> bool {
-        match self {
-            Driver::Client(c, Some(plane)) if plane.is_tick(ev) => {
-                plane.observe_live(net, c);
-                plane.sweep(net);
-                plane.arm(net);
-                // The scoring pass covers the client's own plan —
-                // including the direct fallback the recovery layer
-                // appended — and the client decides whether the fresh
-                // scores justify leaving a working route.
-                let scores = plane.scores(c.plan(), size);
-                for (i, s) in scores.iter().enumerate() {
-                    lsl_obs::gauge_set("nws.score_ns", i as u64, s.unwrap_or(u64::MAX));
-                }
-                c.update_scores(net, &scores);
-                true
-            }
-            Driver::Client(c, _) => c.handle(net, ev).consumed(),
-            Driver::Striped(s) => s.handle(net, ev).consumed(),
-        }
+/// One forecast tick: sweep the probes, re-arm, and hand the client
+/// fresh scores for its own plan — including the direct fallback the
+/// recovery layer appended. The client decides whether they justify
+/// leaving a working route.
+fn forecast_tick(plane: &mut ForecastPlane, net: &mut Net, client: &mut SessionClient, size: u64) {
+    plane.observe_live(net, client);
+    plane.sweep(net);
+    plane.arm(net);
+    let scores = plane.scores(client.plan(), size);
+    for (i, s) in scores.iter().enumerate() {
+        lsl_obs::gauge_set("nws.score_ns", i as u64, s.unwrap_or(u64::MAX));
     }
-
-    fn on_outcome(&mut self, net: &mut Net, o: &TransferOutcome) {
-        match self {
-            Driver::Client(c, _) => c.on_outcome(net, o),
-            Driver::Striped(s) => s.on_outcome(net, o),
-        }
-    }
-
-    fn state(&self) -> ClientState {
-        match self {
-            Driver::Client(c, _) => c.state(),
-            Driver::Striped(s) => s.state(),
-        }
-    }
+    client.update_scores(net, &scores);
 }
 
 impl Scenario {
@@ -527,7 +494,7 @@ impl Scenario {
         }
 
         let session = SessionId(self.campaign.session_base() + u128::from(seed));
-        let plane = (self.client == ClientKind::Forecast).then(|| {
+        let mut plane = (self.client == ClientKind::Forecast).then(|| {
             let mut plane =
                 ForecastPlane::new(src, plan_sublinks(src, &plan), self.cfg.probe_period);
             for _ in 0..WARMUP_SWEEPS {
@@ -541,9 +508,9 @@ impl Scenario {
             }
             plane
         });
-        let mut client = if self.client == ClientKind::Striped {
+        let mut client: SessionClient = if self.client == ClientKind::Striped {
             let stripe = self.cfg.stripe.clone();
-            let s = StripedSession::start(
+            StripedSession::start(
                 &mut net,
                 src,
                 plan,
@@ -552,27 +519,25 @@ impl Scenario {
                 posture.tcp,
                 stripe,
                 None,
-            );
-            Driver::Striped(s)
+            )
+            .into()
         } else {
             let recovery = self.cfg.stripe.recovery.clone();
-            let mode = SendMode::lsl();
-            let c = SessionClient::start(
+            SessionClient::start(
                 &mut net,
                 src,
                 plan,
                 session,
                 size,
-                mode,
+                SendMode::lsl(),
                 posture.tcp,
                 recovery,
                 None,
-            );
-            if let Some(p) = &plane {
-                p.arm(&mut net);
-            }
-            Driver::Client(Box::new(c), plane)
+            )
         };
+        if let Some(p) = &plane {
+            p.arm(&mut net);
+        }
 
         // Events go to client, sink, then depots; after every event,
         // freshly minted sink outcomes are fed straight back to the
@@ -589,7 +554,14 @@ impl Scenario {
                 hung = true;
                 break;
             }
-            if !client.handle(&mut net, &ev, size) && !sink.handle(&mut net, &ev).consumed() {
+            let consumed = match plane.as_mut() {
+                Some(p) if p.is_tick(&ev) => {
+                    forecast_tick(p, &mut net, &mut client, size);
+                    true
+                }
+                _ => client.handle(&mut net, &ev).consumed(),
+            };
+            if !consumed && !sink.handle(&mut net, &ev).consumed() {
                 for d in &mut depots {
                     if d.handle(&mut net, &ev).consumed() {
                         break;
@@ -602,7 +574,7 @@ impl Scenario {
                 }
                 outcomes.push(o);
             }
-            if matches!(client.state(), ClientState::Done | ClientState::Failed(_)) {
+            if client.is_done() {
                 break;
             }
         }
@@ -610,10 +582,10 @@ impl Scenario {
         let mut report = RunReport {
             scenario: self.clone(),
             state: client.state(),
-            route_used: 0,
-            cascades: 1,
-            lanes: Vec::new(),
-            timeline: Vec::new(),
+            route_used: client.route_index(),
+            cascades: client.cascades(),
+            lanes: client.lane_stats(),
+            timeline: client.take_events(),
             outcomes,
             certified: sink.session_certified(session),
             expected_blocks: stream_blocks(size),
@@ -626,23 +598,11 @@ impl Scenario {
             forecasts: Vec::new(),
             obs: lsl_obs::ObsReport::default(),
         };
-        let (started, finished) = match &mut client {
-            Driver::Client(c, plane) => {
-                report.route_used = c.route_index();
-                report.timeline = c.take_events();
-                if let Some(p) = plane {
-                    report.probes = p.probes;
-                    report.forecasts = p.dump();
-                }
-                (c.started_at, c.finished_at)
-            }
-            Driver::Striped(s) => {
-                report.cascades = s.cascades();
-                report.lanes = s.lane_stats();
-                report.timeline = s.take_events();
-                (s.started_at(), s.finished_at())
-            }
-        };
+        if let Some(p) = &plane {
+            report.probes = p.probes;
+            report.forecasts = p.dump();
+        }
+        let (started, finished) = (client.started_at, client.finished_at);
         report.duration_s = (finished.unwrap_or_else(|| net.now()) - started).as_secs_f64();
         #[cfg(feature = "invariants")]
         let invariant_count = lsl_netsim::invariants::take().len();
@@ -743,8 +703,8 @@ pub enum Violation {
 pub struct RunReport {
     pub scenario: Scenario,
     pub state: ClientState,
-    /// Candidate index of the attempt that ended an unstriped session
-    /// (the direct fallback is the last index); 0 when striped.
+    /// Candidate index lane 0 ended on (the direct fallback is the last
+    /// index) — the route of an unstriped session.
     pub route_used: usize,
     /// Cascades the session striped over (1 when unstriped or degraded).
     pub cascades: usize,
@@ -1062,6 +1022,23 @@ mod tests {
     /// them for its own ticks would starve the client into a hang.
     #[test]
     fn forecast_runs_score_and_complete() {
+        // The clash itself: such a client's token carries bit 60, and
+        // the plane must still refuse it as a tick, on every lane.
+        let case = failover_case();
+        let plane = ForecastPlane::new(case.src, Vec::new(), Dur::from_millis(100));
+        let sid = SessionId(Campaign::Routing.session_base() + (1 << 28) + 1);
+        for lane in [0, 15] {
+            let token = lsl_session::client_timer_token(sid, lane, 1);
+            assert_ne!(token & crate::forecast::FORECAST_TIMER_TAG, 0);
+            let ev = lsl_tcp::AppEvent::Timer {
+                node: case.src,
+                token,
+            };
+            assert!(
+                !plane.is_tick(&ev),
+                "client token {token:#x} taken for a tick"
+            );
+        }
         let stormy = Scenario::seeded(
             Campaign::Routing,
             ClientKind::Forecast,

@@ -3,19 +3,18 @@
 //! A Grid application must move result files from UCSB to UIUC and asks
 //! the session layer to pick the best path. We (1) probe the direct path
 //! and both depot sublinks with small measured transfers, (2) feed the
-//! observations into the NWS-style forecaster registry, (3) rank the
-//! candidate paths with the analytic cascade model, and (4) run the
-//! actual transfer over the winner — exactly the decision loop §III of
-//! the paper sketches.
+//! observations into the NWS-style forecaster registry, (3) score the
+//! candidate paths of a `RoutePlan` with the fixed-point cascade scorer
+//! the recovering session client ranks routes by, and (4) run the actual
+//! transfer over the winner — exactly the decision loop §III of the
+//! paper sketches.
 //!
 //! ```text
 //! cargo run --release --example grid_transfer
 //! ```
 
 use lsl::nws::LinkRegistry;
-use lsl::session::model::TcpPathModel;
-use lsl::session::path::{rank_paths, Candidate};
-use lsl::session::{Hop, LslPath};
+use lsl::session::{cascade_score_ns, rank_candidates, Hop, LslPath, RoutePlan, SublinkForecast};
 use lsl::trace;
 use lsl::workloads::{case1, run_transfer, Mode, RunConfig};
 
@@ -78,37 +77,50 @@ fn main() {
     println!("  sublink1 rtt {:6.1} ms", f_s1.rtt_s.unwrap() * 1e3);
     println!("  sublink2 rtt {:6.1} ms\n", f_s2.rtt_s.unwrap() * 1e3);
 
-    // --- 2. Rank candidates with the analytic model -------------------
+    // --- 2. Score the plan's candidates ------------------------------
     // Loss is taken from the calibrated case description; in a live
     // deployment it would come from the TCP extended-statistics MIB.
     let loss = 1.8e-4;
     let bottleneck = 100e6;
-    let direct_cand = Candidate::new(
-        LslPath::direct(Hop::new(case.dst, 5001)),
-        vec![TcpPathModel::new(f_direct.rtt_s.unwrap(), bottleneck, loss)],
-    );
-    let depot_cand = Candidate::new(
-        LslPath::via(vec![Hop::new(case.depot, 7001)], Hop::new(case.dst, 5001)),
-        vec![
-            TcpPathModel::new(f_s1.rtt_s.unwrap(), bottleneck, loss / 2.0),
-            TcpPathModel::new(f_s2.rtt_s.unwrap(), bottleneck, loss / 2.0),
-        ],
-    );
+    let forecast = |rtt_s: Option<f64>, loss: f64| {
+        SublinkForecast::quantize(bottleneck, rtt_s.expect("rtt probed"), loss)
+            .expect("finite, in-range forecast")
+    };
+    let direct_fc = [forecast(f_direct.rtt_s, loss)];
+    let depot_fc = [
+        forecast(f_s1.rtt_s, loss / 2.0),
+        forecast(f_s2.rtt_s, loss / 2.0),
+    ];
+    let dst = Hop::new(case.dst, 5001);
+    let mut plan = RoutePlan::builder()
+        .path(LslPath::direct(dst))
+        .path(LslPath::via(vec![Hop::new(case.depot, 7001)], dst))
+        .build()
+        .expect("valid candidate routes");
 
     let size = 32u64 << 20;
     println!("Ranking paths for a {}MB transfer:", size >> 20);
-    let ranked = rank_paths(&[direct_cand, depot_cand], size, 2 * 1460);
-    for (i, r) in ranked.iter().enumerate() {
+    for (i, sublinks) in [&direct_fc[..], &depot_fc[..]].into_iter().enumerate() {
+        plan.set_score(i, cascade_score_ns(sublinks, size));
+    }
+    let scores: Vec<Option<u64>> = plan.candidates().iter().map(|c| c.score).collect();
+    let ranked = rank_candidates(&scores);
+    let predicted = |i: usize| {
+        let t = scores[i].expect("every candidate scored") as f64 / 1e9;
+        (t, size as f64 * 8.0 / t)
+    };
+    for (rank, &i) in ranked.iter().enumerate() {
+        let (t, bps) = predicted(i);
         println!(
             "  #{} {} sublinks — predicted {:.2} Mbit/s ({:.2}s)",
-            i + 1,
-            r.path.num_sublinks(),
-            r.predicted_bps / 1e6,
-            r.predicted_time
+            rank + 1,
+            plan.candidates()[i].path.num_sublinks(),
+            bps / 1e6,
+            t
         );
     }
-    let winner = &ranked[0];
-    let mode = if winner.path.num_sublinks() == 1 {
+    let winner = &plan.candidates()[ranked[0]].path;
+    let mode = if winner.num_sublinks() == 1 {
         Mode::Direct
     } else {
         Mode::ViaDepot
@@ -118,10 +130,10 @@ fn main() {
     let result = run_transfer(&case, &RunConfig::builder(size, mode).seed(999).build());
     println!(
         "\nChosen: {} sublinks → measured {:.2} Mbit/s in {:.2}s (predicted {:.2} Mbit/s)",
-        winner.path.num_sublinks(),
+        winner.num_sublinks(),
         result.goodput_bps / 1e6,
         result.duration_s,
-        winner.predicted_bps / 1e6
+        predicted(ranked[0]).1 / 1e6
     );
     if let Some(ok) = result.digest_ok {
         println!("End-to-end MD5 digest verified: {ok}");

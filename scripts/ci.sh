@@ -45,6 +45,11 @@ cargo test -q --workspace
 echo "==> cargo test --features invariants (runtime invariant auditor)"
 cargo test -q --features invariants
 
+echo "==> perfbench build (the benchmark is its own workspace)"
+# `cargo test --workspace` never compiles perfbench, so a session-API
+# change could break the benchmark unnoticed; build it here.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> fault campaign smokes (drills, chaos, striped, routing)"
 # One release build of the campaign binary, then each campaign's CI
 # gate. Every run must satisfy the contract — terminate, end in verified
