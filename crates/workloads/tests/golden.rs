@@ -123,6 +123,6 @@ const GOLDEN_CHAOS: u64 = 0x83d2_bb7c_84f2_ed78;
 /// Routing seeds 0..8: (static arm, forecast arm).
 const GOLDEN_ROUTING: (u64, u64) = (0xe145_d3ef_d212_7b03, 0x3a92_5ff6_a83d_d425);
 /// Striped seeds 0..8, targeted depot kill included.
-const GOLDEN_STRIPED: u64 = 0x3ce7_bbf7_58f6_095f;
+const GOLDEN_STRIPED: u64 = 0xe6ec_8737_3fed_167d;
 /// The four scripted drills at seed 7.
 const GOLDEN_DRILLS: u64 = 0x74c0_4055_e3e1_6bf4;
