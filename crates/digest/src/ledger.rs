@@ -1,21 +1,25 @@
-//! Out-of-order block certification for striped sessions.
+//! Block certification in any order.
 //!
-//! A [`super::DigestChain`] certifies blocks strictly in stream order —
-//! the right shape for one cascade feeding one contiguous stream. A
-//! striped session delivers disjoint block *ranges* over N concurrent
-//! cascades, so blocks certify out of order: the sink needs a ledger of
+//! A [`super::DigestChain`] hashes the blocks of one contiguous byte
+//! range in stream order. A session is delivered by one or more such
+//! ranges: a one-cascade session by the ranges its successive attempts
+//! were granted, a striped session by disjoint ranges over N concurrent
+//! cascades. The sink therefore keeps one ledger per session recording
 //! which blocks are verified, independent of arrival order, plus the
-//! contiguous-prefix view the resume protocol grants against and a
+//! contiguous-prefix view a one-cascade resume is granted from and a
 //! duplicate count for redundant (k-of-n) dispatch accounting.
 
 /// Per-session record of which fixed-size blocks have been certified,
 /// in any order. The ledger is pure bookkeeping: callers certify a
 /// block only after its digest matched the reference, and the ledger
-/// answers coverage questions (verified count, contiguous prefix,
-/// completion) plus counts duplicate certifications — the cost of
-/// deliberately redundant tail dispatch.
-#[derive(Clone, Debug)]
+/// answers coverage questions (verified count, contiguous prefix, holes
+/// in a range) plus counts duplicate certifications — the cost of
+/// deliberately redundant tail dispatch. It needs no stream length, so
+/// a stream that ends at FIN is tracked the same way.
+#[derive(Clone, Debug, Default)]
 pub struct BlockLedger {
+    /// `verified[b]` for every block up to the highest one certified;
+    /// blocks past the end are unverified.
     verified: Vec<bool>,
     verified_count: u64,
     /// Blocks `[0, prefix)` are all verified (cached scan position).
@@ -24,36 +28,26 @@ pub struct BlockLedger {
 }
 
 impl BlockLedger {
-    /// A ledger over `total_blocks` blocks, all unverified. Panics on a
-    /// zero-block ledger — a striped session always has payload.
-    pub fn new(total_blocks: u64) -> BlockLedger {
-        assert!(total_blocks > 0, "ledger needs at least one block");
-        BlockLedger {
-            verified: vec![false; total_blocks as usize],
-            verified_count: 0,
-            prefix: 0,
-            duplicates: 0,
-        }
-    }
-
-    pub fn total_blocks(&self) -> u64 {
-        self.verified.len() as u64
+    /// An empty ledger: no block verified yet.
+    pub fn new() -> BlockLedger {
+        BlockLedger::default()
     }
 
     /// Record block `block` as certified. Returns `true` if the block
     /// was newly verified, `false` for a duplicate (already certified
     /// by another cascade — counted, then discarded).
     pub fn certify(&mut self, block: u64) -> bool {
-        let slot = &mut self.verified[block as usize];
-        if *slot {
+        if self.is_verified(block) {
             self.duplicates += 1;
             return false;
         }
-        *slot = true;
-        self.verified_count += 1;
-        while (self.prefix as usize) < self.verified.len() && self.verified[self.prefix as usize] {
-            self.prefix += 1;
+        let i = block as usize;
+        if i >= self.verified.len() {
+            self.verified.resize(i + 1, false);
         }
+        self.verified[i] = true;
+        self.verified_count += 1;
+        self.prefix = self.skip_verified(self.prefix);
         true
     }
 
@@ -66,14 +60,10 @@ impl BlockLedger {
         self.verified_count
     }
 
-    /// Length of the verified prefix `[0, n)` — what a v2-style
-    /// contiguous resume grant would be based on.
+    /// Length of the verified prefix `[0, n)` — the block a one-cascade
+    /// resume is granted from.
     pub fn contiguous_verified(&self) -> u64 {
         self.prefix
-    }
-
-    pub fn all_verified(&self) -> bool {
-        self.verified_count == self.total_blocks()
     }
 
     /// Duplicate certifications seen (redundant dispatch discards).
@@ -81,21 +71,20 @@ impl BlockLedger {
         self.duplicates
     }
 
-    /// First unverified block at or after `from` (clamped to the ledger
-    /// end) — how a sink advances a requested range past blocks some
-    /// other cascade already delivered.
+    /// First unverified block at or after `from` — how a sink advances a
+    /// requested range past blocks some other cascade already delivered.
     pub fn skip_verified(&self, from: u64) -> u64 {
-        let mut b = from.min(self.total_blocks());
-        while (b as usize) < self.verified.len() && self.verified[b as usize] {
+        let mut b = from;
+        while self.is_verified(b) {
             b += 1;
         }
         b
     }
 
-    /// Unverified blocks within `[start, end)`.
-    pub fn missing_in(&self, start: u64, end: u64) -> u64 {
-        let end = end.min(self.total_blocks());
-        (start..end).filter(|&b| !self.verified[b as usize]).count() as u64
+    /// Verified blocks within `[start, end)`.
+    pub fn verified_in(&self, start: u64, end: u64) -> u64 {
+        let end = end.min(self.verified.len() as u64);
+        (start..end).filter(|&b| self.verified[b as usize]).count() as u64
     }
 }
 
@@ -105,23 +94,16 @@ mod tests {
 
     #[test]
     fn fresh_ledger_is_empty() {
-        let l = BlockLedger::new(4);
-        assert_eq!(l.total_blocks(), 4);
+        let l = BlockLedger::new();
         assert_eq!(l.verified_count(), 0);
         assert_eq!(l.contiguous_verified(), 0);
-        assert!(!l.all_verified());
-        assert_eq!(l.missing_in(0, 4), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one block")]
-    fn zero_blocks_rejected() {
-        BlockLedger::new(0);
+        assert!(!l.is_verified(0));
+        assert_eq!(l.verified_in(0, 4), 0);
     }
 
     #[test]
     fn out_of_order_certification_tracks_prefix() {
-        let mut l = BlockLedger::new(5);
+        let mut l = BlockLedger::new();
         assert!(l.certify(2));
         assert_eq!(l.verified_count(), 1);
         assert_eq!(l.contiguous_verified(), 0);
@@ -132,14 +114,14 @@ mod tests {
         assert_eq!(l.contiguous_verified(), 3);
         assert!(l.certify(4));
         assert!(l.certify(3));
-        assert!(l.all_verified());
+        assert_eq!(l.verified_count(), 5);
         assert_eq!(l.contiguous_verified(), 5);
         assert_eq!(l.duplicates(), 0);
     }
 
     #[test]
     fn duplicates_are_counted_and_discarded() {
-        let mut l = BlockLedger::new(3);
+        let mut l = BlockLedger::new();
         assert!(l.certify(1));
         assert!(!l.certify(1));
         assert!(!l.certify(1));
@@ -149,26 +131,26 @@ mod tests {
 
     #[test]
     fn skip_verified_advances_past_done_blocks() {
-        let mut l = BlockLedger::new(6);
+        let mut l = BlockLedger::new();
         l.certify(2);
         l.certify(3);
         assert_eq!(l.skip_verified(0), 0);
         assert_eq!(l.skip_verified(2), 4);
         assert_eq!(l.skip_verified(3), 4);
         assert_eq!(l.skip_verified(5), 5);
-        // Clamped at the end.
-        assert_eq!(l.skip_verified(99), 6);
+        // Past the highest certified block everything is unverified.
+        assert_eq!(l.skip_verified(99), 99);
     }
 
     #[test]
-    fn missing_in_counts_holes() {
-        let mut l = BlockLedger::new(8);
+    fn verified_in_counts_certified_blocks_in_range() {
+        let mut l = BlockLedger::new();
         l.certify(1);
         l.certify(4);
-        assert_eq!(l.missing_in(0, 8), 6);
-        assert_eq!(l.missing_in(1, 5), 2);
-        assert_eq!(l.missing_in(4, 5), 0);
-        // Range clamped to the ledger.
-        assert_eq!(l.missing_in(6, 100), 2);
+        assert_eq!(l.verified_in(0, 8), 2);
+        assert_eq!(l.verified_in(1, 5), 2);
+        assert_eq!(l.verified_in(2, 4), 0);
+        // A range reaching past the highest certified block is cheap.
+        assert_eq!(l.verified_in(4, u64::MAX), 1);
     }
 }
