@@ -489,3 +489,132 @@ fn until_fin_sentinel_with_resume_verifies_blocks_at_fin() {
     assert_eq!(o.verified_blocks, 1);
     assert_eq!(o.resume_offset, 0);
 }
+
+/// Hand-drive one raw LSL attempt from `src` to the sink: push `stream`
+/// (header, payload, trailer) whenever the socket will take it, FIN when
+/// it is out, and return the sink's confirmation reply.
+fn hand_attempt(
+    net: &mut Net,
+    sink: &mut SinkServer,
+    src: NodeId,
+    dst: NodeId,
+    stream: bytes::Bytes,
+) -> Vec<u8> {
+    let sock = net.connect(src, dst, SINK_PORT, TcpConfig::default());
+    let mut sent = 0usize;
+    let mut reply = Vec::new();
+    let mut closed = false;
+    while let Some(ev) = net.poll() {
+        if sink.handle(net, &ev).consumed() {
+            continue;
+        }
+        let AppEvent::Sock { sock: s, event } = &ev else {
+            continue;
+        };
+        if *s != sock {
+            continue;
+        }
+        if matches!(event, SockEvent::Readable) {
+            reply.extend_from_slice(&net.recv(sock, 64));
+        }
+        if matches!(
+            event,
+            SockEvent::Connected | SockEvent::Writable | SockEvent::Readable
+        ) {
+            if sent < stream.len() {
+                sent += net.send(sock, &stream.slice(sent..));
+            }
+            if sent == stream.len() && !closed {
+                net.close(sock);
+                closed = true;
+            }
+        }
+    }
+    assert!(closed, "stream never fully handed to the socket");
+    reply
+}
+
+/// A corrupted block fails the attempt's digest and freezes
+/// certification at that block; the retransfer is granted exactly the
+/// block range from there to the end, trails the MD5 of that range
+/// alone, and completes the session's certification.
+#[test]
+fn digest_mismatch_freezes_certification_and_resume_grants_the_rest() {
+    const B: u64 = lsl_session::RESUME_BLOCK;
+    let (topo, nodes) = chain_topology(0, 50_000_000, Dur::from_millis(5), 0.0);
+    let mut net = Net::new(topo.into_sim(13));
+    let (src, dst) = (nodes[0], *nodes.last().unwrap());
+    let mut sink = SinkServer::new(&mut net, dst, SINK_PORT, true, TcpConfig::default());
+    let session = SessionId(0x77);
+    // Four full blocks and a short fifth; block k arrives corrupted.
+    let total = 4 * B + B / 2;
+    let k = 2;
+    let header = |offset: u64| LslHeader {
+        session,
+        flags: HEADER_FLAG_DIGEST,
+        length: total,
+        resume: Some(Resume {
+            offset,
+            verified_block: match offset / B {
+                0 => lsl_session::NO_VERIFIED_BLOCK,
+                n => n - 1,
+            },
+        }),
+        stripe: None,
+        route: Vec::new(),
+    };
+    let grant_of = |reply: &[u8]| {
+        assert_eq!(reply.len(), 9, "version-2 confirm is 9 bytes");
+        assert_eq!(reply[0], 0x4b);
+        u64::from_be_bytes(reply[1..9].try_into().unwrap())
+    };
+
+    // Attempt 1: the whole stream with one payload byte flipped in
+    // block k, trailed by the digest of the clean stream (the sender's
+    // view; the flip happened in transit).
+    let clean = payload_chunk(0, total as usize);
+    let mut stream = Vec::from(&header(0).encode().unwrap()[..]);
+    let body_at = stream.len();
+    stream.extend_from_slice(&clean);
+    stream[body_at + (k * B) as usize + 100] ^= 0x01;
+    stream.extend_from_slice(&lsl_digest::md5(&clean));
+    let reply = hand_attempt(&mut net, &mut sink, src, dst, stream.into());
+    assert_eq!(grant_of(&reply), 0);
+    let first = sink.take_outcomes();
+    assert_eq!(first.len(), 1);
+    assert_eq!(
+        first[0].status,
+        TransferStatus::Failed(lsl_session::SessionError::DigestMismatch)
+    );
+    assert_eq!(first[0].digest_ok, Some(false));
+    assert_eq!(
+        first[0].verified_blocks, k,
+        "certification froze at block k"
+    );
+    assert_eq!(first[0].blocks_certified, k);
+    assert_eq!(sink.session_certified(session), k);
+
+    // Attempt 2: asks to resume at k and is granted exactly k·B; streams
+    // [k·B, total) trailed by the MD5 of that range alone.
+    let rest = payload_chunk(k * B, (total - k * B) as usize);
+    let mut stream = Vec::from(&header(k * B).encode().unwrap()[..]);
+    stream.extend_from_slice(&rest);
+    stream.extend_from_slice(&lsl_digest::md5(&rest));
+    let reply = hand_attempt(&mut net, &mut sink, src, dst, stream.into());
+    assert_eq!(grant_of(&reply), k * B);
+    let second = sink.take_outcomes();
+    assert_eq!(second.len(), 1);
+    let o = &second[0];
+    assert_eq!(o.status, TransferStatus::Complete);
+    assert_eq!(o.digest_ok, Some(true));
+    assert!(o.content_ok);
+    assert_eq!(o.resume_offset, k * B);
+    assert_eq!(o.bytes, total);
+    assert_eq!(o.attempt_bytes, total - k * B);
+    assert_eq!(o.stripe, None);
+    let blocks = lsl_session::stream_blocks(total);
+    assert_eq!(o.blocks_certified, blocks - k);
+    assert_eq!(o.verified_blocks, blocks);
+    assert_eq!(sink.session_certified(session), blocks);
+    assert_eq!(sink.stripe_regrants(), 0);
+}
