@@ -833,7 +833,11 @@ impl SessionClient {
             {
                 self.push_event(net, i, SessionEvent::Established);
             }
-            SenderState::Streaming if before == SenderState::AwaitingConfirm => {
+            // An attempt whose granted range fits the send buffer goes
+            // straight from the grant to Done: it was confirmed too.
+            SenderState::Streaming | SenderState::Done
+                if before == SenderState::AwaitingConfirm =>
+            {
                 self.push_event(net, i, SessionEvent::Confirmed);
                 // A non-zero grant means this attempt skips the verified
                 // prefix: surface the resume decision.
