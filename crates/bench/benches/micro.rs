@@ -10,11 +10,12 @@
 //! `BENCH_SMOKE=1` each benchmark runs a single smoke iteration.
 //!
 //! Either way the run emits `BENCH_netsim.json` at the workspace root:
-//! a machine-readable perf trajectory (simulator events/sec, transfer
-//! wall time, campaign wall time at 1 and N jobs) that CI checks for
-//! shape and future PRs diff against. `BASELINE` pins the numbers
-//! recorded just before the event-engine hot-path work so the
-//! improvement stays visible in the artifact itself.
+//! a machine-readable perf trajectory (simulator events/sec, 1 MiB and
+//! 16 MiB case 1 transfer wall time, MD5 throughput, campaign wall
+//! time at 1 and N jobs) that CI checks for shape and future PRs diff
+//! against. The `BASELINE_*` constants pin each row's figure from
+//! before the work that moved it, so the improvement stays visible in
+//! the artifact itself.
 
 use std::hint::black_box;
 use std::io::Write as _;
@@ -41,6 +42,14 @@ const BASELINE_RUN_WALL_S_1MB_DIRECT: f64 = 0.006019;
 /// Timer-heavy churn rate recorded immediately before the scheduler
 /// overhaul (global `BinaryHeap`, cancelled timers lazily popped).
 const BASELINE_TIMER_EVENTS_PER_SEC: f64 = 2_794_769.0;
+/// 16 MiB case 1 transfers and 1 MiB MD5 throughput recorded
+/// immediately before the per-byte path work (sender generating a
+/// fresh 256 KiB chunk per wakeup, per-byte `% 251` pattern, looped
+/// MD5 compression), on a 2-core x86-64 KVM VM (Intel Xeon) that runs
+/// the 1 MiB direct case in 0.0100 s.
+const BASELINE_RUN_WALL_S_16MB_DIRECT: f64 = 1.003680;
+const BASELINE_RUN_WALL_S_16MB_DEPOT: f64 = 1.111879;
+const BASELINE_MD5_MB_PER_S: f64 = 251.0;
 
 struct Bench {
     smoke: bool,
@@ -113,13 +122,16 @@ impl Bench {
     }
 }
 
-fn bench_md5(b: &Bench) {
+/// MD5 at 1 KiB, 64 KiB and 1 MiB; returns the 1 MiB MB/s.
+fn bench_md5(b: &Bench) -> f64 {
+    let mut ns = 0.0;
     for size in [1usize << 10, 64 << 10, 1 << 20] {
         let data = vec![0xa5u8; size];
-        b.run(&format!("md5/{size}"), Some(size as u64), || {
+        ns = b.run(&format!("md5/{size}"), Some(size as u64), || {
             lsl_digest::md5(&data)
         });
     }
+    (1 << 20) as f64 * 1e3 / ns.max(1e-9)
 }
 
 fn bench_codecs(b: &Bench) {
@@ -245,25 +257,22 @@ fn bench_simulator_timer_events(b: &Bench) -> f64 {
     events_per_run as f64 * 1e9 / ns_per_iter.max(1e-9)
 }
 
-/// End-to-end simulated transfers; returns (direct, via-depot) wall
-/// seconds per 1 MB run.
-fn bench_tcp_transfer(b: &Bench) -> (f64, f64) {
+/// End-to-end simulated case 1 transfers of `mib` MiB; returns
+/// (direct, via-depot) wall seconds per run.
+fn bench_tcp_transfer(b: &Bench, mib: u64) -> (f64, f64) {
     let case = case1();
-    let direct = b.run("sim_transfer_1MB/direct", Some(1 << 20), || {
-        run_transfer(
-            &case,
-            &RunConfig::builder(1 << 20, Mode::Direct).seed(1).build(),
-        )
-        .duration_s
-    });
-    let depot = b.run("sim_transfer_1MB/via_depot", Some(1 << 20), || {
-        run_transfer(
-            &case,
-            &RunConfig::builder(1 << 20, Mode::ViaDepot).seed(1).build(),
-        )
-        .duration_s
-    });
-    (direct / 1e9, depot / 1e9)
+    let size = mib << 20;
+    let wall = |mode: Mode, label: &str| {
+        let name = format!("sim_transfer_{mib}MB/{label}");
+        let ns = b.run(&name, Some(size), || {
+            run_transfer(&case, &RunConfig::builder(size, mode).seed(1).build()).duration_s
+        });
+        ns / 1e9
+    };
+    (
+        wall(Mode::Direct, "direct"),
+        wall(Mode::ViaDepot, "via_depot"),
+    )
 }
 
 fn bench_forecasting(b: &Bench) {
@@ -357,27 +366,38 @@ fn bench_campaign(b: &Bench) -> (usize, f64, f64) {
     (n, w1, wn)
 }
 
-/// Hand-rolled JSON emission (offline build: no serde). Written to the
-/// workspace root so the trajectory lives next to the sources it
-/// measures; override the path with `BENCH_OUT`.
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    smoke: bool,
-    events_per_sec: f64,
-    timer_events_per_sec: f64,
-    direct_s: f64,
-    depot_s: f64,
-    jobs_n: usize,
-    campaign_wall_s_jobs1: f64,
-    campaign_wall_s_jobs_n: f64,
-) {
+/// Hand-rolled JSON emission (offline build: no serde) of `rows`, then
+/// the `BASELINE_*` figures; each row is (key, value, decimals).
+/// Written to the workspace root so the trajectory lives next to the
+/// sources it measures; override the path with `BENCH_OUT`.
+fn write_json(smoke: bool, rows: &[(&str, f64, usize)]) {
     let path = std::env::var_os("BENCH_OUT")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| {
             std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_netsim.json")
         });
+    let baseline = [
+        ("netsim_events_per_sec", BASELINE_EVENTS_PER_SEC, 0),
+        (
+            "netsim_timer_events_per_sec",
+            BASELINE_TIMER_EVENTS_PER_SEC,
+            0,
+        ),
+        ("run_wall_s_1mb_direct", BASELINE_RUN_WALL_S_1MB_DIRECT, 6),
+        ("run_wall_s_16mb_direct", BASELINE_RUN_WALL_S_16MB_DIRECT, 6),
+        ("run_wall_s_16mb_depot", BASELINE_RUN_WALL_S_16MB_DEPOT, 6),
+        ("md5_mb_per_s", BASELINE_MD5_MB_PER_S, 1),
+    ];
+    let fields = |rows: &[(&str, f64, usize)], indent: &str| {
+        rows.iter()
+            .map(|(k, v, decimals)| format!("{indent}\"{k}\": {v:.decimals$}"))
+            .collect::<Vec<_>>()
+            .join(",\n")
+    };
     let json = format!(
-        "{{\n  \"schema\": 1,\n  \"smoke\": {smoke},\n  \"netsim_events_per_sec\": {events_per_sec:.0},\n  \"netsim_timer_events_per_sec\": {timer_events_per_sec:.0},\n  \"run_wall_s_1mb_direct\": {direct_s:.6},\n  \"run_wall_s_1mb_depot\": {depot_s:.6},\n  \"campaign_jobs\": {jobs_n},\n  \"campaign_wall_s_jobs1\": {campaign_wall_s_jobs1:.6},\n  \"campaign_wall_s_jobsN\": {campaign_wall_s_jobs_n:.6},\n  \"baseline\": {{\n    \"netsim_events_per_sec\": {BASELINE_EVENTS_PER_SEC:.0},\n    \"netsim_timer_events_per_sec\": {BASELINE_TIMER_EVENTS_PER_SEC:.0},\n    \"run_wall_s_1mb_direct\": {BASELINE_RUN_WALL_S_1MB_DIRECT:.6}\n  }}\n}}\n"
+        "{{\n  \"schema\": 1,\n  \"smoke\": {smoke},\n{},\n  \"baseline\": {{\n{}\n  }}\n}}\n",
+        fields(rows, "  "),
+        fields(&baseline, "    "),
     );
     match std::fs::write(&path, json) {
         Ok(()) => println!("wrote {}", path.display()),
@@ -387,22 +407,28 @@ fn write_json(
 
 fn main() {
     let b = Bench::new();
-    bench_md5(&b);
+    let md5_mb_per_s = bench_md5(&b);
     bench_codecs(&b);
     let events_per_sec = bench_simulator_events(&b);
     let timer_events_per_sec = bench_simulator_timer_events(&b);
-    let (direct_s, depot_s) = bench_tcp_transfer(&b);
+    let (direct_s, depot_s) = bench_tcp_transfer(&b, 1);
+    let (direct16_s, depot16_s) = bench_tcp_transfer(&b, 16);
     bench_forecasting(&b);
     bench_realnet_relay(&b);
     let (jobs_n, w1, wn) = bench_campaign(&b);
     write_json(
         b.smoke,
-        events_per_sec,
-        timer_events_per_sec,
-        direct_s,
-        depot_s,
-        jobs_n,
-        w1,
-        wn,
+        &[
+            ("netsim_events_per_sec", events_per_sec, 0),
+            ("netsim_timer_events_per_sec", timer_events_per_sec, 0),
+            ("run_wall_s_1mb_direct", direct_s, 6),
+            ("run_wall_s_1mb_depot", depot_s, 6),
+            ("run_wall_s_16mb_direct", direct16_s, 6),
+            ("run_wall_s_16mb_depot", depot16_s, 6),
+            ("md5_mb_per_s", md5_mb_per_s, 1),
+            ("campaign_jobs", jobs_n as f64, 0),
+            ("campaign_wall_s_jobs1", w1, 6),
+            ("campaign_wall_s_jobsN", wn, 6),
+        ],
     );
 }

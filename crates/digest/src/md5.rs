@@ -5,7 +5,9 @@ pub const DIGEST_LEN: usize = 16;
 
 const BLOCK_LEN: usize = 64;
 
-/// Per-round left-rotate amounts (RFC 1321 §3.4).
+/// Per-step left-rotate amounts (RFC 1321 §3.4), as the looped
+/// reference looks them up.
+#[cfg(test)]
 const S: [u32; 64] = [
     7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, //
     5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, //
@@ -110,13 +112,125 @@ impl Md5 {
         out
     }
 
+    /// One 64-byte block through the 64 steps of RFC 1321 §3.4, written
+    /// out so that every message index, rotation and constant is fixed
+    /// at compile time.
     fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut m = [0u32; 16];
-        for (i, w) in m.iter_mut().enumerate() {
-            *w = u32::from_le_bytes(block[i * 4..i * 4 + 4].try_into().expect("4-byte word"));
-        }
-
+        let m = words(block);
         let [mut a, mut b, mut c, mut d] = self.state;
+        // The round functions, in forms with one fewer operation than
+        // the RFC's (same truth tables).
+        let f = |b: u32, c: u32, d: u32| d ^ (b & (c ^ d));
+        let g = |b: u32, c: u32, d: u32| c ^ (d & (b ^ c));
+        let h = |b: u32, c: u32, d: u32| b ^ c ^ d;
+        let i = |b: u32, c: u32, d: u32| c ^ (b | !d);
+        // a = b + ((a + fun(b, c, d) + m[k] + K[i]) <<< s)
+        macro_rules! step {
+            ($fun:ident, $a:ident, $b:ident, $c:ident, $d:ident, $k:expr, $s:expr, $i:expr) => {
+                $a = $b.wrapping_add(
+                    $a.wrapping_add($fun($b, $c, $d))
+                        .wrapping_add(m[$k])
+                        .wrapping_add(K[$i])
+                        .rotate_left($s),
+                );
+            };
+        }
+        // Round 1: F, message words in order.
+        step!(f, a, b, c, d, 0, 7, 0);
+        step!(f, d, a, b, c, 1, 12, 1);
+        step!(f, c, d, a, b, 2, 17, 2);
+        step!(f, b, c, d, a, 3, 22, 3);
+        step!(f, a, b, c, d, 4, 7, 4);
+        step!(f, d, a, b, c, 5, 12, 5);
+        step!(f, c, d, a, b, 6, 17, 6);
+        step!(f, b, c, d, a, 7, 22, 7);
+        step!(f, a, b, c, d, 8, 7, 8);
+        step!(f, d, a, b, c, 9, 12, 9);
+        step!(f, c, d, a, b, 10, 17, 10);
+        step!(f, b, c, d, a, 11, 22, 11);
+        step!(f, a, b, c, d, 12, 7, 12);
+        step!(f, d, a, b, c, 13, 12, 13);
+        step!(f, c, d, a, b, 14, 17, 14);
+        step!(f, b, c, d, a, 15, 22, 15);
+        // Round 2: G, word (5i + 1) mod 16.
+        step!(g, a, b, c, d, 1, 5, 16);
+        step!(g, d, a, b, c, 6, 9, 17);
+        step!(g, c, d, a, b, 11, 14, 18);
+        step!(g, b, c, d, a, 0, 20, 19);
+        step!(g, a, b, c, d, 5, 5, 20);
+        step!(g, d, a, b, c, 10, 9, 21);
+        step!(g, c, d, a, b, 15, 14, 22);
+        step!(g, b, c, d, a, 4, 20, 23);
+        step!(g, a, b, c, d, 9, 5, 24);
+        step!(g, d, a, b, c, 14, 9, 25);
+        step!(g, c, d, a, b, 3, 14, 26);
+        step!(g, b, c, d, a, 8, 20, 27);
+        step!(g, a, b, c, d, 13, 5, 28);
+        step!(g, d, a, b, c, 2, 9, 29);
+        step!(g, c, d, a, b, 7, 14, 30);
+        step!(g, b, c, d, a, 12, 20, 31);
+        // Round 3: H, word (3i + 5) mod 16.
+        step!(h, a, b, c, d, 5, 4, 32);
+        step!(h, d, a, b, c, 8, 11, 33);
+        step!(h, c, d, a, b, 11, 16, 34);
+        step!(h, b, c, d, a, 14, 23, 35);
+        step!(h, a, b, c, d, 1, 4, 36);
+        step!(h, d, a, b, c, 4, 11, 37);
+        step!(h, c, d, a, b, 7, 16, 38);
+        step!(h, b, c, d, a, 10, 23, 39);
+        step!(h, a, b, c, d, 13, 4, 40);
+        step!(h, d, a, b, c, 0, 11, 41);
+        step!(h, c, d, a, b, 3, 16, 42);
+        step!(h, b, c, d, a, 6, 23, 43);
+        step!(h, a, b, c, d, 9, 4, 44);
+        step!(h, d, a, b, c, 12, 11, 45);
+        step!(h, c, d, a, b, 15, 16, 46);
+        step!(h, b, c, d, a, 2, 23, 47);
+        // Round 4: I, word 7i mod 16.
+        step!(i, a, b, c, d, 0, 6, 48);
+        step!(i, d, a, b, c, 7, 10, 49);
+        step!(i, c, d, a, b, 14, 15, 50);
+        step!(i, b, c, d, a, 5, 21, 51);
+        step!(i, a, b, c, d, 12, 6, 52);
+        step!(i, d, a, b, c, 3, 10, 53);
+        step!(i, c, d, a, b, 10, 15, 54);
+        step!(i, b, c, d, a, 1, 21, 55);
+        step!(i, a, b, c, d, 8, 6, 56);
+        step!(i, d, a, b, c, 15, 10, 57);
+        step!(i, c, d, a, b, 6, 15, 58);
+        step!(i, b, c, d, a, 13, 21, 59);
+        step!(i, a, b, c, d, 4, 6, 60);
+        step!(i, d, a, b, c, 11, 10, 61);
+        step!(i, c, d, a, b, 2, 15, 62);
+        step!(i, b, c, d, a, 9, 21, 63);
+
+        self.state[0] = self.state[0].wrapping_add(a);
+        self.state[1] = self.state[1].wrapping_add(b);
+        self.state[2] = self.state[2].wrapping_add(c);
+        self.state[3] = self.state[3].wrapping_add(d);
+    }
+}
+
+/// A block's sixteen little-endian message words.
+fn words(block: &[u8; BLOCK_LEN]) -> [u32; 16] {
+    let mut m = [0u32; 16];
+    for (w, bytes) in m.iter_mut().zip(block.chunks_exact(4)) {
+        *w = u32::from_le_bytes(bytes.try_into().expect("4-byte word"));
+    }
+    m
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The looped compression function, one step per iteration with the
+    /// round function, message index and rotation looked up: the
+    /// reference the straight-line `Md5::compress` is checked against.
+    fn compress_reference(state: &mut [u32; 4], block: &[u8; BLOCK_LEN]) {
+        let m = words(block);
+        let [mut a, mut b, mut c, mut d] = *state;
         for i in 0..64 {
             let (f, g) = match i / 16 {
                 0 => ((b & c) | (!b & d), i),
@@ -135,17 +249,30 @@ impl Md5 {
             );
             a = tmp;
         }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
+        for (s, v) in state.iter_mut().zip([a, b, c, d]) {
+            *s = s.wrapping_add(v);
+        }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// One-shot MD5 of `data`: RFC 1321 padding, then every block
+    /// through the reference compression.
+    fn reference_md5(data: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut state = Md5::new().state;
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % BLOCK_LEN != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64).wrapping_mul(8).to_le_bytes());
+        for block in padded.chunks_exact(BLOCK_LEN) {
+            compress_reference(&mut state, block.try_into().expect("exact chunk"));
+        }
+        let mut out = [0u8; DIGEST_LEN];
+        for (o, w) in out.chunks_exact_mut(4).zip(state) {
+            o.copy_from_slice(&w.to_le_bytes());
+        }
+        out
+    }
 
     #[test]
     fn empty_digest_is_iv_transform() {
@@ -158,6 +285,43 @@ mod tests {
                 0x42, 0x7e
             ]
         );
+    }
+
+    proptest! {
+        /// The straight-line compression equals the looped reference on
+        /// any chaining state and block.
+        #[test]
+        fn compress_matches_reference(
+            state in proptest::collection::vec(any::<u32>(), 4..5),
+            block in proptest::collection::vec(any::<u8>(), BLOCK_LEN..BLOCK_LEN + 1),
+        ) {
+            let state: [u32; 4] = state.try_into().expect("4 words");
+            let block: &[u8; BLOCK_LEN] = block.as_slice().try_into().expect("one block");
+            let mut h = Md5::new();
+            h.state = state;
+            h.compress(block);
+            let mut want = state;
+            compress_reference(&mut want, block);
+            prop_assert_eq!(h.state, want);
+        }
+
+        /// Streaming through `update` in arbitrary pieces gives the
+        /// reference digest, across block and padding boundaries.
+        #[test]
+        fn streaming_matches_reference(
+            data in proptest::collection::vec(any::<u8>(), 0..1024),
+            cuts in proptest::collection::vec(0usize..200, 0..16),
+        ) {
+            let mut h = Md5::new();
+            let mut rest = &data[..];
+            for c in cuts {
+                let (piece, tail) = rest.split_at(c.min(rest.len()));
+                h.update(piece);
+                rest = tail;
+            }
+            h.update(rest);
+            prop_assert_eq!(h.finalize(), reference_md5(&data));
+        }
     }
 
     #[test]

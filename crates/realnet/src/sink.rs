@@ -69,16 +69,13 @@ impl IncomingSession {
     /// `length` bytes, followed by the 16-byte digest when flagged.
     pub fn read_all(mut self) -> io::Result<(Vec<u8>, Option<bool>)> {
         let length = self.header.length as usize;
-        let mut payload = Vec::with_capacity(length.min(1 << 26));
+        // Room for the announced stream, trailer included, so a
+        // well-formed session never reallocates (capped: the length is
+        // the peer's claim). The kernel copies straight into it.
+        let trailer = if self.header.has_digest() { 16 } else { 0 };
+        let mut payload = Vec::with_capacity(length.min(1 << 26) + trailer);
         payload.extend_from_slice(&self.leftover);
-        let mut buf = vec![0u8; 64 * 1024];
-        loop {
-            let n = self.stream.read(&mut buf)?;
-            if n == 0 {
-                break;
-            }
-            payload.extend_from_slice(&buf[..n]);
-        }
+        self.stream.read_to_end(&mut payload)?;
         let digest_ok = if self.header.has_digest() {
             if payload.len() != length + 16 {
                 Some(false)

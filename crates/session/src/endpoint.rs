@@ -13,6 +13,7 @@
 //! range from the first unverified block to the end of the stream.
 
 use std::collections::BTreeMap;
+use std::sync::LazyLock;
 
 use bytes::Bytes;
 use lsl_digest::{md5, BlockLedger, DigestChain, Md5, DIGEST_LEN};
@@ -51,19 +52,57 @@ fn block_offset(block: u64, total: u64) -> u64 {
     block.saturating_mul(RESUME_BLOCK).min(total)
 }
 
+/// Period of the payload pattern: [`payload_byte`]`(i)` depends only on
+/// `i mod 251`.
+const PATTERN_PERIOD: u64 = 251;
+
 /// Deterministic payload byte at stream offset `i` (shared by sender and
 /// verifying sink).
 pub fn payload_byte(i: u64) -> u8 {
-    ((i.wrapping_mul(131)).wrapping_add(7) % 251) as u8
+    (((i % 251) * 131 + 7) % 251) as u8
 }
 
-/// Materialize payload bytes `[offset, offset+len)`.
-pub fn payload_chunk(offset: u64, len: usize) -> Bytes {
+/// The pattern from phase 0, `SEND_CHUNK + PATTERN_PERIOD - 1` bytes
+/// long: any run of up to [`SEND_CHUNK`] stream bytes, at any phase, is
+/// one slice of it. Built once; chunks are views of it.
+static PATTERN: LazyLock<Bytes> = LazyLock::new(|| {
     Bytes::from(
-        (0..len as u64)
-            .map(|i| payload_byte(offset + i))
+        (0..SEND_CHUNK + PATTERN_PERIOD - 1)
+            .map(payload_byte)
             .collect::<Vec<u8>>(),
     )
+});
+
+/// Payload bytes `[offset, offset+len)` as consecutive slices of
+/// [`PATTERN`], each at most [`SEND_CHUNK`] long.
+fn pattern_pieces(offset: u64, len: usize) -> impl Iterator<Item = &'static [u8]> {
+    let table: &'static [u8] = &PATTERN;
+    let step = SEND_CHUNK as usize;
+    (0..len).step_by(step).map(move |done| {
+        let phase = ((offset + done as u64) % PATTERN_PERIOD) as usize;
+        &table[phase..phase + (len - done).min(step)]
+    })
+}
+
+/// Materialize payload bytes `[offset, offset+len)`: a view of the
+/// shared pattern table up to [`SEND_CHUNK`] bytes, a copy beyond.
+pub fn payload_chunk(offset: u64, len: usize) -> Bytes {
+    if len as u64 <= SEND_CHUNK {
+        let phase = (offset % PATTERN_PERIOD) as usize;
+        return PATTERN.slice(phase..phase + len);
+    }
+    let mut out = Vec::with_capacity(len);
+    for piece in pattern_pieces(offset, len) {
+        out.extend_from_slice(piece);
+    }
+    Bytes::from(out)
+}
+
+/// Whether `data` is the payload pattern at stream offset `offset`.
+fn is_payload(offset: u64, data: &[u8]) -> bool {
+    data.chunks(SEND_CHUNK as usize)
+        .zip(pattern_pieces(offset, data.len()))
+        .all(|(got, want)| got == want)
 }
 
 /// How the sender frames the stream.
@@ -128,6 +167,9 @@ pub struct BulkSender {
     confirm_buf: Vec<u8>,
     pub started_at: Time,
     pub finished_at: Option<Time>,
+    /// Payload bytes handed to `net.send`, accepted or not.
+    #[cfg(test)]
+    generated: u64,
 }
 
 /// The block range a certifying attempt asks the sink for.
@@ -185,7 +227,7 @@ impl RangeReq {
     }
 }
 
-/// Per-send chunking granularity (bounds transient allocations).
+/// Most payload bytes handed to the socket in one send.
 const SEND_CHUNK: u64 = 256 * 1024;
 
 impl BulkSender {
@@ -331,6 +373,8 @@ impl BulkSender {
             confirm_buf: Vec::new(),
             started_at: net.now(),
             finished_at: None,
+            #[cfg(test)]
+            generated: 0,
         }
     }
 
@@ -494,10 +538,17 @@ impl BulkSender {
         {
             return;
         }
-        // 2. Payload (bounded by the granted range).
+        // 2. Payload (bounded by the granted range), never more than
+        // the socket can take plus one byte: a full buffer refuses that
+        // byte, and the short send arms the next Writable.
         while self.sent < self.limit {
-            let len = (self.limit - self.sent).min(SEND_CHUNK) as usize;
+            let room = net.send_space(self.sock).saturating_add(1);
+            let len = (self.limit - self.sent).min(SEND_CHUNK).min(room) as usize;
             let chunk = payload_chunk(self.sent, len);
+            #[cfg(test)]
+            {
+                self.generated += len as u64;
+            }
             let n = net.send(self.sock, &chunk);
             if let Some(md5) = &mut self.md5 {
                 md5.update(&chunk[..n]);
@@ -655,11 +706,12 @@ enum SinkConnState {
         /// Boxed (like `range`) so the enum stays near the small
         /// `ReadingHeader` variant's size.
         header: Option<Box<LslHeader>>,
-        /// Whole-stream hasher of a plain (v1 or raw TCP) attempt.
+        /// Whole-stream hasher of a plain (v1) attempt that carries a digest.
         md5: Md5,
         /// Payload bytes consumed by *this* attempt.
         received: u64,
-        /// Last up-to-16 bytes seen, to peel the digest off the tail.
+        /// The last up-to-16 bytes seen, held back from the hashers: the
+        /// candidate digest trailer.
         tail: Vec<u8>,
         content_ok: bool,
         /// Stream offset this attempt started at (its granted range's
@@ -1221,10 +1273,12 @@ impl SinkServer {
         }
     }
 
-    /// Append payload bytes, maintaining the 16-byte digest tail window
-    /// when a digest is expected. Resume and stripe attempts hash into
-    /// their range chain (which certifies completed blocks into the
-    /// session ledger); plain attempts into the conn's own hasher.
+    /// Absorb payload bytes, holding back the last 16 seen when a
+    /// digest is expected: they are the candidate trailer, and
+    /// everything before them is payload. Resume and stripe attempts
+    /// hash into their range chain (which certifies completed blocks
+    /// into the session ledger); plain attempts with a digest into the
+    /// conn's own hasher; the rest are only pattern-checked.
     fn feed_body(
         state: &mut SinkConnState,
         sessions: &mut BTreeMap<SessionId, SessionProgress>,
@@ -1243,7 +1297,7 @@ impl SinkServer {
             unreachable!("feed_body on header state");
         };
         let digest_expected = header.as_ref().is_some_and(|h| h.has_digest());
-        let into = match (range.as_mut(), header.as_ref()) {
+        let mut into = match (range.as_mut(), header.as_ref()) {
             (Some(body), Some(h)) => AbsorbInto::Range {
                 body,
                 ledger: &mut sessions
@@ -1253,59 +1307,31 @@ impl SinkServer {
                 total: h.length,
                 sid: h.session.0 as u64,
             },
-            _ => AbsorbInto::Plain(md5),
+            _ if digest_expected => AbsorbInto::Plain(md5),
+            _ => AbsorbInto::Unhashed,
         };
+        let mut absorb = |payload: &[u8]| into.absorb(payload, *offset, received, content_ok);
         if !digest_expected {
-            Self::absorb(data, *offset, received, content_ok, into);
+            absorb(data);
             return;
         }
-        // Keep a sliding 16-byte tail: everything before it is payload.
-        tail.extend_from_slice(data);
-        if tail.len() > 16 {
-            let payload_len = tail.len() - 16;
-            // Split so the drained prefix can be absorbed in place.
-            let payload: Vec<u8> = tail.drain(..payload_len).collect();
-            Self::absorb(&payload, *offset, received, content_ok, into);
-        }
-    }
-
-    /// Absorb verified-position payload bytes: pattern-check, hash, and
-    /// (for range attempts) certify newly completed blocks.
-    fn absorb(
-        payload: &[u8],
-        offset: u64,
-        received: &mut u64,
-        content_ok: &mut bool,
-        into: AbsorbInto<'_>,
-    ) {
-        if *content_ok {
-            for (i, &b) in payload.iter().enumerate() {
-                if b != payload_byte(offset + *received + i as u64) {
-                    *content_ok = false;
-                    break;
-                }
-            }
-        }
-        match into {
-            AbsorbInto::Plain(md5) => md5.update(payload),
-            AbsorbInto::Range {
-                body,
-                ledger,
-                total,
-                sid,
-            } => {
-                body.chain.update(payload);
-                body.certify(ledger, total, sid);
-            }
-        }
-        *received += payload.len() as u64;
+        // Bytes beyond the last 16 are payload: the oldest come from the
+        // held-back tail, the rest straight from `data`.
+        let excess = (tail.len() + data.len()).saturating_sub(DIGEST_LEN);
+        let from_tail = excess.min(tail.len());
+        absorb(&tail[..from_tail]);
+        tail.drain(..from_tail);
+        let from_data = excess - from_tail;
+        absorb(&data[..from_data]);
+        tail.extend_from_slice(&data[from_data..]);
     }
 }
 
-/// Where [`SinkServer::absorb`] routes a conn's payload bytes: the
-/// conn's own whole-stream hasher (plain transfers, one MD5 pass), or
-/// the conn's range chain plus the session block ledger (resume and
-/// stripe attempts).
+/// Where [`SinkServer::feed_body`] routes a conn's payload bytes: the
+/// conn's own whole-stream hasher (plain transfers with a digest, one
+/// MD5 pass), the conn's range chain plus the session block ledger
+/// (resume and stripe attempts), or nowhere (no digest to check: raw
+/// TCP and digest-less LSL).
 enum AbsorbInto<'a> {
     Plain(&'a mut Md5),
     Range {
@@ -1314,11 +1340,41 @@ enum AbsorbInto<'a> {
         total: u64,
         sid: u64,
     },
+    Unhashed,
+}
+
+impl AbsorbInto<'_> {
+    /// Absorb payload bytes that start `received` bytes past stream
+    /// offset `offset`: pattern-check, hash, and (for range attempts)
+    /// certify newly completed blocks.
+    fn absorb(&mut self, payload: &[u8], offset: u64, received: &mut u64, content_ok: &mut bool) {
+        if *content_ok {
+            *content_ok = is_payload(offset + *received, payload);
+        }
+        match self {
+            AbsorbInto::Plain(md5) => md5.update(payload),
+            AbsorbInto::Unhashed => {}
+            AbsorbInto::Range {
+                body,
+                ledger,
+                total,
+                sid,
+            } => {
+                body.chain.update(payload);
+                body.certify(ledger, *total, *sid);
+            }
+        }
+        *received += payload.len() as u64;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::depot::{Depot, DepotConfig};
+    use crate::route::Hop;
+    use lsl_netsim::{LinkSpec, LossModel, Topology, TopologyBuilder};
+    use proptest::prelude::*;
 
     #[test]
     fn payload_pattern_is_deterministic_and_nontrivial() {
@@ -1335,5 +1391,216 @@ mod tests {
         let a = payload_chunk(0, 100);
         let b = payload_chunk(50, 50);
         assert_eq!(&a[50..], &b[..]);
+    }
+
+    proptest! {
+        /// Chunks served from the pattern table equal `payload_byte`,
+        /// whether a table view (up to `SEND_CHUNK`) or a copy of
+        /// several table slices, at any phase.
+        #[test]
+        fn pattern_table_equals_payload_byte(
+            offset in 0u64..1 << 48,
+            len in 0usize..2 * SEND_CHUNK as usize,
+        ) {
+            let chunk = payload_chunk(offset, len);
+            prop_assert_eq!(chunk.len(), len);
+            prop_assert!((0..len as u64).all(|i| chunk[i as usize] == payload_byte(offset + i)));
+        }
+
+        /// The sink's slice-based pattern check accepts the pattern and
+        /// rejects it with any one byte flipped.
+        #[test]
+        fn pattern_check_catches_one_flipped_byte(
+            offset in 0u64..1 << 48,
+            len in 1usize..2 * SEND_CHUNK as usize,
+            at in any::<proptest::sample::Index>(),
+        ) {
+            let mut data = payload_chunk(offset, len).to_vec();
+            prop_assert!(is_payload(offset, &data));
+            data[at.index(len)] ^= 0x01;
+            prop_assert!(!is_payload(offset, &data));
+        }
+
+        /// The sink's trailer hold-back: however the stream is cut into
+        /// reads, exactly the payload reaches the pattern check and the
+        /// hasher, and the held 16 bytes are the trailer.
+        #[test]
+        fn trailer_hold_back_under_any_split(
+            len in 0usize..4096,
+            cuts in proptest::collection::vec(0usize..40, 0..64),
+        ) {
+            let payload = payload_chunk(0, len);
+            let trailer = md5(&payload);
+            let mut stream = payload.to_vec();
+            stream.extend_from_slice(&trailer);
+            let header = LslHeader {
+                session: SessionId(1),
+                flags: HEADER_FLAG_DIGEST,
+                length: len as u64,
+                resume: None,
+                stripe: None,
+                route: Vec::new(),
+            };
+            let mut st = SinkConnState::Body {
+                header: Some(Box::new(header)),
+                md5: Md5::new(),
+                received: 0,
+                tail: Vec::new(),
+                content_ok: true,
+                offset: 0,
+                range: None,
+            };
+            let mut sessions = BTreeMap::new();
+            let mut rest = &stream[..];
+            for cut in cuts {
+                let (piece, after) = rest.split_at(cut.min(rest.len()));
+                SinkServer::feed_body(&mut st, &mut sessions, piece);
+                rest = after;
+            }
+            SinkServer::feed_body(&mut st, &mut sessions, rest);
+            let SinkConnState::Body { md5: hasher, received, tail, content_ok, .. } = st else {
+                unreachable!("feed_body keeps the body state");
+            };
+            prop_assert_eq!(received, len as u64);
+            prop_assert!(content_ok);
+            prop_assert_eq!(&tail[..], &trailer[..]);
+            prop_assert_eq!(hasher.finalize(), trailer);
+        }
+    }
+
+    /// The table's edges: the last phase of the period, chunks ending
+    /// exactly at the table's end, and copies one byte past a table
+    /// view.
+    #[test]
+    fn pattern_table_edges() {
+        let period = PATTERN_PERIOD;
+        for offset in [0, period - 1, period, 7 * period - 1, (1 << 48) - 1] {
+            for len in [
+                0,
+                1,
+                period as usize - 1,
+                period as usize + 1,
+                SEND_CHUNK as usize,
+                SEND_CHUNK as usize + 1,
+                2 * SEND_CHUNK as usize + 3,
+            ] {
+                let chunk = payload_chunk(offset, len);
+                assert!(
+                    (0..len as u64).all(|i| chunk[i as usize] == payload_byte(offset + i)),
+                    "offset {offset} len {len}"
+                );
+                assert!(is_payload(offset, &chunk));
+            }
+        }
+        assert_eq!(PATTERN.len() as u64, SEND_CHUNK + period - 1);
+    }
+
+    /// The paper's case 1 path, as `lsl_workloads::case1` builds it:
+    /// campus access link, two lossy Abilene legs, and a depot one LAN
+    /// hop off the Denver POP. Returns the topology, source, sink and
+    /// depot nodes.
+    fn case1() -> (Topology, NodeId, NodeId, NodeId) {
+        let mut b = TopologyBuilder::new();
+        let ucsb = b.node("ucsb");
+        let la = b.node("pop-la");
+        let denver = b.node("pop-denver");
+        let uiuc = b.node("uiuc");
+        let depot = b.node("depot-denver");
+        b.duplex(
+            ucsb,
+            la,
+            LinkSpec::new(100_000_000, Dur::from_millis(1)).with_queue_bytes(2 << 20),
+        );
+        let backbone =
+            LinkSpec::new(622_000_000, Dur::from_millis(13)).with_loss(LossModel::bernoulli(9e-5));
+        b.duplex(la, denver, backbone.clone());
+        b.duplex(denver, uiuc, backbone);
+        b.duplex(
+            denver,
+            depot,
+            LinkSpec::new(1_000_000_000, Dur::from_micros(1500)),
+        );
+        (b.build(), ucsb, uiuc, depot)
+    }
+
+    /// Run one verified `total`-byte transfer on case 1, direct or via
+    /// the depot; returns the finished sender and how many events it
+    /// handled.
+    fn case1_transfer(total: u64, via_depot: bool) -> (BulkSender, u64) {
+        const DEPOT_PORT: u16 = 7000;
+        const SINK_PORT: u16 = 5000;
+        let (topo, src, dst, depot_node) = case1();
+        let mut net = Net::new(topo.into_sim(1));
+        let tcp = TcpConfig {
+            time_wait: Dur::from_millis(1),
+            ..TcpConfig::default()
+        };
+        let mut depot = via_depot.then(|| {
+            Depot::new(
+                &mut net,
+                depot_node,
+                DepotConfig {
+                    port: DEPOT_PORT,
+                    relay_buf: 256 * 1024,
+                    tcp: tcp.clone(),
+                    setup_delay: Dur::from_millis(40),
+                    trace_downstream: None,
+                },
+            )
+        });
+        let mut sink = SinkServer::new(&mut net, dst, SINK_PORT, via_depot, tcp.clone());
+        let sink_hop = Hop::new(dst, SINK_PORT);
+        let (path, mode) = if via_depot {
+            let depots = vec![Hop::new(depot_node, DEPOT_PORT)];
+            (LslPath::via(depots, sink_hop), SendMode::lsl())
+        } else {
+            (LslPath::direct(sink_hop), SendMode::DirectTcp)
+        };
+        let mut sender = BulkSender::start(
+            &mut net,
+            src,
+            &path,
+            SessionId(1),
+            total,
+            mode,
+            tcp,
+            None,
+            None,
+        );
+        let mut handled = 0;
+        while let Some(ev) = net.poll() {
+            if sender.handle(&mut net, &ev).consumed() {
+                handled += 1;
+            } else if !sink.handle(&mut net, &ev).consumed() {
+                if let Some(d) = &mut depot {
+                    let _ = d.handle(&mut net, &ev);
+                }
+            }
+        }
+        assert_eq!(sender.state(), SenderState::Done);
+        let outcomes = sink.take_outcomes();
+        assert_eq!(outcomes.len(), 1);
+        assert!(outcomes[0].ok() && outcomes[0].content_ok);
+        assert_eq!(outcomes[0].bytes, total);
+        (sender, handled)
+    }
+
+    /// The sender generates only what the socket takes: a 16 MiB case 1
+    /// transfer, direct and via the depot, hands `net.send` no more
+    /// payload than was sent, apart from the one byte per wakeup that a
+    /// full send buffer refuses (which arms the next Writable).
+    #[test]
+    fn generation_tracks_acceptance() {
+        const TOTAL: u64 = 16 << 20;
+        for via_depot in [false, true] {
+            let (sender, handled) = case1_transfer(TOTAL, via_depot);
+            assert_eq!(sender.sent, TOTAL);
+            assert!(
+                sender.generated <= sender.sent + handled,
+                "via_depot {via_depot}: generated {} for {} sent over {handled} wakeups",
+                sender.generated,
+                sender.sent
+            );
+        }
     }
 }

@@ -114,6 +114,7 @@ smoke_json="$PWD/target/BENCH_netsim.smoke.json"
 BENCH_SMOKE=1 BENCH_OUT="$smoke_json" cargo bench -q -p lsl-bench --bench micro
 for key in netsim_events_per_sec netsim_timer_events_per_sec \
            run_wall_s_1mb_direct run_wall_s_1mb_depot \
+           run_wall_s_16mb_direct run_wall_s_16mb_depot md5_mb_per_s \
            campaign_jobs campaign_wall_s_jobs1 campaign_wall_s_jobsN baseline; do
   grep -q "\"$key\"" "$smoke_json" \
     || { echo "$smoke_json missing key: $key"; exit 1; }
@@ -128,7 +129,10 @@ echo "==> bench regression gate (smoke rate vs committed BENCH_netsim.json)"
 # full measurement (observed ~75-100% of committed on a quiet machine).
 # The gate is deliberately generous — smoke must reach 50% of the
 # committed figure — so it only trips on structural regressions (an
-# accidental O(n) scan, a lost fast path), never on machine noise.
+# accidental O(n) scan, a lost fast path), never on machine noise. The
+# 16 MiB case 1 wall times get the same rule the other way up: a smoke
+# run may take at most 2x the committed time (the per-byte path; one
+# run each, no warm-up).
 if command -v python3 >/dev/null 2>&1; then
   python3 - "$smoke_json" BENCH_netsim.json <<'PY'
 import json, sys
@@ -141,6 +145,13 @@ for key in ("netsim_events_per_sec", "netsim_timer_events_per_sec"):
         ok = False
     else:
         print(f"  {key}: smoke {got:.0f} vs committed {want:.0f} (ok)")
+for key in ("run_wall_s_16mb_direct", "run_wall_s_16mb_depot"):
+    got, want = smoke[key], committed[key]
+    if got > 2 * want:
+        print(f"regression: smoke {key} = {got:.3f} s > 2x committed {want:.3f} s")
+        ok = False
+    else:
+        print(f"  {key}: smoke {got:.3f} s vs committed {want:.3f} s (ok)")
 sys.exit(0 if ok else 1)
 PY
 fi
