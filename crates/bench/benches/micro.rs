@@ -11,8 +11,8 @@
 //!
 //! Either way the run emits `BENCH_netsim.json` at the workspace root:
 //! a machine-readable perf trajectory (simulator events/sec, 1 MiB and
-//! 16 MiB case 1 transfer wall time, MD5 throughput, campaign wall
-//! time at 1 and N jobs) that CI checks for shape and future PRs diff
+//! 16 MiB case 1 transfer wall time, MD5 throughput, 16 MiB loopback
+//! relay rate, campaign wall time at 1 and N jobs) that CI checks for shape and future PRs diff
 //! against. The `BASELINE_*` constants pin each row's figure from
 //! before the work that moved it, so the improvement stays visible in
 //! the artifact itself.
@@ -42,14 +42,19 @@ const BASELINE_RUN_WALL_S_1MB_DIRECT: f64 = 0.006019;
 /// Timer-heavy churn rate recorded immediately before the scheduler
 /// overhaul (global `BinaryHeap`, cancelled timers lazily popped).
 const BASELINE_TIMER_EVENTS_PER_SEC: f64 = 2_794_769.0;
-/// 16 MiB case 1 transfers and 1 MiB MD5 throughput recorded
-/// immediately before the per-byte path work (sender generating a
-/// fresh 256 KiB chunk per wakeup, per-byte `% 251` pattern, looped
-/// MD5 compression), on a 2-core x86-64 KVM VM (Intel Xeon) that runs
-/// the 1 MiB direct case in 0.0100 s.
+/// 16 MiB case 1 transfers recorded immediately before the per-byte
+/// path work (sender generating a fresh 256 KiB chunk per wakeup,
+/// per-byte `% 251` pattern, looped MD5 compression), on a 2-core
+/// x86-64 KVM VM (Intel Xeon) that runs the 1 MiB direct case in
+/// 0.0100 s.
 const BASELINE_RUN_WALL_S_16MB_DIRECT: f64 = 1.003680;
 const BASELINE_RUN_WALL_S_16MB_DEPOT: f64 = 1.111879;
-const BASELINE_MD5_MB_PER_S: f64 = 251.0;
+/// 1 MiB MD5 throughput and the 16 MiB loopback relay rate recorded
+/// immediately before the streaming sink verify and the shortened MD5
+/// step chain (the sink read a whole session before hashing any of
+/// it), on the same 2-core KVM VM: medians of six runs.
+const BASELINE_MD5_MB_PER_S: f64 = 475.1;
+const BASELINE_REALNET_RELAY_MB_PER_S: f64 = 193.2;
 
 struct Bench {
     smoke: bool,
@@ -285,33 +290,43 @@ fn bench_forecasting(b: &Bench) {
     });
 }
 
-fn bench_realnet_relay(b: &Bench) {
+/// 16 MiB sessions through one loopback `lsd` depot, digest and sync
+/// confirm on; returns MB/s. Big enough that the sink's MD5 pass shows.
+fn bench_realnet_relay(b: &Bench) -> f64 {
     use lsl_realnet::{LsdServer, LslListener, LslStream};
     use std::net::Ipv4Addr;
+    use std::sync::Arc;
+    const SIZE: usize = 16 << 20;
     let depot = LsdServer::spawn((Ipv4Addr::LOCALHOST, 0).into()).expect("spawn depot");
     let depot_addr = depot.addr();
-    b.run("realnet_relay_1MB/loopback_cascade", Some(1 << 20), || {
-        let listener = LslListener::bind((Ipv4Addr::LOCALHOST, 0).into()).expect("bind");
-        let sink_addr = listener.local_addr().expect("addr");
-        let t = std::thread::spawn(move || {
-            let payload = vec![0x5au8; 1 << 20];
-            let mut s = LslStream::connect(
-                SessionId(1),
-                &[depot_addr],
-                sink_addr,
-                payload.len() as u64,
-                true,
-                true,
-            )
-            .expect("connect");
-            s.write_all(&payload).expect("write");
-            s.finish().expect("finish");
-        });
-        let (data, ok) = listener.accept().expect("accept").read_all().expect("read");
-        t.join().expect("join");
-        assert_eq!(ok, Some(true));
-        data.len()
-    });
+    let payload = Arc::new(vec![0x5au8; SIZE]);
+    let ns = b.run(
+        "realnet_relay_16MB/loopback_cascade",
+        Some(SIZE as u64),
+        || {
+            let listener = LslListener::bind((Ipv4Addr::LOCALHOST, 0).into()).expect("bind");
+            let sink_addr = listener.local_addr().expect("addr");
+            let payload = Arc::clone(&payload);
+            let t = std::thread::spawn(move || {
+                let mut s = LslStream::connect(
+                    SessionId(1),
+                    &[depot_addr],
+                    sink_addr,
+                    payload.len() as u64,
+                    true,
+                    true,
+                )
+                .expect("connect");
+                s.write_all(&payload).expect("write");
+                s.finish().expect("finish");
+            });
+            let (data, ok) = listener.accept().expect("accept").read_all().expect("read");
+            t.join().expect("join");
+            assert_eq!(ok, Some(true));
+            data.len()
+        },
+    );
+    SIZE as f64 * 1e3 / ns.max(1e-9)
 }
 
 /// Campaign scaling: the same 8-run transfer campaign executed at
@@ -387,6 +402,7 @@ fn write_json(smoke: bool, rows: &[(&str, f64, usize)]) {
         ("run_wall_s_16mb_direct", BASELINE_RUN_WALL_S_16MB_DIRECT, 6),
         ("run_wall_s_16mb_depot", BASELINE_RUN_WALL_S_16MB_DEPOT, 6),
         ("md5_mb_per_s", BASELINE_MD5_MB_PER_S, 1),
+        ("realnet_relay_mb_per_s", BASELINE_REALNET_RELAY_MB_PER_S, 1),
     ];
     let fields = |rows: &[(&str, f64, usize)], indent: &str| {
         rows.iter()
@@ -414,7 +430,7 @@ fn main() {
     let (direct_s, depot_s) = bench_tcp_transfer(&b, 1);
     let (direct16_s, depot16_s) = bench_tcp_transfer(&b, 16);
     bench_forecasting(&b);
-    bench_realnet_relay(&b);
+    let realnet_relay_mb_per_s = bench_realnet_relay(&b);
     let (jobs_n, w1, wn) = bench_campaign(&b);
     write_json(
         b.smoke,
@@ -426,6 +442,7 @@ fn main() {
             ("run_wall_s_16mb_direct", direct16_s, 6),
             ("run_wall_s_16mb_depot", depot16_s, 6),
             ("md5_mb_per_s", md5_mb_per_s, 1),
+            ("realnet_relay_mb_per_s", realnet_relay_mb_per_s, 1),
             ("campaign_jobs", jobs_n as f64, 0),
             ("campaign_wall_s_jobs1", w1, 6),
             ("campaign_wall_s_jobsN", wn, 6),

@@ -118,21 +118,21 @@ impl Md5 {
     fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
         let m = words(block);
         let [mut a, mut b, mut c, mut d] = self.state;
-        // The round functions, in forms with one fewer operation than
-        // the RFC's (same truth tables).
-        let f = |b: u32, c: u32, d: u32| d ^ (b & (c ^ d));
-        let g = |b: u32, c: u32, d: u32| c ^ (d & (b ^ c));
-        let h = |b: u32, c: u32, d: u32| b ^ c ^ d;
-        let i = |b: u32, c: u32, d: u32| c ^ (b | !d);
-        // a = b + ((a + fun(b, c, d) + m[k] + K[i]) <<< s)
+        // Each step's `b` is the previous step's result, so the 64 steps
+        // are one serial chain. Each round function adds itself to
+        // `t = a + m[k] + K[i]` with every part that does not need `b`
+        // grouped apart, so only the `b` operations wait on the previous
+        // step. Same truth tables as the RFC's; G's two terms never
+        // share a set bit, so its `|` is a `+`.
+        let f = |t: u32, b: u32, c: u32, d: u32| t.wrapping_add(d ^ (b & (c ^ d)));
+        let g = |t: u32, b: u32, c: u32, d: u32| t.wrapping_add(c & !d).wrapping_add(b & d);
+        let h = |t: u32, b: u32, c: u32, d: u32| t.wrapping_add(b ^ (c ^ d));
+        let i = |t: u32, b: u32, c: u32, d: u32| t.wrapping_add(c ^ (b | !d));
+        // a = b + ((a + m[k] + K[i] + fun(b, c, d)) <<< s)
         macro_rules! step {
             ($fun:ident, $a:ident, $b:ident, $c:ident, $d:ident, $k:expr, $s:expr, $i:expr) => {
-                $a = $b.wrapping_add(
-                    $a.wrapping_add($fun($b, $c, $d))
-                        .wrapping_add(m[$k])
-                        .wrapping_add(K[$i])
-                        .rotate_left($s),
-                );
+                let t = $a.wrapping_add(m[$k]).wrapping_add(K[$i]);
+                $a = $b.wrapping_add($fun(t, $b, $c, $d).rotate_left($s));
             };
         }
         // Round 1: F, message words in order.

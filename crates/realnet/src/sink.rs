@@ -3,7 +3,7 @@
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 
-use lsl_digest::Md5;
+use lsl_digest::{Md5, DIGEST_LEN};
 use lsl_session::endpoint::SESSION_CONFIRM;
 use lsl_session::{LslHeader, SessionId};
 
@@ -67,35 +67,76 @@ impl IncomingSession {
     ///
     /// The announced length is authoritative: payload is exactly
     /// `length` bytes, followed by the 16-byte digest when flagged.
-    pub fn read_all(mut self) -> io::Result<(Vec<u8>, Option<bool>)> {
-        let length = self.header.length as usize;
-        // Room for the announced stream, trailer included, so a
-        // well-formed session never reallocates (capped: the length is
-        // the peer's claim). The kernel copies straight into it.
-        let trailer = if self.header.has_digest() { 16 } else { 0 };
-        let mut payload = Vec::with_capacity(length.min(1 << 26) + trailer);
-        payload.extend_from_slice(&self.leftover);
-        self.stream.read_to_end(&mut payload)?;
-        let digest_ok = if self.header.has_digest() {
-            if payload.len() != length + 16 {
+    /// The digest is computed as the bytes arrive, so the hashing
+    /// overlaps the peer's sending.
+    pub fn read_all(self) -> io::Result<(Vec<u8>, Option<bool>)> {
+        let IncomingSession {
+            stream,
+            header,
+            leftover,
+        } = self;
+        read_body(
+            leftover.as_slice().chain(stream),
+            header.length,
+            header.has_digest(),
+            READ_STEP,
+        )
+    }
+}
+
+/// Most bytes one step of [`read_body`] reads before it hashes them.
+const READ_STEP: u64 = 256 << 10;
+
+/// Read a session body to EOF: `length` payload bytes, then the 16-byte
+/// trailer when `digest`. After each read of at most `step` bytes, the
+/// newly arrived bytes among the first `length` go into the MD5; the
+/// announced length tells payload from trailer, so nothing is held back.
+fn read_body(
+    mut src: impl Read,
+    length: u64,
+    digest: bool,
+    step: u64,
+) -> io::Result<(Vec<u8>, Option<bool>)> {
+    // Room for the announced stream, trailer included, so a well-formed
+    // session never reallocates (capped: the length is the peer's
+    // claim). The kernel copies straight into it.
+    let trailer = if digest { DIGEST_LEN } else { 0 };
+    let mut payload = Vec::with_capacity(length.min(1 << 26) as usize + trailer);
+    let mut md5 = digest.then(Md5::new);
+    let hash_limit = usize::try_from(length).unwrap_or(usize::MAX);
+    let mut hashed = 0;
+    loop {
+        let n = (&mut src).take(step).read_to_end(&mut payload)?;
+        if let Some(md5) = &mut md5 {
+            let upto = payload.len().min(hash_limit);
+            md5.update(&payload[hashed..upto]);
+            hashed = upto;
+        }
+        if n == 0 {
+            break;
+        }
+    }
+    let received = payload.len() as u64;
+    let digest_ok = match md5 {
+        Some(md5) => {
+            if length.checked_add(DIGEST_LEN as u64) != Some(received) {
                 Some(false)
             } else {
-                let trailer = payload.split_off(length);
-                let mut md5 = Md5::new();
-                md5.update(&payload);
+                let trailer = payload.split_off(hashed);
                 Some(md5.finalize()[..] == trailer[..])
             }
-        } else {
-            if payload.len() != length {
+        }
+        None => {
+            if received != length {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
-                    format!("announced {length} bytes, received {}", payload.len()),
+                    format!("announced {length} bytes, received {received}"),
                 ));
             }
             None
-        };
-        Ok((payload, digest_ok))
-    }
+        }
+    };
+    Ok((payload, digest_ok))
 }
 
 #[cfg(test)]
@@ -148,5 +189,168 @@ mod tests {
             Err(_) => {} // connection error is acceptable
         }
         t.join().unwrap();
+    }
+
+    /// Connects announcing `length`, writes `body`, then drops the
+    /// stream without `finish`; returns what the sink's `read_all` made
+    /// of it.
+    fn abandoned_session(
+        length: u64,
+        digest: bool,
+        body: &'static [u8],
+    ) -> io::Result<(Vec<u8>, Option<bool>)> {
+        let listener = LslListener::bind((Ipv4Addr::LOCALHOST, 0).into()).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let t = std::thread::spawn(move || {
+            let mut s = LslStream::connect(SessionId(7), &[], addr, length, digest, true).unwrap();
+            s.write_all(body).unwrap();
+        });
+        let sess = listener.accept().unwrap();
+        let result = sess.read_all();
+        t.join().unwrap();
+        result
+    }
+
+    /// `u64::MAX` is the simulator's until-FIN length; over real TCP it
+    /// is an announced length the stream can never meet.
+    #[test]
+    fn until_fin_length_does_not_overflow() {
+        assert_eq!(
+            abandoned_session(u64::MAX, true, b"hello").unwrap(),
+            (b"hello".to_vec(), Some(false))
+        );
+        let err = abandoned_session(u64::MAX, false, b"hello").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// A byte source that hands out at most the next scheduled size per
+    /// `read`, cycling through `sizes`.
+    struct Scheduled<'a> {
+        data: &'a [u8],
+        sizes: &'a [usize],
+        next: usize,
+    }
+
+    impl Read for Scheduled<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let size = self.sizes[self.next % self.sizes.len()];
+            self.next += 1;
+            let n = size.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// The one-shot rule the streaming verify must match: the digest
+    /// verifies iff exactly `length + 16` bytes arrived and the MD5 of
+    /// the first `length` equals the last 16.
+    fn one_shot(stream: &[u8], length: u64, digest: bool) -> Option<(Vec<u8>, Option<bool>)> {
+        if !digest {
+            return (stream.len() as u64 == length).then(|| (stream.to_vec(), None));
+        }
+        if stream.len() as u64 != length + 16 {
+            return Some((stream.to_vec(), Some(false)));
+        }
+        let (payload, trailer) = stream.split_at(length as usize);
+        Some((
+            payload.to_vec(),
+            Some(lsl_digest::md5(payload)[..] == trailer[..]),
+        ))
+    }
+
+    fn streamed(
+        stream: &[u8],
+        length: u64,
+        digest: bool,
+        sizes: &[usize],
+        step: u64,
+    ) -> Option<(Vec<u8>, Option<bool>)> {
+        let src = Scheduled {
+            data: stream,
+            sizes,
+            next: 0,
+        };
+        match read_body(src, length, digest, step) {
+            Ok(got) => Some(got),
+            Err(e) => {
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+                None
+            }
+        }
+    }
+
+    /// `payload` followed by its MD5 trailer.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut v = payload.to_vec();
+        v.extend_from_slice(&lsl_digest::md5(payload));
+        v
+    }
+
+    #[test]
+    fn streaming_verify_edge_cases() {
+        let payload: Vec<u8> = (0..100u8).collect();
+        let good = framed(&payload);
+        let mut flipped_payload = good.clone();
+        flipped_payload[40] ^= 1;
+        let mut flipped_trailer = good.clone();
+        flipped_trailer[105] ^= 0x80;
+        let mut extra = good.clone();
+        extra.push(0);
+        let short = &good[..good.len() - 1];
+        let cases: [(&[u8], u64, Option<bool>); 6] = [
+            (&good, 100, Some(true)),
+            (&flipped_payload, 100, Some(false)),
+            (&flipped_trailer, 100, Some(false)),
+            (&extra, 100, Some(false)),
+            (short, 100, Some(false)),
+            (&framed(&[]), 0, Some(true)),
+        ];
+        // Reads of 7 and 3 bytes with 10-byte steps split the trailer
+        // across reads and across steps.
+        for (stream, length, want) in cases {
+            for (sizes, step) in [
+                (&[7usize, 3][..], 10),
+                (&[1][..], 1),
+                (&[4096][..], 1 << 20),
+            ] {
+                let got = streamed(stream, length, true, sizes, step).unwrap();
+                assert_eq!(got.1, want, "stream of {} bytes", stream.len());
+                assert_eq!(Some(got), one_shot(stream, length, true));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Any payload under any read-size schedule and step gives the
+        /// one-shot result, intact or with one byte flipped, added or
+        /// removed, and with or without a digest.
+        #[test]
+        fn streaming_verify_matches_one_shot(
+            payload in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..600),
+            sizes in proptest::collection::vec(1usize..64, 1..8),
+            step in 1u64..300,
+            damage in 0u8..4,
+            at in proptest::prelude::any::<usize>(),
+            digest in proptest::prelude::any::<bool>(),
+        ) {
+            let length = payload.len() as u64;
+            let mut stream = if digest { framed(&payload) } else { payload.clone() };
+            match damage {
+                0 => {}
+                1 if !stream.is_empty() => {
+                    let i = at % stream.len();
+                    stream[i] ^= 1;
+                }
+                2 => stream.push(at as u8),
+                _ => {
+                    stream.pop();
+                }
+            }
+            proptest::prop_assert_eq!(
+                streamed(&stream, length, digest, &sizes, step),
+                one_shot(&stream, length, digest)
+            );
+        }
     }
 }

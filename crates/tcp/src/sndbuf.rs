@@ -1,8 +1,9 @@
 //! The send buffer: unacknowledged and unsent outbound bytes.
 //!
-//! Data is stored as a queue of [`Bytes`] chunks with a sequence-space
-//! base, so acknowledgments drop whole chunks by reference count and
-//! (re)transmissions slice without copying.
+//! Data is stored as a queue of [`Bytes`] chunks, each tagged with the
+//! sequence number of its first byte, so acknowledgments drop whole
+//! chunks by reference count, (re)transmissions slice without copying,
+//! and a read finds its first chunk by binary search.
 
 use bytes::{Bytes, BytesMut};
 use std::collections::VecDeque;
@@ -13,7 +14,9 @@ use std::collections::VecDeque;
 pub struct SendBuf {
     /// Sequence number of the first byte held (== snd_una in data space).
     base: u64,
-    chunks: VecDeque<Bytes>,
+    /// `(start sequence number, bytes)`, contiguous and in order; the
+    /// front chunk starts at `base`.
+    chunks: VecDeque<(u64, Bytes)>,
     len: u64,
     cap: u64,
 }
@@ -57,7 +60,7 @@ impl SendBuf {
     pub fn write(&mut self, data: &Bytes) -> usize {
         let take = (self.space().min(data.len() as u64)) as usize;
         if take > 0 {
-            self.chunks.push_back(data.slice(..take));
+            self.chunks.push_back((self.end_seq(), data.slice(..take)));
             self.len += take as u64;
         }
         take
@@ -77,16 +80,18 @@ impl SendBuf {
             self.base,
             self.end_seq()
         );
-        let mut off = seq - self.base;
+        // The last chunk starting at or before `seq` holds its first
+        // byte (none is empty, so it also ends after `seq`).
+        let at = self
+            .chunks
+            .partition_point(|(start, _)| *start <= seq)
+            .saturating_sub(1);
+        let mut off = seq - self.chunks.get(at).map_or(seq, |(start, _)| *start);
         let mut remaining = len;
         let mut out: Option<BytesMut> = None;
         let mut first: Option<Bytes> = None;
-        for chunk in &self.chunks {
+        for (_, chunk) in self.chunks.range(at..) {
             let clen = chunk.len() as u64;
-            if off >= clen {
-                off -= clen;
-                continue;
-            }
             let take = remaining.min(clen - off);
             let piece = chunk.slice(off as usize..(off + take) as usize);
             remaining -= take;
@@ -122,14 +127,14 @@ impl SendBuf {
         self.base += advance;
         self.len -= advance;
         while advance > 0 {
-            let front = self.chunks.front_mut().expect("accounting mismatch");
+            let (start, front) = self.chunks.front_mut().expect("accounting mismatch");
             let clen = front.len() as u64;
             if clen <= advance {
                 advance -= clen;
                 self.chunks.pop_front();
             } else {
-                let keep = front.slice(advance as usize..);
-                *front = keep;
+                *front = front.slice(advance as usize..);
+                *start = self.base;
                 advance = 0;
             }
         }
@@ -224,15 +229,23 @@ mod proptests {
     proptest! {
         /// Arbitrary interleavings of write/ack preserve the byte stream:
         /// reading any buffered range returns exactly the bytes written
-        /// at those stream offsets.
+        /// at those stream offsets. Writes are often tiny, so many small
+        /// chunks are queued; after every op a random `[seq, seq+len)`
+        /// sub-range is read as well as the whole live range.
         #[test]
-        fn stream_consistency(ops in proptest::collection::vec((1usize..200, any::<bool>()), 1..60)) {
+        fn stream_consistency(
+            ops in proptest::collection::vec(
+                (1usize..200, any::<bool>(), any::<bool>(), any::<u64>(), any::<u64>()),
+                1..120,
+            ),
+        ) {
             let mut model: Vec<u8> = Vec::new(); // entire stream ever written
             let mut acked = 0u64;
             let mut b = SendBuf::new(0, 4096);
             let mut next_byte = 0u8;
-            for (n, is_write) in ops {
+            for (n, is_write, tiny, pick, span) in ops {
                 if is_write {
+                    let n = if tiny { n % 8 + 1 } else { n };
                     let data: Vec<u8> = (0..n).map(|_| { next_byte = next_byte.wrapping_add(1); next_byte }).collect();
                     let accepted = b.write(&Bytes::from(data.clone()));
                     model.extend_from_slice(&data[..accepted]);
@@ -248,6 +261,10 @@ mod proptests {
                 if live > 0 {
                     let r = b.read(acked, live as u32);
                     prop_assert_eq!(&r[..], &model[acked as usize..]);
+                    let seq = acked + pick % live as u64;
+                    let len = 1 + span % (model.len() as u64 - seq);
+                    let r = b.read(seq, len as u32);
+                    prop_assert_eq!(&r[..], &model[seq as usize..(seq + len) as usize]);
                 }
             }
         }
