@@ -12,10 +12,11 @@
 //! Either way the run emits `BENCH_netsim.json` at the workspace root:
 //! a machine-readable perf trajectory (simulator events/sec, 1 MiB and
 //! 16 MiB case 1 transfer wall time, MD5 throughput, 16 MiB loopback
-//! relay rate, campaign wall time at 1 and N jobs) that CI checks for shape and future PRs diff
-//! against. The `BASELINE_*` constants pin each row's figure from
-//! before the work that moved it, so the improvement stays visible in
-//! the artifact itself.
+//! relay rate, campaign wall time at 1 and N jobs, and the ns/iter of
+//! the segment and LSL header codecs and of the NWS mixture update)
+//! that CI checks for shape and future PRs diff against. The
+//! `BASELINE_*` constants pin each row's figure from before the work
+//! that moved it, so the change stays visible in the artifact itself.
 
 use std::hint::black_box;
 use std::io::Write as _;
@@ -33,15 +34,17 @@ const TARGET_MEASURE_S: f64 = 0.25;
 /// Hard ceiling on the per-pass iteration count.
 const MAX_ITERS: u64 = 1 << 24;
 
-/// Perf figures recorded on this host immediately before the
-/// event-engine hot-path refactor (BTreeMap route table, BTreeSet
+/// 1 MiB case 1 wall time recorded on this host immediately before
+/// the event-engine hot-path refactor (BTreeMap route table, BTreeSet
 /// timer registry, copying `Bytes`), for trajectory context in the
 /// emitted JSON.
-const BASELINE_EVENTS_PER_SEC: f64 = 1_222_643.0;
 const BASELINE_RUN_WALL_S_1MB_DIRECT: f64 = 0.006019;
-/// Timer-heavy churn rate recorded immediately before the scheduler
-/// overhaul (global `BinaryHeap`, cancelled timers lazily popped).
-const BASELINE_TIMER_EVENTS_PER_SEC: f64 = 2_794_769.0;
+/// Packet-heavy and timer-heavy event rates of the scheduler the
+/// indexed heap replaced (two hierarchical timer wheels with overflow
+/// heaps), measured alongside the heap on a 2-core x86-64 KVM VM
+/// (Intel Xeon): medians of five alternated runs.
+const BASELINE_EVENTS_PER_SEC: f64 = 1_971_015.0;
+const BASELINE_TIMER_EVENTS_PER_SEC: f64 = 6_076_908.0;
 /// 16 MiB case 1 transfers recorded immediately before the per-byte
 /// path work (sender generating a fresh 256 KiB chunk per wakeup,
 /// per-byte `% 251` pattern, looped MD5 compression), on a 2-core
@@ -139,7 +142,9 @@ fn bench_md5(b: &Bench) -> f64 {
     (1 << 20) as f64 * 1e3 / ns.max(1e-9)
 }
 
-fn bench_codecs(b: &Bench) {
+/// Segment and LSL header encode+decode round trips; returns
+/// (segment ns, header ns).
+fn bench_codecs(b: &Bench) -> (f64, f64) {
     let seg = Segment {
         src_port: 40000,
         dst_port: 5001,
@@ -149,7 +154,7 @@ fn bench_codecs(b: &Bench) {
         wnd: 8 << 20,
         mss: None,
     };
-    b.run("segment_encode_decode", None, || {
+    let segment_ns = b.run("segment_encode_decode", None, || {
         let e = seg.encode();
         Segment::decode(&e).expect("valid")
     });
@@ -161,10 +166,11 @@ fn bench_codecs(b: &Bench) {
         stripe: None,
         route: vec![Hop::new(NodeId(1), 7001), Hop::new(NodeId(2), 5001)],
     };
-    b.run("lsl_header_encode_decode", None, || {
+    let header_ns = b.run("lsl_header_encode_decode", None, || {
         let e = header.encode().expect("encodable");
         LslHeader::decode(&e).expect("valid").expect("complete")
     });
+    (segment_ns, header_ns)
 }
 
 /// One pass of the event-rate scenario: 1000 packets through a lossy
@@ -280,14 +286,15 @@ fn bench_tcp_transfer(b: &Bench, mib: u64) -> (f64, f64) {
     )
 }
 
-fn bench_forecasting(b: &Bench) {
+/// 100 adaptive-mixture updates and a prediction; returns ns.
+fn bench_forecasting(b: &Bench) -> f64 {
     b.run("nws_mixture_update_x100", None, || {
         let mut m = AdaptiveMixture::standard();
         for i in 0..100 {
             m.update(10.0 + (i % 7) as f64);
         }
         m.predict()
-    });
+    })
 }
 
 /// 16 MiB sessions through one loopback `lsd` depot, digest and sync
@@ -424,12 +431,12 @@ fn write_json(smoke: bool, rows: &[(&str, f64, usize)]) {
 fn main() {
     let b = Bench::new();
     let md5_mb_per_s = bench_md5(&b);
-    bench_codecs(&b);
+    let (segment_ns, header_ns) = bench_codecs(&b);
     let events_per_sec = bench_simulator_events(&b);
     let timer_events_per_sec = bench_simulator_timer_events(&b);
     let (direct_s, depot_s) = bench_tcp_transfer(&b, 1);
     let (direct16_s, depot16_s) = bench_tcp_transfer(&b, 16);
-    bench_forecasting(&b);
+    let nws_ns = bench_forecasting(&b);
     let realnet_relay_mb_per_s = bench_realnet_relay(&b);
     let (jobs_n, w1, wn) = bench_campaign(&b);
     write_json(
@@ -446,6 +453,9 @@ fn main() {
             ("campaign_jobs", jobs_n as f64, 0),
             ("campaign_wall_s_jobs1", w1, 6),
             ("campaign_wall_s_jobsN", wn, 6),
+            ("segment_encode_decode_ns", segment_ns, 1),
+            ("lsl_header_encode_decode_ns", header_ns, 1),
+            ("nws_mixture_update_x100_ns", nws_ns, 1),
         ],
     );
 }

@@ -2,18 +2,17 @@
 //! armed-timer count and of concurrent-session count.
 //!
 //! `BENCH_netsim.json`'s events/sec figure measures one fixed small
-//! workload; this bench measures how the engine *scales* — the property
-//! ROADMAP item 3 (million-session depots) actually needs. Two curves:
+//! workload; this bench measures how the engine *scales* with the
+//! number of pending events. Two curves:
 //!
 //! * **timer curve** — a churn workload holding N timers armed at all
 //!   times (every fire cancels one pseudo-random victim and re-arms
-//!   two), with delays spread from 1 ms to minutes so every wheel level
-//!   and the far-future overflow path is exercised. This is the
-//!   RTO-rearm pattern N concurrent TCP flows impose on the engine.
+//!   two), with delays spread from 1 ms to half a minute so near and
+//!   far-future timers mix in the heap. This is the RTO-rearm pattern
+//!   N concurrent TCP flows impose on the engine.
 //! * **session curve** — N self-clocked "sessions", each a timer that
-//!   sends a packet over a shared 2-hop path and re-arms, mixing
-//!   timer-class and link-class events the way a real transfer
-//!   campaign does.
+//!   sends a packet over a shared 2-hop path and re-arms, mixing timer
+//!   and link events the way a real transfer campaign does.
 //! * **striped sessions/sec** — end-to-end striped transfers through
 //!   the full stack on the three-depot topology, with the degraded
 //!   single-cascade run as its baseline: the dispatcher's own price.
@@ -21,10 +20,9 @@
 //! Self-contained `harness = false` runner like `micro.rs` (offline
 //! build: no criterion). Emits `BENCH_scale.json` at the workspace root
 //! (override with `BENCH_SCALE_OUT`); `BENCH_SMOKE=1` shrinks the event
-//! budget to a shape-check. `BASELINE_*` pin the numbers recorded on
-//! this host immediately before the scheduler overhaul (single global
-//! `BinaryHeap` carrying full event payloads), so the artifact itself
-//! shows the trajectory.
+//! budget to a shape-check. `BASELINE_*` pin the curves of the engine
+//! the current scheduler replaced, so the artifact itself shows the
+//! trajectory.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -44,15 +42,17 @@ const TIMER_POINTS: [usize; 4] = [100, 1_000, 10_000, 100_000];
 /// Concurrent-session counts for the mixed-workload curve.
 const SESSION_POINTS: [usize; 4] = [16, 128, 1_024, 8_192];
 
-/// Baselines recorded against the pre-overhaul engine (global
-/// `BinaryHeap<Reverse<HeapEntry>>`, payloads inline in heap entries),
-/// same host, same budgets. Index-aligned with the point arrays.
-const BASELINE_TIMER_EPS: [f64; 4] = [5_036_958.0, 3_585_315.0, 2_021_984.0, 587_381.0];
-const BASELINE_SESSION_EPS: [f64; 4] = [5_433_395.0, 4_266_112.0, 3_784_222.0, 4_439_009.0];
+/// Curves of the scheduler the indexed heap replaced (two
+/// hierarchical timer wheels with overflow heaps), measured alongside
+/// the heap with the same budgets on a 2-core x86-64 KVM VM (Intel
+/// Xeon): medians of five alternated runs. Index-aligned with the
+/// point arrays.
+const BASELINE_TIMER_EPS: [f64; 4] = [9_402_310.0, 9_324_100.0, 7_128_499.0, 1_971_544.0];
+const BASELINE_SESSION_EPS: [f64; 4] = [5_057_689.0, 4_873_751.0, 5_114_186.0, 6_920_813.0];
 
 /// Deterministic delay spreader: maps (index, salt) onto 1 ms..=512 ms
 /// with every 64th draw stretched into the far-future band (2..=33 s)
-/// so the overflow path stays on the measured profile.
+/// so long-lived timers stay on the measured profile.
 fn spread_delay(i: u64, salt: u64) -> Dur {
     let h = (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ salt).wrapping_mul(0x2545_f491_4f6c_dd1d);
     if i % 64 == 63 {

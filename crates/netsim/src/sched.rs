@@ -1,531 +1,219 @@
-//! The two-tier event scheduler: hierarchical timer wheels over a
+//! The event scheduler: one indexed binary min-heap over a
 //! generation-stamped payload arena.
 //!
-//! The engine's old scheduler was a single `BinaryHeap` whose entries
-//! carried the full event payload: every push/pop memmoved ~96 bytes
-//! per sift step, cancelled timers sat in the heap until popped, and
-//! cost grew O(log n) with *total* pending events — the structure that
-//! capped ROADMAP's million-session ambitions. This module replaces it
-//! with:
+//! * The **heap** orders 24-byte [`Entry`] values `(time, seq, slot)`;
+//!   payloads never move during a sift.
+//! * The **arena** holds each payload in a slot that also records the
+//!   entry's current heap index (`pos`) and a generation (`gen`).
+//!   [`Scheduler::insert`] hands back the slot's [`Key`] `(slot, gen)`.
 //!
-//! * an **arena**: payloads live in generation-stamped slots
-//!   ([`Scheduler::insert`] hands back the slot id); everything the
-//!   ordering structures move is a 24-byte [`Entry`] `(time, seq,
-//!   slot, gen)`.
-//! * two **hierarchical timer wheels** (one per [`Class`]): 64-bucket
-//!   levels of power-of-two tick width, each level 64× coarser than
-//!   the one below. Inserts are O(1); the cursor advances lazily to
-//!   the next occupied bucket via per-level occupancy bitmaps, pouring
-//!   coarse buckets into finer ones as their window opens (cascade).
-//!   The `Timer` wheel is tuned for RTO-scale delays (131 µs ticks,
-//!   3 levels ≈ 34 s span); the `Link` wheel is the near-horizon
-//!   *calendar* for serialization/propagation events (16 µs ticks,
-//!   2 levels ≈ 67 ms span).
-//! * a per-wheel **overflow heap** for entries beyond the wheel's
-//!   span; batches are pulled into the wheel as the cursor reaches
-//!   them. Only far-future entries (long fault schedules, idle
-//!   watchdogs) ever touch it.
+//! **Cancellation is purge-on-cancel**: [`Scheduler::cancel`] looks up
+//! the entry's heap index in its arena slot and removes it on the spot,
+//! so a cancelled event costs nothing at pop time. Vacating a slot
+//! (pop or cancel) bumps its generation, so a key kept past its event's
+//! firing never matches the unrelated event that later reuses the slot.
 //!
-//! **Cancellation is purge-on-cancel**: [`Scheduler::cancel`] removes
-//! the entry from its bucket (or the sorted drain run) immediately and
-//! frees the arena slot, so cancelled timers cost nothing at pop time.
-//! Entries in the overflow heap are the one lazy case — they are
-//! dropped, generation-mismatched, when the cursor would pull them.
-//!
-//! **Determinism.** Pop order is exactly global `(time, seq)` order —
-//! byte-identical to the old heap (the golden FNV-1a traces pin this):
-//!
-//! 1. Bucket ranges partition time, and the cursor visits them in
-//!    increasing order, so cross-bucket order is time order.
-//! 2. A drained bucket is sorted by `(time, seq)` before its entries
-//!    are surfaced; `seq` is a single global insertion counter shared
-//!    by both wheels, so same-time entries keep insertion order.
-//! 3. An insert at or before the cursor (always `>= now`) binary-
-//!    inserts into the sorted drain run at its `(time, seq)` position.
-//! 4. [`Scheduler::pop`] takes the smaller `(time, seq)` head of the
-//!    two wheels, so classes interleave exactly as they did in one
-//!    heap.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! **Determinism.** Pop order is exactly global `(time, seq)` order:
+//! `seq` is a single insertion counter, so keys are unique and
+//! same-time events pop in insertion order.
 
 use crate::time::Time;
 
-/// Buckets per wheel level; also the fan-out between levels.
-const SLOTS: u64 = 64;
-/// log2(SLOTS): bits of tick consumed per level.
-const LEVEL_BITS: u32 = 6;
-
-/// Event class, selecting which wheel an entry lives in. The split
-/// lets each class get a tick size matched to its delay distribution
-/// instead of one compromise granularity.
+/// The 24-byte hot entry the heap actually moves. `slot` names the
+/// arena cell holding the payload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Class {
-    /// Protocol timers and scheduled faults: RTO-scale and longer.
-    Timer = 0,
-    /// Link serialization/propagation completions: µs–ms horizon.
-    Link = 1,
-}
-
-/// The 24-byte hot entry the wheels and heaps actually move. `slot` /
-/// `gen` name the arena cell holding the payload; a generation
-/// mismatch at use time means the entry was cancelled (possible only
-/// for overflow-heap residents — bucket entries are removed eagerly).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Entry {
+struct Entry {
     at: u64,
     seq: u64,
+    slot: u32,
+}
+
+impl Entry {
+    /// `(time, seq)` as one integer: a single wide compare orders
+    /// entries, measurably cheaper in the sifts than a tuple compare.
+    #[inline]
+    fn key(&self) -> u128 {
+        (u128::from(self.at) << 64) | u128::from(self.seq)
+    }
+}
+
+/// Names one scheduled event: its arena slot and the generation the
+/// slot had when the event was inserted.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct Key {
     slot: u32,
     gen: u32,
 }
 
-impl Entry {
-    #[inline]
-    fn key(&self) -> (u64, u64) {
-        (self.at, self.seq)
-    }
-}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-
-/// Where an arena slot's entry currently sits, so cancellation can
-/// remove it without a search through every structure. Kept current by
-/// insert, cascade, overflow pull, and bucket drain.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Loc {
-    Bucket { wheel: u8, level: u8, idx: u8 },
-    Run { wheel: u8 },
-    Far { wheel: u8 },
-}
-
 struct ArenaSlot<T> {
+    /// Heap index of this slot's entry while the slot is occupied.
+    pos: u32,
+    /// Bumped every time the slot is vacated.
     gen: u32,
-    loc: Loc,
     val: Option<T>,
 }
 
-struct Level {
-    /// Bit i set ⇔ `buckets[i]` is non-empty.
-    occ: u64,
-    buckets: [Vec<Entry>; SLOTS as usize],
-}
-
-impl Level {
-    fn new() -> Level {
-        Level {
-            occ: 0,
-            buckets: std::array::from_fn(|_| Vec::new()),
-        }
-    }
-}
-
-struct Wheel {
-    /// log2 of the level-0 tick width in nanoseconds.
-    shift: u32,
-    levels: Vec<Level>,
-    /// Entries beyond the wheel span; pulled in batches as the cursor
-    /// reaches them. Cancelled members are dropped at pull time.
-    far: BinaryHeap<Reverse<Entry>>,
-    /// The drained front, sorted by `(time, seq)` **descending** so
-    /// the minimum pops from the end.
-    run: Vec<Entry>,
-    /// Next level-0 tick not yet drained. All bucket entries have
-    /// `tick >= cur`; run entries have `tick <= cur`.
-    cur: u64,
-    /// Live entries in buckets + run + far (cancelled far residents
-    /// excluded: their count drops at cancel, the husk at pull).
-    count: usize,
-    /// Reusable cascade buffer.
-    scratch: Vec<Entry>,
-}
-
-impl Wheel {
-    fn new(shift: u32, num_levels: usize) -> Wheel {
-        Wheel {
-            shift,
-            levels: (0..num_levels).map(|_| Level::new()).collect(),
-            far: BinaryHeap::new(),
-            run: Vec::new(),
-            cur: 0,
-            count: 0,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Ticks covered by the wheel levels before the overflow heap.
-    #[inline]
-    fn span(&self) -> u64 {
-        SLOTS.pow(self.levels.len() as u32)
-    }
-
-    fn insert(&mut self, e: Entry, w: u8) -> Loc {
-        self.count += 1;
-        let tick = e.at >> self.shift;
-        if tick <= self.cur {
-            // At or behind the cursor (but always >= now): it belongs
-            // in the sorted front. Entries equal to the cursor tick
-            // could also use the level-0 bucket; the run keeps them
-            // adjacent to the entries they'll pop among.
-            let pos = self.run.partition_point(|x| x.key() > e.key());
-            self.run.insert(pos, e);
-            return Loc::Run { wheel: w };
-        }
-        let delta = tick - self.cur;
-        let mut span = SLOTS;
-        for (l, level) in self.levels.iter_mut().enumerate() {
-            if delta < span {
-                let shift_l = LEVEL_BITS * l as u32;
-                let vt = tick >> shift_l;
-                let idx = (vt % SLOTS) as usize;
-                level.occ |= 1u64 << idx;
-                level.buckets[idx].push(e);
-                return Loc::Bucket {
-                    wheel: w,
-                    level: l as u8,
-                    idx: idx as u8,
-                };
-            }
-            span *= SLOTS;
-        }
-        self.far.push(Reverse(e));
-        Loc::Far { wheel: w }
-    }
-
-    /// Fill `run` with the next due bucket (sorted), advancing the
-    /// cursor, cascading coarse levels and pulling overflow batches as
-    /// needed. No-op if the wheel is empty.
-    fn refill<T>(&mut self, arena: &mut [ArenaSlot<T>], w: u8) {
-        debug_assert!(self.run.is_empty());
-        loop {
-            // (a) Overflow entries whose tick the cursor has reached are
-            // due *now*: merge them into the run (insert binary-places
-            // them by (time, seq)) before anything surfaces, so they
-            // interleave correctly with a bucket drained at the same
-            // tick. Cancelled residents show up as generation
-            // mismatches — drop the husks.
-            while let Some(Reverse(top)) = self.far.peek() {
-                if arena[top.slot as usize].gen != top.gen {
-                    self.far.pop();
-                    continue;
-                }
-                if top.at >> self.shift > self.cur {
-                    break;
-                }
-                let Some(Reverse(e)) = self.far.pop() else {
-                    unreachable!()
-                };
-                self.count -= 1; // re-insert re-counts
-                let loc = self.insert(e, w);
-                debug_assert!(matches!(loc, Loc::Run { .. }));
-                arena[e.slot as usize].loc = loc;
-            }
-            // (b) Surface whatever a drain, cascade, or merge produced.
-            if !self.run.is_empty() || self.count == 0 {
-                return;
-            }
-            // (c) Candidate = earliest occupied bucket across levels;
-            // ties prefer the coarsest level so it cascades before a
-            // finer bucket at the same start tick is drained.
-            let mut best: Option<(u64, usize)> = None;
-            for (l, level) in self.levels.iter().enumerate() {
-                if level.occ == 0 {
-                    continue;
-                }
-                let shift_l = LEVEL_BITS * l as u32;
-                // Window of level l in its own tick units: level 0
-                // covers [cur, cur+64), coarser levels (cur_l, cur_l+64].
-                let wl = if l == 0 {
-                    self.cur
-                } else {
-                    (self.cur >> shift_l) + 1
-                };
-                let rot = level.occ.rotate_right((wl % 64) as u32);
-                let off = u64::from(rot.trailing_zeros());
-                let vt = wl + off;
-                let tick = vt << shift_l;
-                if best.is_none_or(|(bt, _)| tick <= bt) {
-                    best = Some((tick, l));
-                }
-            }
-            // (d) The overflow heap competes with the levels: an entry
-            // that was far-future at insert time becomes *near*-future
-            // as the cursor approaches, and must be pulled before the
-            // cursor can step over it to a later bucket. Pull only when
-            // *strictly* earlier than the best bucket: on a tie the
-            // bucket is processed first (keeping every occupied bucket
-            // strictly ahead of the cursor's window base), and step (a)
-            // merges the same-tick overflow entries right after.
-            let far_tick = self.far.peek().map(|Reverse(e)| e.at >> self.shift);
-            if let Some(ft) = far_tick {
-                if best.is_none_or(|(bt, _)| ft < bt) {
-                    debug_assert!(ft > self.cur, "due overflow entry missed by merge");
-                    self.cur = ft;
-                    let horizon = self.cur.saturating_add(self.span());
-                    while let Some(Reverse(top)) = self.far.peek() {
-                        if top.at >> self.shift >= horizon {
-                            break;
-                        }
-                        let Some(Reverse(e)) = self.far.pop() else {
-                            unreachable!()
-                        };
-                        if arena[e.slot as usize].gen != e.gen {
-                            continue; // cancelled while far
-                        }
-                        self.count -= 1; // re-insert re-counts
-                        let loc = self.insert(e, w);
-                        arena[e.slot as usize].loc = loc;
-                    }
-                    continue;
-                }
-            }
-            let Some((tick, _)) = best else {
-                // Levels and overflow both empty, yet count != 0: an
-                // entry leaked out of every structure.
-                debug_assert_eq!(self.count, 0, "live entries unreachable");
-                return;
-            };
-            // (e) Advance to the due tick and open *every* bucket
-            // anchored exactly there, coarsest first: a coarse bucket
-            // cascades into finer levels, whose same-start buckets are
-            // then opened in turn. Processing only one level would
-            // strand a same-start bucket at another level behind the
-            // cursor's window base. Entries landing exactly on `tick`
-            // go to the run; the final sort restores (time, seq) order
-            // across all sources.
-            self.cur = tick;
-            for l in (0..self.levels.len()).rev() {
-                let shift_l = LEVEL_BITS * l as u32;
-                let vt = tick >> shift_l;
-                if vt << shift_l != tick {
-                    continue; // no level-l bucket starts at this tick
-                }
-                let idx = (vt % SLOTS) as usize;
-                if self.levels[l].occ & (1u64 << idx) == 0 {
-                    continue;
-                }
-                self.levels[l].occ &= !(1u64 << idx);
-                if l == 0 {
-                    self.run.append(&mut self.levels[0].buckets[idx]);
-                } else {
-                    let mut s = std::mem::take(&mut self.scratch);
-                    s.append(&mut self.levels[l].buckets[idx]);
-                    for e in s.drain(..) {
-                        self.count -= 1; // re-insert re-counts
-                        let loc = self.insert(e, w);
-                        arena[e.slot as usize].loc = loc;
-                    }
-                    self.scratch = s;
-                }
-            }
-            // Descending, so the (time, seq) minimum is at the end;
-            // keys are unique, unstable sort is safe.
-            self.run.sort_unstable_by_key(|e| Reverse(e.key()));
-            for e in &self.run {
-                arena[e.slot as usize].loc = Loc::Run { wheel: w };
-            }
-            // Back to (a): overflow entries at this tick merge before
-            // the run surfaces.
-        }
-    }
-
-    /// `(time, seq)` of this wheel's earliest entry, refilling the run
-    /// if needed.
-    fn peek_key<T>(&mut self, arena: &mut [ArenaSlot<T>], w: u8) -> Option<(u64, u64)> {
-        if self.run.is_empty() {
-            self.refill(arena, w);
-        }
-        self.run.last().map(Entry::key)
-    }
-
-    /// Pop the head entry. Caller must have just seen it via
-    /// [`Wheel::peek_key`].
-    fn pop_head(&mut self) -> Entry {
-        let e = self.run.pop().expect("pop_head after successful peek");
-        self.count -= 1;
-        e
-    }
-
-    /// Live entries whose arena payload satisfies `pred` (diagnostics:
-    /// walks every structure).
-    fn count_live_where<T>(&self, arena: &[ArenaSlot<T>], pred: &impl Fn(&T) -> bool) -> usize {
-        let live = |e: &Entry| {
-            let s = &arena[e.slot as usize];
-            s.gen == e.gen && s.val.as_ref().is_some_and(pred)
-        };
-        let mut n = self.run.iter().filter(|e| live(e)).count();
-        for level in &self.levels {
-            for b in &level.buckets {
-                n += b.iter().filter(|e| live(e)).count();
-            }
-        }
-        n += self.far.iter().filter(|Reverse(e)| live(e)).count();
-        n
-    }
-}
-
-/// The scheduler: two wheels over one shared arena and one global
-/// insertion-sequence counter.
+/// The scheduler: a binary min-heap of entries, the arena their
+/// payloads live in, and one global insertion-sequence counter.
 pub(crate) struct Scheduler<T> {
+    heap: Vec<Entry>,
     arena: Vec<ArenaSlot<T>>,
     free: Vec<u32>,
-    wheels: [Wheel; 2],
     seq: u64,
 }
-
-/// Timer wheel: 2^17 ns ≈ 131 µs ticks, 3 levels ≈ 34.4 s span.
-const TIMER_SHIFT: u32 = 17;
-const TIMER_LEVELS: usize = 3;
-/// Link calendar: 2^14 ns ≈ 16.4 µs ticks, 2 levels ≈ 67 ms span.
-const LINK_SHIFT: u32 = 14;
-const LINK_LEVELS: usize = 2;
 
 impl<T> Scheduler<T> {
     pub fn new() -> Scheduler<T> {
         Scheduler {
+            heap: Vec::with_capacity(256),
             arena: Vec::with_capacity(256),
             free: Vec::with_capacity(64),
-            wheels: [
-                Wheel::new(TIMER_SHIFT, TIMER_LEVELS),
-                Wheel::new(LINK_SHIFT, LINK_LEVELS),
-            ],
             seq: 0,
         }
     }
 
-    /// Schedule `val` at absolute time `at`. Returns the arena slot id
-    /// (needed only by callers that may [`Scheduler::cancel`]).
-    pub fn insert(&mut self, at: Time, class: Class, val: T) -> u32 {
+    /// Schedule `val` at absolute time `at`. The returned key cancels it.
+    pub fn insert(&mut self, at: Time, val: T) -> Key {
+        let pos = self.heap.len() as u32;
         let slot = match self.free.pop() {
             Some(i) => {
                 let s = &mut self.arena[i as usize];
                 debug_assert!(s.val.is_none(), "free-listed arena slot still occupied");
+                s.pos = pos;
                 s.val = Some(val);
                 i
             }
             None => {
-                let i = self.arena.len() as u32;
                 self.arena.push(ArenaSlot {
+                    pos,
                     gen: 0,
-                    loc: Loc::Far { wheel: 0 }, // placeholder, set below
                     val: Some(val),
                 });
-                i
+                self.arena.len() as u32 - 1
             }
         };
-        let gen = self.arena[slot as usize].gen;
-        let e = Entry {
+        self.heap.push(Entry {
             at: at.0,
             seq: self.seq,
             slot,
-            gen,
-        };
+        });
         self.seq += 1;
-        let w = class as usize;
-        let loc = self.wheels[w].insert(e, w as u8);
-        self.arena[slot as usize].loc = loc;
-        slot
+        self.sift_up(pos as usize);
+        Key {
+            slot,
+            gen: self.arena[slot as usize].gen,
+        }
     }
 
-    /// Purge-on-cancel: remove the slot's entry from its bucket or the
-    /// drain run immediately and free the arena cell. Entries resident
-    /// in an overflow heap are generation-invalidated instead and
-    /// dropped when the cursor would pull them. Returns the payload;
-    /// `None` if the slot is already vacant (fired or cancelled).
-    pub fn cancel(&mut self, slot: u32) -> Option<T> {
-        let s = &mut self.arena[slot as usize];
-        let val = s.val.take()?;
-        let loc = s.loc;
-        s.gen = s.gen.wrapping_add(1);
-        self.free.push(slot);
-        match loc {
-            Loc::Run { wheel } => {
-                let wl = &mut self.wheels[wheel as usize];
-                let pos = wl
-                    .run
-                    .iter()
-                    .position(|e| e.slot == slot)
-                    .expect("cancelled entry missing from run");
-                wl.run.remove(pos); // keeps the run sorted
-                wl.count -= 1;
-            }
-            Loc::Bucket { wheel, level, idx } => {
-                let wl = &mut self.wheels[wheel as usize];
-                let b = &mut wl.levels[level as usize].buckets[idx as usize];
-                let pos = b
-                    .iter()
-                    .position(|e| e.slot == slot)
-                    .expect("cancelled entry missing from bucket");
-                b.swap_remove(pos); // bucket order is irrelevant until drain-sort
-                if b.is_empty() {
-                    wl.levels[level as usize].occ &= !(1u64 << idx);
-                }
-                wl.count -= 1;
-            }
-            Loc::Far { wheel } => {
-                self.wheels[wheel as usize].count -= 1;
-            }
+    /// Remove the event `key` names and return its payload; `None` if
+    /// it already popped or was cancelled (the generation moved on).
+    pub fn cancel(&mut self, key: Key) -> Option<T> {
+        let s = &self.arena[key.slot as usize];
+        if s.gen != key.gen {
+            return None;
         }
-        Some(val)
+        let e = self.remove_at(s.pos as usize);
+        debug_assert_eq!(e.slot, key.slot, "arena pos out of sync with the heap");
+        Some(self.vacate(e.slot))
     }
 
     /// Pop the globally earliest `(time, seq)` event.
     pub fn pop(&mut self) -> Option<(Time, T)> {
-        let (wheels, arena) = (&mut self.wheels, &mut self.arena);
-        let [w0, w1] = wheels;
-        let ka = w0.peek_key(arena, 0);
-        let kb = w1.peek_key(arena, 1);
-        let w = match (ka, kb) {
-            (None, None) => return None,
-            (Some(_), None) => 0,
-            (None, Some(_)) => 1,
-            (Some(a), Some(b)) => usize::from(a > b),
-        };
-        let e = wheels[w].pop_head();
-        let s = &mut self.arena[e.slot as usize];
-        debug_assert_eq!(s.gen, e.gen, "popped a stale entry");
-        let val = s.val.take().expect("popped entry has no payload");
-        s.gen = s.gen.wrapping_add(1);
-        self.free.push(e.slot);
-        Some((Time(e.at), val))
+        if self.heap.is_empty() {
+            return None;
+        }
+        let e = self.remove_at(0);
+        Some((Time(e.at), self.vacate(e.slot)))
     }
 
     /// Time of the earliest pending event without popping it.
-    pub fn peek_time(&mut self) -> Option<Time> {
-        let (wheels, arena) = (&mut self.wheels, &mut self.arena);
-        let [w0, w1] = wheels;
-        let ka = w0.peek_key(arena, 0);
-        let kb = w1.peek_key(arena, 1);
-        match (ka, kb) {
-            (None, None) => None,
-            (Some(a), None) => Some(Time(a.0)),
-            (None, Some(b)) => Some(Time(b.0)),
-            (Some(a), Some(b)) => Some(Time(a.min(b).0)),
-        }
+    pub fn peek_time(&self) -> Option<Time> {
+        self.heap.first().map(|e| Time(e.at))
     }
 
-    /// Live scheduled entries (cancelled ones excluded).
+    /// Pending entries (a cancel removes its entry at once).
     #[allow(dead_code)]
     pub fn len(&self) -> usize {
-        self.wheels[0].count + self.wheels[1].count
+        self.heap.len()
     }
 
-    /// Live entries whose payload satisfies `pred` — the accounting
-    /// probe behind the timer-leak assertion. Walks every bucket; for
-    /// tests and periodic invariant checks, not the hot path.
+    /// Entries resident in the heap whose payload satisfies `pred` —
+    /// the accounting probe behind the timer-leak assertion. Walks the
+    /// whole heap; for tests and periodic invariant checks, not the hot
+    /// path.
     pub fn count_live_where(&self, pred: impl Fn(&T) -> bool) -> usize {
-        self.wheels
+        self.heap
             .iter()
-            .map(|w| w.count_live_where(&self.arena, &pred))
-            .sum()
+            .filter(|e| self.arena[e.slot as usize].val.as_ref().is_some_and(&pred))
+            .count()
+    }
+
+    /// Empty an arena slot: bump its generation, free-list it, and
+    /// return its payload.
+    fn vacate(&mut self, slot: u32) -> T {
+        let s = &mut self.arena[slot as usize];
+        s.gen = s.gen.wrapping_add(1);
+        self.free.push(slot);
+        s.val.take().expect("vacated an empty arena slot")
+    }
+
+    /// Take the entry at heap index `pos` out of the heap, filling the
+    /// hole with the last entry and restoring heap order around it.
+    fn remove_at(&mut self, pos: usize) -> Entry {
+        let last = self.heap.pop().expect("remove from an empty heap");
+        if pos == self.heap.len() {
+            return last;
+        }
+        let removed = std::mem::replace(&mut self.heap[pos], last);
+        if pos > 0 && last.key() < self.heap[(pos - 1) / 2].key() {
+            self.sift_up(pos);
+        } else {
+            self.sift_down(pos);
+        }
+        removed
+    }
+
+    /// Move the entry at `pos` toward the root until its parent is
+    /// smaller, updating the arena index of every entry it passes.
+    fn sift_up(&mut self, mut pos: usize) {
+        let e = self.heap[pos];
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            let p = self.heap[parent];
+            if e.key() >= p.key() {
+                break;
+            }
+            self.heap[pos] = p;
+            self.arena[p.slot as usize].pos = pos as u32;
+            pos = parent;
+        }
+        self.heap[pos] = e;
+        self.arena[e.slot as usize].pos = pos as u32;
+    }
+
+    /// Move the entry at `pos` toward the leaves until both children
+    /// are larger, updating the arena index of every entry it passes.
+    fn sift_down(&mut self, mut pos: usize) {
+        let e = self.heap[pos];
+        let n = self.heap.len();
+        loop {
+            let mut child = 2 * pos + 1;
+            if child >= n {
+                break;
+            }
+            if child + 1 < n && self.heap[child + 1].key() < self.heap[child].key() {
+                child += 1;
+            }
+            let c = self.heap[child];
+            if e.key() <= c.key() {
+                break;
+            }
+            self.heap[pos] = c;
+            self.arena[c.slot as usize].pos = pos as u32;
+            pos = child;
+        }
+        self.heap[pos] = e;
+        self.arena[e.slot as usize].pos = pos as u32;
     }
 }
 
@@ -547,31 +235,22 @@ mod tests {
         out
     }
 
-    /// Drain exactly `n` entries (asserts they exist).
-    fn drain_n(s: &mut Scheduler<u64>, n: usize) -> Vec<(u64, u64)> {
-        (0..n)
-            .map(|_| {
-                let (at, v) = s.pop().expect("drain_n underflow");
-                (at.0, v)
-            })
-            .collect()
-    }
-
     #[test]
     fn entry_is_24_bytes() {
-        // The whole point of the arena split: the structures sift
-        // 24-byte entries, never payloads.
+        // The point of the arena split: the heap sifts 24-byte entries,
+        // never payloads.
         assert_eq!(std::mem::size_of::<Entry>(), 24);
     }
 
     #[test]
-    fn pops_in_time_then_seq_order_across_classes() {
+    fn pops_in_time_then_seq_order() {
         let mut s = Scheduler::new();
-        s.insert(t(5_000), Class::Link, 1u64);
-        s.insert(t(5_000), Class::Timer, 2);
-        s.insert(t(1_000), Class::Timer, 3);
-        s.insert(t(5_000), Class::Link, 4);
-        s.insert(t(200_000_000), Class::Timer, 5);
+        s.insert(t(5_000), 1u64);
+        s.insert(t(5_000), 2);
+        s.insert(t(1_000), 3);
+        s.insert(t(5_000), 4);
+        s.insert(t(3_600_000_000_000), 5);
+        s.insert(t(200_000_000), 6);
         assert_eq!(
             drain(&mut s),
             vec![
@@ -579,53 +258,23 @@ mod tests {
                 (5_000, 1),
                 (5_000, 2),
                 (5_000, 4),
-                (200_000_000, 5)
+                (200_000_000, 6),
+                (3_600_000_000_000, 5)
             ]
         );
     }
 
     #[test]
-    fn spans_all_levels_and_far_heap() {
+    fn cancel_purges_head_middle_and_tail() {
         let mut s = Scheduler::new();
-        // level 0, level 1, level 2, and beyond-span (far) for the
-        // timer wheel; plus a calendar event in between.
-        let times = [
-            100u64,            // level 0
-            10_000_000,        // 10 ms: level 1
-            2_000_000_000,     // 2 s: level 2
-            60_000_000_000,    // 60 s: far (span ≈ 34 s)
-            3_600_000_000_000, // 1 h: far
-        ];
-        for (i, &at) in times.iter().enumerate() {
-            s.insert(t(at), Class::Timer, i as u64);
-        }
-        s.insert(t(500_000_000), Class::Link, 99);
-        let got = drain(&mut s);
-        assert_eq!(
-            got,
-            vec![
-                (100, 0),
-                (10_000_000, 1),
-                (500_000_000, 99),
-                (2_000_000_000, 2),
-                (60_000_000_000, 3),
-                (3_600_000_000_000, 4)
-            ]
-        );
-    }
-
-    #[test]
-    fn cancel_purges_from_bucket_run_and_far() {
-        let mut s = Scheduler::new();
-        let a = s.insert(t(1_000), Class::Timer, 0u64); // near bucket
-        let b = s.insert(t(1_000_000), Class::Timer, 1); // bucket
-        let c = s.insert(t(90_000_000_000), Class::Timer, 2); // far
-        let _d = s.insert(t(1_000), Class::Timer, 3); // same tick as a
+        let a = s.insert(t(1_000), 0u64); // head
+        let b = s.insert(t(1_000_000), 1);
+        let c = s.insert(t(90_000_000_000), 2);
+        let _d = s.insert(t(1_000), 3); // same time as a
         assert_eq!(s.len(), 4);
         assert_eq!(s.cancel(b), Some(1));
         assert_eq!(s.cancel(c), Some(2));
         assert_eq!(s.len(), 2);
-        // Peek forces a into the run; cancelling there must also work.
         assert_eq!(s.peek_time(), Some(t(1_000)));
         assert_eq!(s.cancel(a), Some(0));
         assert_eq!(s.len(), 1);
@@ -634,93 +283,40 @@ mod tests {
     }
 
     #[test]
-    fn cancel_is_idempotent_and_slot_reuse_is_safe() {
+    fn stale_key_never_cancels_the_slots_next_tenant() {
         let mut s = Scheduler::new();
-        let a = s.insert(t(1_000), Class::Timer, 7u64);
+        let a = s.insert(t(1_000), 7u64);
         assert_eq!(s.cancel(a), Some(7));
         assert_eq!(s.cancel(a), None, "second cancel is a no-op");
-        // The freed slot is reused; cancelling the *old* id hits the
-        // new entry only through the same slot — callers guard with
-        // their own generation (the sim's TimerSlot gen); here we just
-        // verify the arena recycles.
-        let b = s.insert(t(2_000), Class::Timer, 8);
-        assert_eq!(a, b, "slot free-list reuses the cell");
-        assert_eq!(drain(&mut s), vec![(2_000, 8)]);
+        // The freed slot is reused; the old key's generation is stale.
+        let b = s.insert(t(2_000), 8);
+        assert_ne!(a, b);
+        assert_eq!(s.cancel(a), None);
+        assert_eq!(s.pop(), Some((t(2_000), 8)));
+        assert_eq!(s.cancel(b), None, "cancel after pop is a no-op");
+        let c = s.insert(t(3_000), 9);
+        assert_eq!(s.cancel(b), None);
+        assert_eq!(s.cancel(c), Some(9));
     }
 
     #[test]
-    fn insert_behind_cursor_lands_in_sorted_run() {
+    fn count_live_where_sees_every_entry() {
         let mut s = Scheduler::new();
-        s.insert(t(10_000_000), Class::Timer, 0u64);
-        // Advance the wheel: peek pulls tick(10ms) into the run.
-        assert_eq!(s.peek_time(), Some(t(10_000_000)));
-        // Now insert earlier entries (>= now is the caller's contract;
-        // the cursor is already past their ticks).
-        s.insert(t(9_999_000), Class::Timer, 1);
-        s.insert(t(9_998_000), Class::Timer, 2);
-        s.insert(t(10_000_000), Class::Timer, 3); // same time, later seq
-        assert_eq!(
-            drain(&mut s),
-            vec![
-                (9_998_000, 2),
-                (9_999_000, 1),
-                (10_000_000, 0),
-                (10_000_000, 3)
-            ]
-        );
-    }
-
-    #[test]
-    fn far_pull_respects_order_and_drops_cancelled() {
-        let mut s = Scheduler::new();
-        let span_ns = 1u64 << (TIMER_SHIFT + 18); // beyond 34 s
-        let a = s.insert(t(span_ns + 1_000), Class::Timer, 0u64);
-        s.insert(t(span_ns + 2_000), Class::Timer, 1);
-        s.insert(t(2 * span_ns), Class::Timer, 2);
-        assert_eq!(s.cancel(a), Some(0));
-        assert_eq!(drain(&mut s), vec![(span_ns + 2_000, 1), (2 * span_ns, 2)]);
-    }
-
-    #[test]
-    fn count_live_where_sees_every_residence() {
-        let mut s = Scheduler::new();
-        s.insert(t(1_000), Class::Timer, 0u64);
-        s.insert(t(50_000_000), Class::Timer, 1);
-        s.insert(t(90_000_000_000), Class::Timer, 2); // far
-        s.insert(t(2_000), Class::Link, 3);
-        let f = s.insert(t(91_000_000_000), Class::Timer, 4); // far
+        s.insert(t(1_000), 0u64);
+        s.insert(t(50_000_000), 1);
+        s.insert(t(90_000_000_000), 2);
+        s.insert(t(2_000), 3);
+        let f = s.insert(t(91_000_000_000), 4);
         s.cancel(f);
         assert_eq!(s.count_live_where(|_| true), 4);
         assert_eq!(s.count_live_where(|v| *v >= 2), 2);
-        s.peek_time(); // force runs to fill
-        assert_eq!(s.count_live_where(|_| true), 4);
-    }
-
-    #[test]
-    fn same_tick_split_across_levels_merges_in_order() {
-        // Regression: an entry inserted early lands in a coarse level;
-        // another inserted later (cursor closer) lands in level 0 of
-        // the *same* tick. Opening only one of the two same-start
-        // buckets strands the other behind the cursor window and pops
-        // it out of order.
-        let link_tick = 1u64 << LINK_SHIFT;
-        let mut s = Scheduler::new();
-        s.insert(t(143 * link_tick), Class::Link, 0u64);
-        assert_eq!(drain_n(&mut s, 1), vec![(143 * link_tick, 0)]); // cur → 143
-        let late = 448 * link_tick + 12_000;
-        s.insert(t(late), Class::Link, 1); // delta 305 ticks → level 1
-        s.insert(t(390 * link_tick), Class::Link, 2);
-        assert_eq!(drain_n(&mut s, 1), vec![(390 * link_tick, 2)]); // cur → 390
-        let early = 448 * link_tick + 100;
-        s.insert(t(early), Class::Link, 3); // delta 58 ticks → level 0, same tick
-        assert_eq!(drain(&mut s), vec![(early, 3), (late, 1)]);
     }
 
     #[test]
     fn dense_same_time_burst_keeps_insertion_order() {
         let mut s = Scheduler::new();
         for i in 0..500u64 {
-            s.insert(t(1_000_000), Class::Timer, i);
+            s.insert(t(1_000_000), i);
         }
         let got = drain(&mut s);
         assert_eq!(got.len(), 500);
@@ -730,9 +326,9 @@ mod tests {
     }
 
     /// Model equivalence at the scheduler level: random programs of
-    /// inserts (delays spanning every level and the far heap, including
-    /// zero/equal times) and cancels must pop in exactly the reference
-    /// heap's (time, seq) order.
+    /// inserts (delays from zero to minutes, including equal times) and
+    /// cancels must pop in exactly the reference heap's (time, seq)
+    /// order.
     #[test]
     fn random_programs_match_reference_heap() {
         let mut state = 0x9e3779b97f4a7c15u64;
@@ -745,16 +341,15 @@ mod tests {
         for round in 0..50 {
             let mut s: Scheduler<u64> = Scheduler::new();
             let mut reference: Vec<(u64, u64, u64)> = Vec::new(); // (at, seq, token)
-            let mut live: Vec<(u32, u64)> = Vec::new(); // (slot, seq)
+            let mut live: Vec<(Key, u64)> = Vec::new(); // (key, token)
             let mut seq = 0u64;
             let mut now = 0u64;
             let ops = 200 + round * 10;
             for _ in 0..ops {
                 match rng() % 10 {
-                    // Insert with a delay drawn from a level-spanning band.
+                    // Insert with a delay drawn from a wide band.
                     0..=5 => {
-                        let band = rng() % 6;
-                        let delay = match band {
+                        let delay = match rng() % 6 {
                             0 => 0,
                             1 => rng() % 1_000,
                             2 => rng() % 1_000_000,
@@ -763,21 +358,16 @@ mod tests {
                             _ => rng() % 100_000_000_000,
                         };
                         let at = now + delay;
-                        let class = if rng() % 2 == 0 {
-                            Class::Timer
-                        } else {
-                            Class::Link
-                        };
-                        let slot = s.insert(Time(at), class, seq);
+                        let key = s.insert(Time(at), seq);
                         reference.push((at, seq, seq));
-                        live.push((slot, seq));
+                        live.push((key, seq));
                         seq += 1;
                     }
                     // Cancel a random live entry.
                     6..=7 if !live.is_empty() => {
                         let i = (rng() % live.len() as u64) as usize;
-                        let (slot, tok) = live.swap_remove(i);
-                        assert_eq!(s.cancel(slot), Some(tok));
+                        let (key, tok) = live.swap_remove(i);
+                        assert_eq!(s.cancel(key), Some(tok));
                         reference.retain(|&(_, _, t)| t != tok);
                     }
                     // Pop one event and advance `now`.

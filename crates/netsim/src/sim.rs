@@ -6,7 +6,7 @@ use rand::SeedableRng;
 use crate::fault::{FaultEvent, FaultKind, FaultPlan};
 use crate::link::{Enqueue, Link};
 use crate::packet::{LinkId, NodeId, Packet};
-use crate::sched::{Class, Scheduler};
+use crate::sched::{Key, Scheduler};
 use crate::stats::LinkStats;
 use crate::time::{Dur, Time};
 
@@ -41,29 +41,12 @@ pub struct PathProbe {
     pub up: bool,
 }
 
-/// Handle for cancelling a pending timer. Generation-stamped: the
-/// handle names a `(slot, generation)` pair, so a handle kept past its
-/// timer's firing can never cancel an unrelated timer that later
-/// reused the slot.
+/// Handle for cancelling a pending timer: the scheduler's
+/// generation-stamped `(slot, generation)` key for the timer's event,
+/// so a handle kept past its timer's firing can never cancel the
+/// unrelated event that later reuses the slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct TimerHandle {
-    slot: u32,
-    gen: u32,
-}
-
-/// State of one timer slot. A slot is live from `set_timer` until the
-/// timer fires or is cancelled; both retire it immediately (cancel
-/// purges the scheduler entry — there is no "dead entry waiting to
-/// pop" state). Retirement bumps the generation and returns the slot
-/// to the free list, invalidating outstanding handles.
-#[derive(Clone, Copy)]
-struct TimerSlot {
-    gen: u32,
-    armed: bool,
-    /// Scheduler arena slot of the pending `Event::Timer`, so cancel
-    /// can purge it without a search.
-    sched_slot: u32,
-}
+pub struct TimerHandle(Key);
 
 /// A scheduled occurrence. Kept `Copy` and small (≤ 32 bytes, pinned
 /// by a test): the scheduler moves these through its arena; anything
@@ -79,8 +62,6 @@ enum Event {
     Timer {
         node: NodeId,
         token: u64,
-        slot: u32,
-        gen: u32,
     },
     /// A scheduled fault (index into `Simulator::faults`) takes effect.
     Fault(u32),
@@ -137,8 +118,6 @@ pub struct Simulator {
     routes: Vec<u32>,
     rng: SmallRng,
     next_packet_id: u64,
-    timer_slots: Vec<TimerSlot>,
-    free_slots: Vec<u32>,
     armed_timers: usize,
     /// Installed fault schedule; `Event::Fault` indexes into this.
     faults: Vec<FaultEvent>,
@@ -155,7 +134,7 @@ pub struct Simulator {
 const NO_ROUTE: u32 = u32::MAX;
 
 /// How many event pops between timer-accounting audits (feature
-/// `invariants`): the audit walks every scheduler bucket, so it runs
+/// `invariants`): the audit walks the whole scheduler heap, so it runs
 /// amortized, not per event.
 #[cfg(feature = "invariants")]
 const TIMER_AUDIT_PERIOD: u32 = 4096;
@@ -171,8 +150,6 @@ impl Simulator {
             routes: vec![NO_ROUTE; num_nodes * num_nodes],
             rng: SmallRng::seed_from_u64(seed),
             next_packet_id: 1,
-            timer_slots: Vec::with_capacity(64),
-            free_slots: Vec::with_capacity(64),
             armed_timers: 0,
             faults: Vec::new(),
             faults_fired: Vec::new(),
@@ -286,56 +263,22 @@ impl Simulator {
     /// Arm a timer at absolute time `at`. The returned handle cancels it.
     pub fn set_timer(&mut self, node: NodeId, at: Time, token: u64) -> TimerHandle {
         assert!(at >= self.now, "timer set in the past");
-        let slot = match self.free_slots.pop() {
-            Some(s) => s,
-            None => {
-                let next = self.timer_slots.len() as u32;
-                self.timer_slots.push(TimerSlot {
-                    gen: 0,
-                    armed: false,
-                    sched_slot: 0,
-                });
-                next
-            }
-        };
-        let s = &mut self.timer_slots[slot as usize];
-        debug_assert!(!s.armed, "free timer slot was still armed");
-        s.armed = true;
-        let gen = s.gen;
         self.armed_timers += 1;
-        let sched_slot = self.sched.insert(
-            at,
-            Class::Timer,
-            Event::Timer {
-                node,
-                token,
-                slot,
-                gen,
-            },
-        );
-        self.timer_slots[slot as usize].sched_slot = sched_slot;
-        TimerHandle { slot, gen }
+        TimerHandle(self.sched.insert(at, Event::Timer { node, token }))
     }
 
     /// Cancel a pending timer: the scheduler entry is purged on the
-    /// spot, so a cancelled timer is never revisited at pop time, and
-    /// the slot is retired immediately. Cancelling an already-fired or
-    /// already-cancelled timer is a no-op: the handle's generation no
-    /// longer matches its slot, so it cannot touch a reused slot.
+    /// spot, so a cancelled timer is never revisited at pop time.
+    /// Cancelling an already-fired or already-cancelled timer is a
+    /// no-op: the handle's generation no longer matches its slot, so it
+    /// cannot touch the event that reused the slot.
     pub fn cancel_timer(&mut self, handle: TimerHandle) {
-        if let Some(s) = self.timer_slots.get_mut(handle.slot as usize) {
-            if s.gen == handle.gen && s.armed {
-                s.armed = false;
-                s.gen = s.gen.wrapping_add(1);
-                let sched_slot = s.sched_slot;
-                self.free_slots.push(handle.slot);
-                self.armed_timers -= 1;
-                let purged = self.sched.cancel(sched_slot);
-                debug_assert!(
-                    matches!(purged, Some(Event::Timer { .. })),
-                    "armed timer's scheduler entry was missing"
-                );
-            }
+        if let Some(purged) = self.sched.cancel(handle.0) {
+            debug_assert!(
+                matches!(purged, Event::Timer { .. }),
+                "timer handle named a non-timer event"
+            );
+            self.armed_timers -= 1;
         }
     }
 
@@ -345,8 +288,8 @@ impl Simulator {
     }
 
     /// Live `Timer` entries actually resident in the scheduler — the
-    /// leak probe behind the timer-accounting assertion. Walks every
-    /// scheduler bucket: for tests and audits, not the hot path.
+    /// leak probe behind the timer-accounting assertion. Walks the whole
+    /// scheduler heap: for tests and audits, not the hot path.
     #[doc(hidden)]
     pub fn debug_live_timer_entries(&self) -> usize {
         self.sched
@@ -469,11 +412,7 @@ impl Simulator {
 
     fn schedule(&mut self, at: Time, event: Event) {
         debug_assert!(at >= self.now);
-        let class = match event {
-            Event::TxDone(_) | Event::Arrive(..) => Class::Link,
-            Event::Timer { .. } | Event::Fault(_) => Class::Timer,
-        };
-        self.sched.insert(at, class, event);
+        self.sched.insert(at, event);
     }
 
     /// Advance the simulation to the next externally visible event and
@@ -586,20 +525,9 @@ impl Simulator {
                     }
                     self.offer_to_link(LinkId(raw), packet);
                 }
-                Event::Timer {
-                    node,
-                    token,
-                    slot,
-                    gen,
-                } => {
+                Event::Timer { node, token } => {
                     // Cancelled timers are purged at cancel time, so a
-                    // popped timer always fires. Retire the slot.
-                    let s = &mut self.timer_slots[slot as usize];
-                    debug_assert_eq!(s.gen, gen, "timer slot retired before its event popped");
-                    debug_assert!(s.armed, "popped timer was not armed");
-                    s.armed = false;
-                    s.gen = s.gen.wrapping_add(1);
-                    self.free_slots.push(slot);
+                    // popped timer always fires.
                     self.armed_timers -= 1;
                     return Some(Output::Timer { node, token });
                 }
@@ -624,8 +552,8 @@ impl Simulator {
 
     /// Amortized audit (feature `invariants`): the armed-timer counter
     /// must equal the live `Timer` entries resident in the scheduler.
-    /// Any drift means a cancel leaked its entry or a purge went to the
-    /// wrong bucket.
+    /// Any drift means a cancel leaked its entry or purged the wrong
+    /// one.
     #[cfg(feature = "invariants")]
     fn audit_timer_accounting(&mut self) {
         self.pops_since_audit += 1;
@@ -704,7 +632,7 @@ mod tests {
     #[test]
     fn event_fits_hot_size_budget() {
         // Scheduler entries carry `Event` through the arena; payloads
-        // (packets) must stay out-of-line for the wheels to be cheap.
+        // (packets) must stay out-of-line for the arena to stay small.
         assert!(
             std::mem::size_of::<Event>() <= 32,
             "Event grew past 32 bytes: {}",
@@ -756,10 +684,30 @@ mod tests {
 
     #[test]
     fn cancel_after_fire_is_noop() {
-        let (mut sim, a, _c) = two_node_sim(LossModel::None);
+        let (mut sim, a, c) = two_node_sim(LossModel::None);
         let h = sim.set_timer(a, Time::ZERO + Dur::from_millis(1), 9);
         assert!(sim.next().is_some());
         sim.cancel_timer(h); // already fired: no panic
+
+        // The fired timer freed its scheduler slot. A packet's TxDone
+        // takes it next, then (once that pops) its Arrive; a new timer
+        // sits beside them. The stale handle must cancel none of them.
+        sim.send(a, pkt(a, c, 100));
+        sim.set_timer(a, sim.now() + Dur::from_millis(20), 10);
+        sim.cancel_timer(h);
+        assert_eq!(sim.pending_timers(), 1);
+        let mut outs = Vec::new();
+        while let Some(out) = sim.next() {
+            sim.cancel_timer(h);
+            outs.push(match out {
+                Output::Deliver { node, .. } => (node, None),
+                Output::Timer { node, token } => (node, Some(token)),
+                Output::Fault(ev) => panic!("unexpected {ev:?}"),
+            });
+        }
+        assert_eq!(outs, vec![(c, None), (a, Some(10))]);
+        assert_eq!(sim.pending_timers(), 0);
+        assert_eq!(sim.debug_live_timer_entries(), 0);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! prove a run equals *itself*; this test proves the engine's behaviour
 //! is unchanged across refactors of its internals — the contract the
 //! hot-path data-structure work (dense route table, generation-stamped
-//! timer slots, allocation reuse) must preserve byte for byte.
+//! timer handles, the event scheduler, allocation reuse) must preserve
+//! byte for byte.
 
 use bytes::Bytes;
 use lsl_netsim::{

@@ -1,9 +1,9 @@
 //! Model-equivalence property tests for the event scheduler.
 //!
-//! The hierarchical-wheel scheduler behind `Simulator` must be
-//! observationally identical to the naive priority queue it replaced:
-//! for any program of arm/cancel/advance operations, timers fire in
-//! exactly the reference order — ascending `(time, arm-seq)` — at
+//! The indexed-heap scheduler behind `Simulator` must be
+//! observationally identical to a naive priority queue: for any
+//! program of arm/cancel/advance operations, timers fire in exactly
+//! the reference order — ascending `(time, arm-seq)` — at
 //! exactly the reference times. These tests drive the *public*
 //! `Simulator` API against a brute-force sorted model and also pin the
 //! arena-leak invariant: every armed timer occupies exactly one live
@@ -30,18 +30,17 @@ fn model_min(live: &[ModelTimer]) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
-/// Map a `(band, offset)` pair to a delay that lands in a specific
-/// residence of the timer wheel (tick = 2^17 ns, 3 levels of 64 slots,
-/// so the wheel spans 2^35 ns ≈ 34 s; anything longer overflows to the
-/// far heap).
+/// Map a `(band, offset)` pair to a delay in one of six scales, from
+/// "now" to minutes out, so programs mix equal fire times, near-equal
+/// ones and widely spread ones.
 fn band_delay(band: u8, offset: u64) -> u64 {
     match band % 6 {
-        0 => 0,                              // behind/at the cursor: run band
-        1 => offset % (1 << 10),             // sub-tick: same-slot collisions
-        2 => offset % (1 << 23),             // level 0 (< 64 ticks)
-        3 => offset % (1 << 29),             // level 1 (< 64^2 ticks)
-        4 => offset % (1 << 35),             // level 2 (full wheel span)
-        _ => (1 << 35) + offset % (1 << 36), // beyond the wheel: far heap
+        0 => 0,                              // at the current time
+        1 => offset % (1 << 10),             // ≤ 1 µs: near-collisions
+        2 => offset % (1 << 23),             // ≤ 8 ms
+        3 => offset % (1 << 29),             // ≤ 0.5 s
+        4 => offset % (1 << 35),             // ≤ 34 s
+        _ => (1 << 35) + offset % (1 << 36), // 34 s to 103 s
     }
 }
 
@@ -54,7 +53,7 @@ fn check_fire(live: &mut Vec<ModelTimer>, token: u64, now: Time) {
 }
 
 /// Armed timers must map 1:1 onto live scheduler entries — a stricter
-/// check than `pending_timers()` because it walks the wheel structures
+/// check than `pending_timers()` because it walks the scheduler heap
 /// and arena, catching both leaks (cancel left a husk) and loss (an
 /// armed timer's entry vanished).
 fn check_no_leak(sim: &Simulator, live: &[ModelTimer]) {
@@ -65,8 +64,8 @@ fn check_no_leak(sim: &Simulator, live: &[ModelTimer]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Timers-only programs: arm across every wheel band (run, sub-tick,
-    /// each level, far heap), cancel at random, and advance — the fire
+    /// Timers-only programs: arm across every delay band (now,
+    /// sub-microsecond, ms, s, minutes), cancel at random, and advance — the fire
     /// sequence must be byte-identical to the sorted reference.
     #[test]
     fn timer_programs_match_reference_heap(
@@ -127,7 +126,7 @@ proptest! {
     }
 
     /// Mixed traffic: packet events share the scheduler with timers, so
-    /// the link calendar and timer wheel interleave — but the *timer*
+    /// link events and timers interleave in one heap — but the *timer*
     /// subsequence must still match the reference exactly, and no
     /// scheduler entries may leak.
     #[test]
@@ -154,7 +153,7 @@ proptest! {
                     seq += 1;
                 }
                 // Inject traffic: consumes scheduler sequence numbers
-                // and populates the link calendar wheel.
+                // and arena slots that stale timer handles must not hit.
                 3..=4 => {
                     let size = 64 + (offset % 1400) as usize;
                     sim.send(a, Packet::tcp(a, c, Bytes::new(), Bytes::from(vec![0u8; size])));

@@ -231,8 +231,8 @@ impl SessionClient {
     /// ascending when scores are present, plan order otherwise. With
     /// [`RecoveryConfig::direct_fallback`] set and no depot-free
     /// candidate present, a direct path is appended as the last resort.
-    /// Resume is negotiated whenever `mode` is [`SendMode::lsl`] (digest
-    /// and sync), the only mode that can certify blocks.
+    /// Resume is negotiated whenever `mode` is [`SendMode::Lsl`], the
+    /// only mode that can certify blocks.
     #[allow(clippy::too_many_arguments)] // one-shot constructor mirroring BulkSender::start
     pub fn start(
         net: &mut Net,
@@ -505,7 +505,7 @@ impl SessionClient {
     /// verified state decides the actual grant. `None` when the send
     /// mode cannot certify blocks.
     fn resume_request(&self) -> Option<Resume> {
-        (self.mode == SendMode::lsl()).then(|| Resume {
+        (self.mode == SendMode::Lsl).then(|| Resume {
             offset: self.verified_floor * RESUME_BLOCK,
             verified_block: match self.verified_floor {
                 0 => NO_VERIFIED_BLOCK,

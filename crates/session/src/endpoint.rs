@@ -110,20 +110,17 @@ fn is_payload(offset: u64, data: &[u8]) -> bool {
 pub enum SendMode {
     /// Plain end-to-end TCP: raw payload only (the paper's baseline).
     DirectTcp,
-    /// LSL: header first, then payload, then (optionally) the digest.
-    /// `sync` is the paper's measured mode — the source streams only
-    /// after the sink's one-byte session confirmation has travelled back
-    /// through the cascade.
-    Lsl { digest: bool, sync: bool },
+    /// LSL, the paper's measured mode: header first, then payload,
+    /// then the MD5 digest trailer. The source streams only after the
+    /// sink's one-byte session confirmation has travelled back through
+    /// the cascade.
+    Lsl,
 }
 
 impl SendMode {
-    /// The paper's default LSL configuration.
+    /// The paper's LSL configuration.
     pub fn lsl() -> SendMode {
-        SendMode::Lsl {
-            digest: true,
-            sync: true,
-        }
+        SendMode::Lsl
     }
 }
 
@@ -134,7 +131,7 @@ pub const SESSION_CONFIRM: u8 = 0x4b; // 'K'
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SenderState {
     Connecting,
-    /// Header sent; waiting for the sink's confirmation (sync mode).
+    /// Header sent; waiting for the sink's confirmation (LSL mode).
     AwaitingConfirm,
     Streaming,
     Done,
@@ -235,9 +232,9 @@ impl BulkSender {
     ///
     /// Passing `resume: Some(_)` sends a version-2 header carrying the
     /// request and expects the extended 9-byte confirmation (the sink's
-    /// granted offset); it requires `SendMode::Lsl` with both `digest`
-    /// and `sync` — resume is meaningless without block verification
-    /// and the confirmation round-trip that carries the grant.
+    /// granted offset); it requires `SendMode::Lsl`, whose digest
+    /// verifies the blocks and whose confirmation round-trip carries
+    /// the grant.
     #[allow(clippy::too_many_arguments)] // one-shot constructor mirroring the LSL API surface
     pub fn start(
         net: &mut Net,
@@ -269,8 +266,8 @@ impl BulkSender {
     /// session's stream. The sink replies with the range it grants
     /// (possibly narrowed — another cascade may have delivered the
     /// head); this attempt then streams exactly the granted range and
-    /// trails it with an MD5 over those bytes. Always LSL sync+digest
-    /// mode: striping is meaningless without block certification.
+    /// trails it with an MD5 over those bytes. Always LSL mode:
+    /// striping is meaningless without block certification.
     #[allow(clippy::too_many_arguments)] // mirrors `start`, the non-striped constructor
     pub fn start_stripe(
         net: &mut Net,
@@ -320,8 +317,8 @@ impl BulkSender {
             "route exceeds MAX_HOPS; build candidate sets through RoutePlan"
         );
         assert!(
-            request.is_none() || mode == SendMode::lsl(),
-            "a resume or stripe request requires LSL mode with digest and sync"
+            request.is_none() || mode == SendMode::Lsl,
+            "a resume or stripe request requires LSL mode"
         );
         let first = path.first_hop();
         let sock = net.connect(src, first.node, first.port, tcp);
@@ -333,10 +330,10 @@ impl BulkSender {
                 assert!(path.depots.is_empty(), "direct TCP cannot traverse depots");
                 None
             }
-            SendMode::Lsl { digest, .. } => Some(
+            SendMode::Lsl => Some(
                 LslHeader {
                     session,
-                    flags: if digest { HEADER_FLAG_DIGEST } else { 0 },
+                    flags: HEADER_FLAG_DIGEST,
                     length: total,
                     resume: match request {
                         Some(RangeReq::Resume(r)) => Some(r),
@@ -352,10 +349,7 @@ impl BulkSender {
                 .expect("route length asserted against MAX_HOPS above"),
             ),
         };
-        let md5 = match mode {
-            SendMode::Lsl { digest: true, .. } => Some(Md5::new()),
-            _ => None,
-        };
+        let md5 = (mode == SendMode::Lsl).then(Md5::new);
         BulkSender {
             sock,
             mode,
@@ -446,14 +440,12 @@ impl BulkSender {
         }
         match event {
             SockEvent::Connected => {
-                // Ship the header immediately; in sync mode the payload
+                // Ship the header immediately; in LSL mode the payload
                 // waits for the sink's confirmation.
                 self.send_header(net);
                 match self.mode {
-                    SendMode::Lsl { sync: true, .. } => {
-                        self.state = SenderState::AwaitingConfirm;
-                    }
-                    _ => {
+                    SendMode::Lsl => self.state = SenderState::AwaitingConfirm,
+                    SendMode::DirectTcp => {
                         self.state = SenderState::Streaming;
                         self.pump(net);
                     }

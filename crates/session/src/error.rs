@@ -201,7 +201,7 @@ impl From<TcpError> for SessionError {
 pub enum SessionEvent {
     /// The first-hop sublink connected.
     Established,
-    /// The sink's session confirmation arrived (sync mode).
+    /// The sink's session confirmation arrived (LSL mode).
     Confirmed,
     /// The active sublink failed, with the typed cause.
     SublinkDown(SessionError),

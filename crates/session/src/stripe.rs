@@ -99,7 +99,7 @@ pub struct StripedSession(SessionClient);
 
 impl StripedSession {
     /// Begin the session over `min(cfg.max_cascades, plan.len())`
-    /// cascades. Always LSL sync+digest mode: striping (like resume) is
+    /// cascades. Always LSL mode: striping (like resume) is
     /// meaningless without block certification.
     ///
     /// # Panics

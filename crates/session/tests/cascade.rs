@@ -64,7 +64,6 @@ fn run_cascade(
     total: u64,
     loss: f64,
     seed: u64,
-    digest: bool,
 ) -> (
     Vec<lsl_session::TransferOutcome>,
     Vec<lsl_session::DepotStats>,
@@ -106,7 +105,7 @@ fn run_cascade(
         &path,
         SessionId(42),
         total,
-        SendMode::Lsl { digest, sync: true },
+        SendMode::lsl(),
         tcp,
         None,
         None,
@@ -129,7 +128,7 @@ fn run_cascade(
 
 #[test]
 fn single_depot_relays_intact_with_digest() {
-    let (done, dstats, state, _) = run_cascade(1, 1 << 20, 0.0, 1, true);
+    let (done, dstats, state, _) = run_cascade(1, 1 << 20, 0.0, 1);
     assert_eq!(state, SenderState::Done);
     assert_eq!(done.len(), 1);
     let out = &done[0];
@@ -145,7 +144,7 @@ fn single_depot_relays_intact_with_digest() {
 #[test]
 fn cascade_depth_2_and_3_and_4() {
     for depth in [2usize, 3, 4] {
-        let (done, dstats, state, _) = run_cascade(depth, 300_000, 0.0, depth as u64, true);
+        let (done, dstats, state, _) = run_cascade(depth, 300_000, 0.0, depth as u64);
         assert_eq!(state, SenderState::Done, "depth {depth}");
         assert_eq!(done.len(), 1, "depth {depth}");
         assert_eq!(done[0].bytes, 300_000);
@@ -160,7 +159,7 @@ fn cascade_depth_2_and_3_and_4() {
 
 #[test]
 fn cascade_survives_loss_on_every_sublink() {
-    let (done, _, state, _) = run_cascade(2, 500_000, 0.01, 99, true);
+    let (done, _, state, _) = run_cascade(2, 500_000, 0.01, 99);
     assert_eq!(state, SenderState::Done);
     assert_eq!(done.len(), 1);
     assert_eq!(done[0].bytes, 500_000);
@@ -168,10 +167,30 @@ fn cascade_survives_loss_on_every_sublink() {
     assert!(done[0].content_ok);
 }
 
+/// The sender always flags a digest now, but a header with the flag
+/// clear is still wire input the sink accepts: the stream is
+/// pattern-checked and not hashed.
 #[test]
-fn no_digest_mode() {
-    let (done, _, _, _) = run_cascade(1, 100_000, 0.0, 3, false);
+fn digestless_header_is_only_pattern_checked() {
+    let (topo, nodes) = chain_topology(0, 50_000_000, Dur::from_millis(5), 0.0);
+    let mut net = Net::new(topo.into_sim(3));
+    let (src, dst) = (nodes[0], *nodes.last().unwrap());
+    let mut sink = SinkServer::new(&mut net, dst, SINK_PORT, true, TcpConfig::default());
+    let header = LslHeader {
+        session: SessionId(42),
+        flags: 0,
+        length: 100_000,
+        resume: None,
+        stripe: None,
+        route: Vec::new(),
+    };
+    let mut stream = Vec::from(&header.encode().unwrap()[..]);
+    stream.extend_from_slice(&payload_chunk(0, 100_000));
+    let reply = hand_attempt(&mut net, &mut sink, src, dst, stream.into());
+    assert_eq!(reply, [0x4b], "version-1 confirm is the one byte");
+    let done = sink.take_outcomes();
     assert_eq!(done.len(), 1);
+    assert_eq!(done[0].status, TransferStatus::Complete);
     assert_eq!(done[0].bytes, 100_000);
     assert_eq!(done[0].digest_ok, None);
     assert!(done[0].content_ok);
@@ -179,7 +198,7 @@ fn no_digest_mode() {
 
 #[test]
 fn zero_length_session() {
-    let (done, _, state, _) = run_cascade(1, 0, 0.0, 4, true);
+    let (done, _, state, _) = run_cascade(1, 0, 0.0, 4);
     assert_eq!(state, SenderState::Done);
     assert_eq!(done.len(), 1);
     assert_eq!(done[0].bytes, 0);

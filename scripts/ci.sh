@@ -115,7 +115,9 @@ BENCH_SMOKE=1 BENCH_OUT="$smoke_json" cargo bench -q -p lsl-bench --bench micro
 for key in netsim_events_per_sec netsim_timer_events_per_sec \
            run_wall_s_1mb_direct run_wall_s_1mb_depot \
            run_wall_s_16mb_direct run_wall_s_16mb_depot md5_mb_per_s \
-           realnet_relay_mb_per_s campaign_jobs campaign_wall_s_jobs1 campaign_wall_s_jobsN baseline; do
+           realnet_relay_mb_per_s campaign_jobs campaign_wall_s_jobs1 campaign_wall_s_jobsN \
+           segment_encode_decode_ns lsl_header_encode_decode_ns nws_mixture_update_x100_ns \
+           baseline; do
   grep -q "\"$key\"" "$smoke_json" \
     || { echo "$smoke_json missing key: $key"; exit 1; }
 done
