@@ -21,9 +21,6 @@
 //! order, so a given (topology, workload, seed) triple always produces a
 //! bit-identical execution.
 
-#[cfg(feature = "invariants")]
-pub mod invariants;
-
 mod fault;
 mod link;
 mod loss;

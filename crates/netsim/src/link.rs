@@ -78,14 +78,14 @@ pub(crate) struct Link {
     /// Fault-injection state: a down link accepts nothing and loses the
     /// frame it was serializing when the outage hit.
     up: bool,
-    /// Conservation ledger (feature `invariants`): every wire byte a link
+    /// Conservation ledger (debug builds): every wire byte a link
     /// accepts must be exactly one of delivered, lost, propagating, or
     /// still held (queued/serializing).
-    #[cfg(feature = "invariants")]
+    #[cfg(debug_assertions)]
     pub(crate) delivered_bytes: u64,
-    #[cfg(feature = "invariants")]
+    #[cfg(debug_assertions)]
     pub(crate) lost_bytes: u64,
-    #[cfg(feature = "invariants")]
+    #[cfg(debug_assertions)]
     pub(crate) inflight_bytes: u64,
 }
 
@@ -102,11 +102,11 @@ impl Link {
             queued_bytes: 0,
             busy: false,
             up: true,
-            #[cfg(feature = "invariants")]
+            #[cfg(debug_assertions)]
             delivered_bytes: 0,
-            #[cfg(feature = "invariants")]
+            #[cfg(debug_assertions)]
             lost_bytes: 0,
-            #[cfg(feature = "invariants")]
+            #[cfg(debug_assertions)]
             inflight_bytes: 0,
         }
     }
@@ -167,8 +167,8 @@ impl Link {
     /// Byte conservation: accepted wire bytes must equal the sum of
     /// delivered, lost, propagating, and held bytes. Any drift means a
     /// packet was duplicated or silently vanished inside the engine.
-    #[cfg(feature = "invariants")]
-    pub(crate) fn check_conservation(&self, now: crate::time::Time) {
+    #[cfg(debug_assertions)]
+    pub(crate) fn check_conservation(&self) {
         let serializing = if self.busy {
             self.queue.front().map_or(0, |p| p.wire_len() as u64)
         } else {
@@ -179,26 +179,18 @@ impl Link {
             + self.inflight_bytes
             + self.queued_bytes
             + serializing;
-        crate::invariant!(
-            self.stats.tx_bytes == accounted,
-            now,
-            "netsim::sim",
-            "link-byte-conservation",
-            "link {:?}->{:?}: accepted {} B but accounted {} B \
+        debug_assert_eq!(
+            self.stats.tx_bytes,
+            accounted,
+            "link-byte-conservation: link {:?}->{:?} accepted vs accounted bytes \
              (delivered {} + lost {} + in flight {} + held {})",
             self.from,
             self.to,
-            self.stats.tx_bytes,
-            accounted,
             self.delivered_bytes,
             self.lost_bytes,
             self.inflight_bytes,
             self.queued_bytes + serializing
         );
-    }
-
-    pub fn is_busy(&self) -> bool {
-        self.busy
     }
 
     pub fn is_up(&self) -> bool {
@@ -209,12 +201,9 @@ impl Link {
     /// (counted as `drops_fault`); the frame currently serializing stays
     /// at the queue front so its pending `TxDone` event finds it — the
     /// simulator discards it there because the link is down.
-    pub(crate) fn set_down(&mut self, #[cfg(feature = "invariants")] now: crate::time::Time) {
+    pub(crate) fn set_down(&mut self) {
         self.up = false;
-        self.flush_queue(
-            #[cfg(feature = "invariants")]
-            now,
-        );
+        self.flush_queue();
     }
 
     /// Fault injection: the link carries traffic again.
@@ -224,20 +213,20 @@ impl Link {
 
     /// Discard every *waiting* packet (the serializing one, if any, is
     /// owned by its pending `TxDone` event and must stay at the front).
-    pub(crate) fn flush_queue(&mut self, #[cfg(feature = "invariants")] now: crate::time::Time) {
+    pub(crate) fn flush_queue(&mut self) {
         let keep = usize::from(self.busy);
         while self.queue.len() > keep {
             let p = self.queue.pop_back().expect("len > keep");
             self.stats.on_drop_fault();
-            #[cfg(feature = "invariants")]
+            #[cfg(debug_assertions)]
             {
                 self.lost_bytes += p.wire_len() as u64;
             }
             let _ = p;
         }
         self.queued_bytes = 0;
-        #[cfg(feature = "invariants")]
-        self.check_conservation(now);
+        #[cfg(debug_assertions)]
+        self.check_conservation();
     }
 }
 
@@ -272,7 +261,7 @@ mod tests {
             Enqueue::Started(d) => assert_eq!(d, Dur::from_micros(962)),
             other => panic!("unexpected {other:?}"),
         }
-        assert!(l.is_busy());
+        assert!(l.busy);
         assert_eq!(l.queued_bytes(), 0);
     }
 
@@ -291,7 +280,7 @@ mod tests {
         let (p3, next) = l.tx_done();
         assert_eq!(p3.data.len(), 300);
         assert!(next.is_none());
-        assert!(!l.is_busy());
+        assert!(!l.busy);
     }
 
     #[test]
@@ -330,6 +319,17 @@ mod tests {
         // High-water marks persist.
         assert_eq!(l.stats.max_queue_bytes, 200);
         assert_eq!(l.stats.max_queue_pkts, 2);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "link-byte-conservation")]
+    fn skewed_ledger_fails_the_conservation_check() {
+        let mut l = link(1 << 20);
+        l.enqueue(pkt(62)); // 100 wire bytes, held while serializing
+        l.check_conservation();
+        l.lost_bytes += 1; // one byte counted twice
+        l.check_conservation();
     }
 
     #[test]

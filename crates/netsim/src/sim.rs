@@ -125,18 +125,18 @@ pub struct Simulator {
     faults_fired: Vec<bool>,
     /// Per-node up/down state; all nodes start up.
     node_up: Vec<bool>,
-    /// Pops since the last timer-accounting audit (feature `invariants`).
-    #[cfg(feature = "invariants")]
-    pops_since_audit: u32,
+    /// `next()` calls since the last timer-accounting audit.
+    #[cfg(debug_assertions)]
+    calls_since_audit: u32,
 }
 
 /// Sentinel for "no next hop" in the dense route table.
 const NO_ROUTE: u32 = u32::MAX;
 
-/// How many event pops between timer-accounting audits (feature
-/// `invariants`): the audit walks the whole scheduler heap, so it runs
+/// How many `next()` calls between timer-accounting audits (debug
+/// builds): the audit walks the whole scheduler heap, so it runs
 /// amortized, not per event.
-#[cfg(feature = "invariants")]
+#[cfg(debug_assertions)]
 const TIMER_AUDIT_PERIOD: u32 = 4096;
 
 impl Simulator {
@@ -154,8 +154,8 @@ impl Simulator {
             faults: Vec::new(),
             faults_fired: Vec::new(),
             node_up: vec![true; num_nodes],
-            #[cfg(feature = "invariants")]
-            pops_since_audit: 0,
+            #[cfg(debug_assertions)]
+            calls_since_audit: 0,
         }
     }
 
@@ -311,17 +311,6 @@ impl Simulator {
         self.links.len()
     }
 
-    /// Bytes currently waiting in a link's queue (excludes the packet
-    /// being serialized).
-    pub fn link_queued_bytes(&self, link: LinkId) -> u64 {
-        self.links[link.0 as usize].queued_bytes()
-    }
-
-    /// Whether a link is currently transmitting.
-    pub fn link_busy(&self, link: LinkId) -> bool {
-        self.links[link.0 as usize].is_busy()
-    }
-
     /// The chain of links a packet from `node` to `dst` traverses, by
     /// walking the static next-hop table. `None` when no route exists.
     /// Bounded by the link count, so a cyclic routing misconfiguration
@@ -383,10 +372,7 @@ impl Simulator {
     fn apply_fault(&mut self, kind: FaultKind) {
         match kind {
             FaultKind::LinkDown(l) => {
-                self.links[l.0 as usize].set_down(
-                    #[cfg(feature = "invariants")]
-                    self.now,
-                );
+                self.links[l.0 as usize].set_down();
             }
             FaultKind::LinkUp(l) => self.links[l.0 as usize].set_up(),
             FaultKind::NodeDown(n) => {
@@ -397,10 +383,7 @@ impl Simulator {
                 // discarded on delivery.)
                 for link in &mut self.links {
                     if link.from == n {
-                        link.flush_queue(
-                            #[cfg(feature = "invariants")]
-                            self.now,
-                        );
+                        link.flush_queue();
                     }
                 }
             }
@@ -421,25 +404,15 @@ impl Simulator {
     /// iterator borrow would forbid.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<Output> {
+        #[cfg(debug_assertions)]
+        self.audit_timer_accounting();
         while let Some((at, event)) = self.sched.pop() {
-            #[cfg(feature = "invariants")]
-            crate::invariant!(
-                at >= self.now,
-                self.now,
-                "netsim::sim",
-                "event-time-monotonic",
-                "popped event at {:?} behind current time {:?}",
-                at,
-                self.now
-            );
             debug_assert!(
                 at >= self.now,
-                "event queue went backwards: popped {at:?} with now {:?}",
+                "event-time-monotonic: popped {at:?} with now {:?}",
                 self.now
             );
             self.now = at;
-            #[cfg(feature = "invariants")]
-            self.audit_timer_accounting();
             match event {
                 Event::TxDone(link_id) => {
                     // One link resolution covers the whole completion:
@@ -454,10 +427,10 @@ impl Simulator {
                     let mut arrive_after = None;
                     if faulted {
                         link.stats.on_drop_fault();
-                        #[cfg(feature = "invariants")]
+                        #[cfg(debug_assertions)]
                         {
                             link.lost_bytes += packet.wire_len() as u64;
-                            link.check_conservation(self.now);
+                            link.check_conservation();
                         }
                     } else {
                         // Loss is drawn when the packet leaves the
@@ -467,7 +440,7 @@ impl Simulator {
                         if lost {
                             link.stats.on_drop_loss();
                         }
-                        #[cfg(feature = "invariants")]
+                        #[cfg(debug_assertions)]
                         {
                             let wire = packet.wire_len() as u64;
                             if lost {
@@ -475,7 +448,7 @@ impl Simulator {
                             } else {
                                 link.inflight_bytes += wire;
                             }
-                            link.check_conservation(self.now);
+                            link.check_conservation();
                         }
                         if !lost {
                             arrive_after = Some(link.spec.prop_delay);
@@ -499,21 +472,21 @@ impl Simulator {
                     // the bits reached a dead host and vanish.
                     if !self.node_up[to.0 as usize] {
                         link.stats.on_drop_fault();
-                        #[cfg(feature = "invariants")]
+                        #[cfg(debug_assertions)]
                         {
                             let wire = packet.wire_len() as u64;
                             link.inflight_bytes -= wire;
                             link.lost_bytes += wire;
-                            link.check_conservation(self.now);
+                            link.check_conservation();
                         }
                         continue;
                     }
-                    #[cfg(feature = "invariants")]
+                    #[cfg(debug_assertions)]
                     {
                         let wire = packet.wire_len() as u64;
                         link.inflight_bytes -= wire;
                         link.delivered_bytes += wire;
-                        link.check_conservation(self.now);
+                        link.check_conservation();
                     }
                     if to == packet.dst {
                         return Some(Output::Deliver { node: to, packet });
@@ -550,26 +523,22 @@ impl Simulator {
         None
     }
 
-    /// Amortized audit (feature `invariants`): the armed-timer counter
-    /// must equal the live `Timer` entries resident in the scheduler.
-    /// Any drift means a cancel leaked its entry or purged the wrong
-    /// one.
-    #[cfg(feature = "invariants")]
+    /// Amortized audit (debug builds): the armed-timer counter must
+    /// equal the live `Timer` entries resident in the scheduler. Any
+    /// drift means a cancel leaked its entry or purged the wrong one.
+    /// Runs between `next()` calls, where no popped timer is still
+    /// waiting for its decrement.
+    #[cfg(debug_assertions)]
     fn audit_timer_accounting(&mut self) {
-        self.pops_since_audit += 1;
-        if self.pops_since_audit < TIMER_AUDIT_PERIOD {
+        self.calls_since_audit += 1;
+        if self.calls_since_audit < TIMER_AUDIT_PERIOD {
             return;
         }
-        self.pops_since_audit = 0;
+        self.calls_since_audit = 0;
         let live = self.debug_live_timer_entries();
-        crate::invariant!(
-            live == self.armed_timers,
-            self.now,
-            "netsim::sim",
-            "timer-accounting",
-            "{} live timer entries in the scheduler but {} timers armed",
-            live,
-            self.armed_timers
+        debug_assert_eq!(
+            live, self.armed_timers,
+            "timer-accounting: live timer entries in the scheduler vs timers armed"
         );
     }
 
@@ -735,6 +704,26 @@ mod tests {
             0,
             "scheduler leaked entries"
         );
+    }
+
+    #[test]
+    fn timer_audit_sees_no_drift_when_its_turn_lands_on_a_timer() {
+        // More timers than one audit period (4096 calls), at distinct
+        // times, so the audited call is one that fires a timer. The
+        // audit runs between calls; run mid-call, it would count the
+        // popped timer as armed but no longer resident and report drift.
+        let (mut sim, a, _c) = two_node_sim(LossModel::None);
+        let n = 5_000;
+        for i in 0..n {
+            sim.set_timer(a, Time::ZERO + Dur::from_micros(1 + i), i);
+        }
+        let mut fired = 0;
+        while let Some(Output::Timer { token, .. }) = sim.next() {
+            assert_eq!(token, fired);
+            fired += 1;
+        }
+        assert_eq!(fired, n);
+        assert_eq!(sim.pending_timers(), 0);
     }
 
     #[test]

@@ -88,11 +88,6 @@ impl StormSpec {
         self.max_atoms = max;
         self
     }
-
-    pub fn with_permanent_p(mut self, p: f64) -> StormSpec {
-        self.permanent_p = p;
-        self
-    }
 }
 
 /// One storm action. Failure and repair travel as a single atom —

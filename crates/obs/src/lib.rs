@@ -18,9 +18,8 @@
 //!   formatting) and events append to a `Vec` — no per-event
 //!   allocation beyond amortized growth.
 //!
-//! The recorder is **thread-local**, mirroring
-//! `lsl_netsim::invariants`: each simulation runs on one thread, so
-//! parallel campaign workers never mix telemetry. A run brackets
+//! The recorder is **thread-local**: each simulation runs on one
+//! thread, so parallel campaign workers never mix telemetry. A run brackets
 //! itself with [`recorded`] (or `enable`/`take`) and gets back an
 //! [`ObsReport`] it can render, export ([`export`]), or summarize
 //! ([`report::flight_recorder`]).

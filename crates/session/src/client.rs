@@ -390,12 +390,6 @@ impl SessionClient {
         self.lanes[0].sender.as_ref().map(BulkSender::sock)
     }
 
-    /// Bytes lane 0's active attempt has pushed into its socket so far
-    /// (for passive goodput estimation); `None` between attempts.
-    pub fn attempt_progress(&self) -> Option<u64> {
-        self.lanes[0].sender.as_ref().map(BulkSender::progress)
-    }
-
     /// Number of lanes (concurrent cascades) the session runs.
     pub fn cascades(&self) -> usize {
         self.lanes.len()

@@ -425,32 +425,21 @@ impl Depot {
             }
             // Relay-buffer conservation: the byte counter must equal the
             // chunks actually held, and never exceed the configured cap.
-            #[cfg(feature = "invariants")]
-            {
-                let held: usize = pipe.buf.iter().map(Bytes::len).sum();
-                lsl_netsim::invariant!(
-                    pipe.buffered == held,
-                    net.now(),
-                    "session::depot",
-                    "relay-buffer-conservation",
-                    "pipe {:?}->{:?}: counter {} B vs {} B held",
-                    pipe.from,
-                    pipe.to,
-                    pipe.buffered,
-                    held
-                );
-                lsl_netsim::invariant!(
-                    pipe.buffered <= cap,
-                    net.now(),
-                    "session::depot",
-                    "relay-buffer-bound",
-                    "pipe {:?}->{:?}: {} B buffered exceeds cap {} B",
-                    pipe.from,
-                    pipe.to,
-                    pipe.buffered,
-                    cap
-                );
-            }
+            debug_assert_eq!(
+                pipe.buffered,
+                pipe.buf.iter().map(Bytes::len).sum::<usize>(),
+                "relay-buffer-conservation: pipe {:?}->{:?} counter vs bytes held",
+                pipe.from,
+                pipe.to
+            );
+            debug_assert!(
+                pipe.buffered <= cap,
+                "relay-buffer-bound: pipe {:?}->{:?} buffers {} B over cap {} B",
+                pipe.from,
+                pipe.to,
+                pipe.buffered,
+                cap
+            );
         }
         self.stats.bytes_relayed += relayed;
         self.stats.max_buffered = self.stats.max_buffered.max(max_buffered);

@@ -470,30 +470,23 @@ impl Tcb {
         self.snd_nxt - self.snd_una
     }
 
-    /// Send-side structural invariants, audited after every ACK-driven
-    /// transition (feature `invariants`): the sequence space must stay
-    /// ordered (`snd_una ≤ snd_nxt ≤ snd_max`) and the congestion window
-    /// bounded (at least one MSS so progress is always possible, and
-    /// below a sanity ceiling that recovery inflation must never pierce).
-    #[cfg(feature = "invariants")]
-    fn check_invariants(&self, ctx: &Ctx) {
-        lsl_netsim::invariant!(
+    /// Send-side structural invariants, asserted in debug builds after
+    /// every ACK-driven transition: the sequence space must stay ordered
+    /// (`snd_una ≤ snd_nxt ≤ snd_max`) and the congestion window bounded
+    /// (at least one MSS so progress is always possible, and below a
+    /// sanity ceiling that recovery inflation must never pierce).
+    fn check_invariants(&self) {
+        debug_assert!(
             self.snd_una <= self.snd_nxt && self.snd_nxt <= self.snd_max,
-            ctx.sim.now(),
-            "tcp::socket",
-            "seq-space-order",
-            "snd_una {} / snd_nxt {} / snd_max {} out of order",
+            "seq-space-order: snd_una {} / snd_nxt {} / snd_max {} out of order",
             self.snd_una,
             self.snd_nxt,
             self.snd_max
         );
         const CWND_CEILING: u64 = 1 << 30;
-        lsl_netsim::invariant!(
+        debug_assert!(
             self.cc.cwnd >= self.mss as u64 && self.cc.cwnd <= CWND_CEILING,
-            ctx.sim.now(),
-            "tcp::cc",
-            "cwnd-bounds",
-            "cwnd {} outside [{}, {}]",
+            "cwnd-bounds: cwnd {} outside [{}, {}]",
             self.cc.cwnd,
             self.mss,
             CWND_CEILING
@@ -659,8 +652,7 @@ impl Tcb {
                 self.snd_nxt = self.snd_una;
                 self.try_output(ctx);
                 self.arm_rto(ctx);
-                #[cfg(feature = "invariants")]
-                self.check_invariants(ctx);
+                self.check_invariants();
             }
         }
     }
@@ -787,8 +779,7 @@ impl Tcb {
                 self.snd_wnd = seg.wnd;
                 self.try_output(ctx);
             }
-            #[cfg(feature = "invariants")]
-            self.check_invariants(ctx);
+            self.check_invariants();
         }
 
         // --- data processing ------------------------------------------

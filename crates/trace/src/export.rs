@@ -10,8 +10,6 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use crate::series::Series;
-
 /// Write `(x, y)` columns for several named curves into `dir/<stem>.dat`.
 /// Curves are separated by blank lines and labelled with `# name`
 /// comments (gnuplot `index` convention).
@@ -89,11 +87,6 @@ pub fn ascii_plot(title: &str, curves: &[(&str, &[(f64, f64)])]) -> String {
     let _ = writeln!(s, "  +{}", "-".repeat(W));
     let _ = writeln!(s, "  x: {x0:.3} .. {x1:.3}");
     s
-}
-
-/// Convenience: the points of a [`Series`] for plotting APIs.
-pub fn series_points(s: &Series) -> &[(f64, f64)] {
-    s.points()
 }
 
 /// Write a timestamped event timeline (a session's recovery lifecycle,

@@ -18,8 +18,6 @@ mod analysis;
 mod capture;
 pub mod export;
 mod series;
-#[cfg(feature = "invariants")]
-pub mod violations;
 
 pub use analysis::{ack_rtts, mean_rtt, retransmissions, seq_growth, transfer_duration};
 pub use capture::{ConnTrace, Dir, SegFlags, SegRecord};

@@ -63,11 +63,6 @@ impl RunConfig {
             },
         }
     }
-
-    pub fn with_trace(mut self) -> RunConfig {
-        self.trace = true;
-        self
-    }
 }
 
 /// Builder for [`RunConfig`] that rejects nonsensical runs at

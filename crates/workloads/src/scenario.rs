@@ -15,9 +15,11 @@
 //! 3. **no verified block is ever re-sent**: a resumed attempt is
 //!    granted at least the verified boundary of attempts that finished
 //!    before it was accepted, and the sink's `stripe_regrants` counter
-//!    stays zero,
-//! 4. the runtime invariant auditor is clean (under `--features
-//!    invariants`).
+//!    stays zero.
+//!
+//! The structural checks inside the stack (link byte conservation, TCP
+//! sequence-space order, relay-buffer bounds) are `debug_assert!`s: a
+//! debug-build run that breaks one panics rather than reporting.
 //!
 //! The campaigns differ only in the scenarios they feed it:
 //!
@@ -454,11 +456,9 @@ impl Scenario {
     }
 
     /// Drive the scenario and check the contract. The whole run records
-    /// under a clean thread-local obs recorder and invariant registry,
-    /// so a prior run on the same worker thread cannot leak into it.
+    /// under a clean thread-local obs recorder, so a prior run on the
+    /// same worker thread cannot leak into it.
     pub fn run(&self) -> RunReport {
-        #[cfg(feature = "invariants")]
-        drop(lsl_netsim::invariants::take());
         let (mut report, obs) = lsl_obs::recorded(|| self.drive());
         report.obs = obs;
         report
@@ -604,11 +604,7 @@ impl Scenario {
         }
         let (started, finished) = (client.started_at, client.finished_at);
         report.duration_s = (finished.unwrap_or_else(|| net.now()) - started).as_secs_f64();
-        #[cfg(feature = "invariants")]
-        let invariant_count = lsl_netsim::invariants::take().len();
-        #[cfg(not(feature = "invariants"))]
-        let invariant_count = 0;
-        report.violations = report.check(hung, net.now(), invariant_count);
+        report.violations = report.check(hung, net.now());
         // End-of-run link telemetry (queue HWMs, drop tallies) before
         // the recorder is drained.
         net.sim().record_obs_link_metrics();
@@ -684,9 +680,6 @@ pub enum Violation {
         resume_offset: u64,
         floor_blocks: u64,
     },
-    /// The runtime invariant auditor recorded violations during the run
-    /// (only reachable under `--features invariants`).
-    Invariants { count: usize },
     /// The sink granted a stripe range containing already-verified
     /// blocks — a verified block was re-sent on the wire.
     StripeRegrant { regrants: u64 },
@@ -848,13 +841,10 @@ impl RunReport {
         s
     }
 
-    /// The machine-checked contract, given whether a bound tripped, the
-    /// time the run ended, and the invariant registry's count.
-    fn check(&self, hung: bool, now: Time, invariants: usize) -> Vec<Violation> {
+    /// The machine-checked contract, given whether a bound tripped and
+    /// the time the run ended.
+    fn check(&self, hung: bool, now: Time) -> Vec<Violation> {
         let mut v = Vec::new();
-        if invariants > 0 {
-            v.push(Violation::Invariants { count: invariants });
-        }
         // A re-sent verified block is a breach wherever the run ended.
         if self.regrants > 0 {
             v.push(Violation::StripeRegrant {

@@ -1,7 +1,6 @@
 //! ISSUE 5 acceptance: the seeded chaos-storm soak. 64 seeds of random
 //! fault storms against the failover topology, every run checked against
-//! the termination / typed-outcome / no-reverified-block / invariants
-//! contract, with every `FaultKind` exercised somewhere in the batch —
+//! the termination / typed-outcome / no-reverified-block contract, with every `FaultKind` exercised somewhere in the batch —
 //! plus the campaign-level determinism guarantee across job counts.
 
 use std::collections::BTreeSet;

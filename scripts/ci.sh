@@ -2,9 +2,9 @@
 # Workspace CI gate. Run from the repository root: scripts/ci.sh
 #
 # Order is cheapest-first so style failures surface before long test
-# runs: formatting, lints, the determinism audit (lsl-audit), the plain
-# test suite, and finally the suite again with the runtime invariant
-# auditor live.
+# runs: formatting, lints, the determinism audit (lsl-audit), then the
+# workspace test suite. Tests build in debug, so every runtime
+# invariant check (a `debug_assert!`) is live in every crate's tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,9 +42,6 @@ fi
 echo "==> cargo test (workspace)"
 cargo test -q --workspace
 
-echo "==> cargo test --features invariants (runtime invariant auditor)"
-cargo test -q --features invariants
-
 echo "==> perfbench build (the benchmark is its own workspace)"
 # `cargo test --workspace` never compiles perfbench, so a session-API
 # change could break the benchmark unnoticed; build it here.
@@ -53,8 +50,8 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 echo "==> fault campaign smokes (drills, chaos, striped, routing)"
 # One release build of the campaign binary, then each campaign's CI
 # gate. Every run must satisfy the contract — terminate, end in verified
-# delivery or a typed SessionError, never re-send a verified block,
-# leave the invariant registry clean — and the first runs must
+# delivery or a typed SessionError, never re-send a verified block —
+# and the first runs must
 # fingerprint byte-identically when re-run sequentially; a violation
 # ships the run's telemetry, shrinks its storm to a minimal drill and
 # fails the gate.
