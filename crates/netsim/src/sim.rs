@@ -176,9 +176,14 @@ impl Simulator {
         self.routes[node.0 as usize * self.num_nodes + dst.0 as usize] = link.0;
     }
 
-    /// Next-hop lookup (exposed for diagnostics).
+    /// Next-hop lookup. `None` when either node is outside the topology
+    /// or `dst` is unreachable from `node`.
     pub fn route(&self, node: NodeId, dst: NodeId) -> Option<LinkId> {
-        match self.routes[node.0 as usize * self.num_nodes + dst.0 as usize] {
+        let n = self.num_nodes;
+        if node.0 as usize >= n || dst.0 as usize >= n {
+            return None;
+        }
+        match self.routes[node.0 as usize * n + dst.0 as usize] {
             NO_ROUTE => None,
             l => Some(LinkId(l)),
         }
@@ -982,6 +987,19 @@ mod tests {
         b.duplex(a, c, LinkSpec::new(8_000_000, Dur::from_millis(1)));
         let mut sim = b.build().into_sim_without_routes(1);
         sim.send(a, pkt(a, c, 10));
+    }
+
+    /// A node id past the topology has no route, in either direction:
+    /// the lookup must not read a neighbouring row of the flat table
+    /// (node 2 of a 2-node sim would alias row 1's entry for node 0).
+    #[test]
+    fn route_is_none_outside_the_topology() {
+        let (sim, a, c) = two_node_sim(LossModel::None);
+        assert!(sim.route(a, c).is_some());
+        for outside in [NodeId(2), NodeId(99)] {
+            assert_eq!(sim.route(a, outside), None);
+            assert_eq!(sim.route(outside, a), None);
+        }
     }
 
     /// a —10Mbit/5ms— b —2Mbit/20ms— c, with Bernoulli loss on the

@@ -43,7 +43,7 @@ pub enum Confidence {
     /// The sparsest observed metric has only a few samples; the
     /// mixture's expert weights are still mostly priors.
     Provisional,
-    /// Every observed metric has at least [`SEASONED_SAMPLES`] accepted
+    /// Every observed metric has at least `SEASONED_SAMPLES` accepted
     /// samples.
     Seasoned,
 }

@@ -15,11 +15,13 @@
 //! 4. retire the lane; the last lane's death gives up with
 //!    [`SessionError::RoutesExhausted`].
 //!
-//! A one-lane session is the single cascade: its lane carries the whole
-//! stream with a [`Resume`] request (v2 header) and streams from the
-//! offset the sink grants — the last contiguously verified
-//! [`RESUME_BLOCK`] boundary — so reconnects, failovers and retransfers
-//! resend only unverified bytes. An N-lane session
+//! Every attempt is one [`BulkSender::start`] with one [`Request`]. A
+//! one-lane session is the single cascade: its lane carries the whole
+//! stream with a fresh [`Resume`] request (v2 header) and streams from
+//! the offset the sink grants from its own ledger — the last
+//! contiguously verified [`RESUME_BLOCK`] boundary — so reconnects,
+//! failovers and retransfers resend only unverified bytes; the client
+//! keeps no verified floor of its own. An N-lane session
 //! ([`crate::StripedSession`]) is RAIL's striped array: each lane
 //! carries block-range chunks with [`StripeReq`] requests (v3 header),
 //! and only the dispatch policy — macro-stripes, work stealing, k-of-n
@@ -43,10 +45,10 @@ use lsl_netsim::{Dur, NodeId, Time};
 use lsl_tcp::{AppEvent, Net};
 
 use crate::endpoint::{
-    stream_blocks, BulkSender, SendMode, SenderState, TransferOutcome, RESUME_BLOCK,
+    stream_blocks, BulkSender, Request, SendMode, SenderState, TransferOutcome, RESUME_BLOCK,
 };
 use crate::error::{Handled, SessionError, SessionEvent};
-use crate::header::{Resume, StripeReq, NO_VERIFIED_BLOCK};
+use crate::header::{Resume, StripeReq};
 use crate::id::SessionId;
 use crate::plan::RoutePlan;
 use crate::route::LslPath;
@@ -206,10 +208,6 @@ pub struct SessionClient {
     /// `Running` until terminal; [`SessionClient::state`] derives
     /// `Backoff` from the lanes.
     state: ClientState,
-    /// Highest contiguously verified block count this client has learned
-    /// of (from delivery verdicts and resume grants) — the floor every
-    /// whole-stream attempt's [`Resume`] request advertises.
-    verified_floor: u64,
     events: Vec<(Time, SessionEvent)>,
     /// Attempt ordinal across the whole client lifetime: the id source
     /// of the per-attempt obs spans.
@@ -336,7 +334,6 @@ impl SessionClient {
             lanes,
             redundant_left: cfg.redundant_tail,
             state: ClientState::Running,
-            verified_floor: 0,
             events: Vec::new(),
             attempt_seq: 0,
             high_offset: 0,
@@ -494,20 +491,6 @@ impl SessionClient {
         net.set_app_timer(self.node, net.now() + delay, token);
     }
 
-    /// The [`Resume`] request a whole-stream attempt carries: the highest
-    /// verified boundary this client knows of. Advisory — the sink's own
-    /// verified state decides the actual grant. `None` when the send
-    /// mode cannot certify blocks.
-    fn resume_request(&self) -> Option<Resume> {
-        (self.mode == SendMode::Lsl).then(|| Resume {
-            offset: self.verified_floor * RESUME_BLOCK,
-            verified_block: match self.verified_floor {
-                0 => NO_VERIFIED_BLOCK,
-                n => n - 1,
-            },
-        })
-    }
-
     /// Give every idle lane work (initial kick, and after a re-stripe).
     fn pump_idle(&mut self, net: &mut Net) {
         for i in 0..self.lanes.len() {
@@ -578,10 +561,11 @@ impl SessionClient {
 
     /// Open a cascade on lane `i`'s route: a v3 chunk request for a
     /// striped lane, the whole stream with a v2 resume request for a
-    /// lone one.
+    /// lone one (none when the send mode cannot certify blocks). The
+    /// sink grants a resume from its own ledger, so the request
+    /// advertises nothing.
     fn start_attempt(&mut self, net: &mut Net, i: usize) {
         self.attempt_seq += 1;
-        let resume = self.resume_request();
         let lane = &mut self.lanes[i];
         lane.attempt = self.attempt_seq;
         lane.established = false;
@@ -589,32 +573,24 @@ impl SessionClient {
         lsl_obs::span_begin(net.now().0, "session.sublink.establish", lane.attempt);
         let path = &self.plan.candidates()[lane.route].path;
         let label = self.trace_label.as_deref();
-        let sender = match &lane.chunk {
-            Some(c) => BulkSender::start_stripe(
-                net,
-                self.node,
-                path,
-                self.session,
-                self.total,
-                self.tcp.clone(),
-                label,
-                StripeReq {
-                    start_block: c.start,
-                    end_block: c.end,
-                },
-            ),
-            None => BulkSender::start(
-                net,
-                self.node,
-                path,
-                self.session,
-                self.total,
-                self.mode,
-                self.tcp.clone(),
-                label,
-                resume,
-            ),
+        let request = match &lane.chunk {
+            Some(c) => Some(Request::Stripe(StripeReq {
+                start_block: c.start,
+                end_block: c.end,
+            })),
+            None => (self.mode == SendMode::Lsl).then(|| Request::Resume(Resume::fresh())),
         };
+        let sender = BulkSender::start(
+            net,
+            self.node,
+            path,
+            self.session,
+            self.total,
+            self.mode,
+            self.tcp.clone(),
+            label,
+            request,
+        );
         lane.last_progress = sender.progress();
         lane.sender = Some(sender);
         lane.state = LaneState::Running;
@@ -623,17 +599,12 @@ impl SessionClient {
         }
     }
 
-    /// Drop lane `i`'s attempt (failed, finished or torn down), keeping
-    /// any resume grant it learned: a grant is the sink attesting that
-    /// many blocks were already verified.
+    /// Drop lane `i`'s attempt (failed, finished or torn down).
     fn discard_sender(&mut self, net: &mut Net, i: usize) {
         let lane = &mut self.lanes[i];
         let Some(s) = lane.sender.take() else {
             return;
         };
-        if let Some(granted) = s.resume_granted() {
-            self.verified_floor = self.verified_floor.max(granted / RESUME_BLOCK);
-        }
         self.high_offset = self.high_offset.max(s.stream_offset());
         net.abort(s.sock());
         if !lane.established {
@@ -740,7 +711,7 @@ impl SessionClient {
     /// [`SessionClient::plan`]; `None` = the forecaster has no usable
     /// prediction for that candidate), then consider a proactive
     /// re-route of each running lane: when its route's forecast has
-    /// degraded to at least [`REROUTE_HYSTERESIS`]× the best free
+    /// degraded to at least `REROUTE_HYSTERESIS`× the best free
     /// alternative's predicted time — or vanished entirely — the lane
     /// abandons the working sublink *before* it fails, resuming on the
     /// new route via the sink's block grant. Static sessions never call
@@ -840,7 +811,6 @@ impl SessionClient {
                     .as_ref()
                     .and_then(BulkSender::resume_granted);
                 if let Some(offset) = granted.filter(|&g| g > 0) {
-                    self.verified_floor = self.verified_floor.max(offset / RESUME_BLOCK);
                     let from_block = offset / RESUME_BLOCK;
                     self.push_event(net, i, SessionEvent::Resumed { from_block, offset });
                 }
@@ -907,9 +877,6 @@ impl SessionClient {
             outcome.session.is_none() || outcome.session == Some(self.session),
             "outcome routed to the wrong client"
         );
-        // The verdict's verified count feeds the next attempt's resume
-        // request (fold it in before any retransfer starts below).
-        self.verified_floor = self.verified_floor.max(outcome.verified_blocks);
         let delivered = match outcome.stripe {
             None => outcome.ok(),
             Some(_) => outcome.session_verified >= stream_blocks(self.total),

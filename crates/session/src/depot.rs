@@ -65,8 +65,7 @@ impl DepotConfig {
 
 /// Builder for [`DepotConfig`] that rejects nonsensical configurations
 /// at construction time instead of letting them produce a depot that
-/// silently never relays (a zero-byte relay buffer deadlocks every
-/// session on first contact).
+/// can never accept a session.
 #[derive(Clone, Debug)]
 pub struct DepotConfigBuilder {
     cfg: DepotConfig,
@@ -75,11 +74,6 @@ pub struct DepotConfigBuilder {
 impl DepotConfigBuilder {
     pub fn port(mut self, port: u16) -> Self {
         self.cfg.port = port;
-        self
-    }
-
-    pub fn relay_buf(mut self, bytes: usize) -> Self {
-        self.cfg.relay_buf = bytes;
         self
     }
 
@@ -93,22 +87,12 @@ impl DepotConfigBuilder {
         self
     }
 
-    pub fn trace_downstream(mut self, label: &str) -> Self {
-        self.cfg.trace_downstream = Some(label.to_string());
-        self
-    }
-
     /// Validate and produce the config.
     ///
     /// # Panics
     ///
-    /// On configurations that cannot work: a zero-byte relay buffer or
-    /// a port of 0 (the simulated stack has no wildcard bind).
+    /// On a port of 0 (the simulated stack has no wildcard bind).
     pub fn build(self) -> DepotConfig {
-        assert!(
-            self.cfg.relay_buf > 0,
-            "depot relay buffer must be non-zero (a 0-byte buffer can never relay)"
-        );
         assert!(self.cfg.port != 0, "depot port 0 is not bindable");
         self.cfg
     }
@@ -466,8 +450,12 @@ impl Depot {
                 Ok(None) => continue,
                 Ok(Some((header, used))) => {
                     let leftover = Bytes::from(hdr_buf.split_off(used));
-                    let Some((next, fwd)) = header.pop_hop() else {
-                        // A depot can never be the final destination.
+                    // A depot can never be the final destination, and
+                    // relays only toward a node it has a route to.
+                    let routed = |(next, _): &(Hop, LslHeader)| {
+                        net.sim().route(self.node, next.node).is_some()
+                    };
+                    let Some((next, fwd)) = header.pop_hop().filter(routed) else {
                         self.stats.header_errors += 1;
                         self.teardown(net, idx);
                         return;

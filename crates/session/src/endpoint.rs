@@ -5,12 +5,17 @@
 //! the full stream (including LSL header and digest overheads, and "all
 //! concomitant processing overheads" of the depots in between).
 //!
-//! Every certifying attempt — a one-cascade v2 resume or a v3 stripe —
-//! carries one granted block range `[start_block, end_block)`: the
-//! sender streams exactly that range and trails it with its MD5, and
-//! the sink hashes it in a per-connection [`DigestChain`] whose blocks
-//! certify into the session's [`BlockLedger`]. A resume is simply the
-//! range from the first unverified block to the end of the stream.
+//! Every attempt has one shape at each end. The sender
+//! ([`BulkSender::start`]) takes an optional [`Request`] and streams the
+//! block range `[start_block, end_block)` the sink grants, trailed by
+//! its MD5: a v2 resume is the range from the first unverified block to
+//! the end of the stream, a v3 stripe its own sub-range, and a plain v1
+//! attempt's one-byte confirmation grants the whole stream. The sink
+//! feeds each attempt's payload through one `Body` (trailer hold-back,
+//! pattern check, hashing) — a ranged attempt hashes in a
+//! per-connection [`DigestChain`] whose blocks certify into the
+//! session's [`BlockLedger`] — and records every way an attempt ends as
+//! one [`TransferOutcome`].
 
 use std::collections::BTreeMap;
 use std::sync::LazyLock;
@@ -85,7 +90,8 @@ fn pattern_pieces(offset: u64, len: usize) -> impl Iterator<Item = &'static [u8]
 }
 
 /// Materialize payload bytes `[offset, offset+len)`: a view of the
-/// shared pattern table up to [`SEND_CHUNK`] bytes, a copy beyond.
+/// shared pattern table up to `SEND_CHUNK` (256 KiB) bytes, a copy
+/// beyond.
 pub fn payload_chunk(offset: u64, len: usize) -> Bytes {
     if len as u64 <= SEND_CHUNK {
         let phase = (offset % PATTERN_PERIOD) as usize;
@@ -145,19 +151,20 @@ pub struct BulkSender {
     state: SenderState,
     total: u64,
     sent: u64,
-    /// One past the last byte this attempt streams (== `total` except
-    /// for striped attempts, whose granted range may end mid-stream).
+    /// One past the last byte this attempt streams (the granted range's
+    /// end; mid-stream only for striped attempts).
     limit: u64,
-    header: Option<Bytes>,
+    /// The LSL header, then the digest trailer (both empty in direct
+    /// TCP mode; the trailer until the payload is out).
+    header: Bytes,
     header_sent: usize,
-    trailer: Option<Bytes>,
+    trailer: Bytes,
     trailer_sent: usize,
     md5: Option<Md5>,
     /// The block-range request sent in the header (None = plain v1
-    /// attempt).
-    request: Option<RangeReq>,
-    /// Block range the sink granted (set on confirmation of a range
-    /// request).
+    /// attempt, whose confirmation grants the whole stream).
+    request: Option<Request>,
+    /// Block range the sink granted (set on confirmation).
     grant: Option<(u64, u64)>,
     /// Accumulates the confirmation reply (1 byte plain, 9 with resume,
     /// 17 with a stripe request).
@@ -170,8 +177,8 @@ pub struct BulkSender {
 }
 
 /// The block range a certifying attempt asks the sink for.
-#[derive(Clone, Copy)]
-enum RangeReq {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Request {
     /// v2: the whole stream, from wherever the sink's verified prefix
     /// ends. The 9-byte grant carries that start as a byte offset.
     Resume(Resume),
@@ -180,12 +187,12 @@ enum RangeReq {
     Stripe(StripeReq),
 }
 
-impl RangeReq {
+impl Request {
     /// Length of the sink's confirmation reply, confirm byte included.
     fn reply_len(self) -> usize {
         match self {
-            RangeReq::Resume(_) => 9,
-            RangeReq::Stripe(_) => 17,
+            Request::Resume(_) => 9,
+            Request::Stripe(_) => 17,
         }
     }
 
@@ -199,18 +206,15 @@ impl RangeReq {
     fn decode_grant(self, grant: &[u8], total: u64) -> Result<(u64, u64), SessionError> {
         let word = |i: usize| u64::from_be_bytes(grant[i..i + 8].try_into().expect("8 bytes"));
         match self {
-            RangeReq::Resume(req) => {
+            Request::Resume(_) => {
                 // A block boundary, or the end of the stream.
                 let granted = word(0);
                 if granted > total || (!granted.is_multiple_of(RESUME_BLOCK) && granted != total) {
-                    return Err(SessionError::ResumeMismatch {
-                        requested: req.offset,
-                        granted,
-                    });
+                    return Err(SessionError::ResumeMismatch { granted });
                 }
                 Ok((granted.div_ceil(RESUME_BLOCK), stream_blocks(total)))
             }
-            RangeReq::Stripe(req) => {
+            Request::Stripe(req) => {
                 let (start, end) = (word(0), word(8));
                 if start > end || start < req.start_block || end > req.end_block {
                     return Err(SessionError::StripeMismatch {
@@ -227,14 +231,34 @@ impl RangeReq {
 /// Most payload bytes handed to the socket in one send.
 const SEND_CHUNK: u64 = 256 * 1024;
 
+/// Hand `data[*sent..]` to the socket; true once all of it is accepted.
+fn flush(net: &mut Net, sock: SockId, data: &Bytes, sent: &mut usize) -> bool {
+    while *sent < data.len() {
+        let n = net.send(sock, &data.slice(*sent..));
+        *sent += n;
+        if n == 0 {
+            return false;
+        }
+    }
+    true
+}
+
 impl BulkSender {
     /// Initiate the transfer: connect to the path's first hop.
     ///
-    /// Passing `resume: Some(_)` sends a version-2 header carrying the
-    /// request and expects the extended 9-byte confirmation (the sink's
-    /// granted offset); it requires `SendMode::Lsl`, whose digest
-    /// verifies the blocks and whose confirmation round-trip carries
-    /// the grant.
+    /// `request` asks the sink for a block range and requires
+    /// `SendMode::Lsl`, whose digest verifies the blocks and whose
+    /// confirmation round-trip carries the grant:
+    /// - [`Request::Resume`] sends a version-2 header and expects the
+    ///   9-byte confirmation carrying the sink's granted offset;
+    /// - [`Request::Stripe`] (one striped cascade) sends a version-3
+    ///   header offering blocks `[start_block, end_block)` and expects
+    ///   the 17-byte confirmation carrying the range the sink grants,
+    ///   possibly narrowed because another cascade delivered the head.
+    ///
+    /// Either way the attempt streams exactly the granted range and
+    /// trails it with an MD5 over those bytes. Without a request, the
+    /// one-byte v1 confirmation grants the whole stream.
     #[allow(clippy::too_many_arguments)] // one-shot constructor mirroring the LSL API surface
     pub fn start(
         net: &mut Net,
@@ -245,71 +269,7 @@ impl BulkSender {
         mode: SendMode,
         tcp: TcpConfig,
         trace_label: Option<&str>,
-        resume: Option<Resume>,
-    ) -> BulkSender {
-        let request = resume.map(RangeReq::Resume);
-        Self::open(
-            net,
-            src,
-            path,
-            session,
-            total,
-            mode,
-            tcp,
-            trace_label,
-            request,
-        )
-    }
-
-    /// Initiate one striped cascade: connect along `path` and offer to
-    /// carry blocks `[stripe.start_block, stripe.end_block)` of the
-    /// session's stream. The sink replies with the range it grants
-    /// (possibly narrowed — another cascade may have delivered the
-    /// head); this attempt then streams exactly the granted range and
-    /// trails it with an MD5 over those bytes. Always LSL mode:
-    /// striping is meaningless without block certification.
-    #[allow(clippy::too_many_arguments)] // mirrors `start`, the non-striped constructor
-    pub fn start_stripe(
-        net: &mut Net,
-        src: NodeId,
-        path: &LslPath,
-        session: SessionId,
-        total: u64,
-        tcp: TcpConfig,
-        trace_label: Option<&str>,
-        stripe: StripeReq,
-    ) -> BulkSender {
-        assert!(
-            stripe.start_block <= stripe.end_block && stripe.end_block <= stream_blocks(total),
-            "stripe range outside the stream"
-        );
-        let request = Some(RangeReq::Stripe(stripe));
-        Self::open(
-            net,
-            src,
-            path,
-            session,
-            total,
-            SendMode::lsl(),
-            tcp,
-            trace_label,
-            request,
-        )
-    }
-
-    /// Build the header and connect: the constructor behind `start` and
-    /// `start_stripe`.
-    #[allow(clippy::too_many_arguments)] // the union of both public constructors
-    fn open(
-        net: &mut Net,
-        src: NodeId,
-        path: &LslPath,
-        session: SessionId,
-        total: u64,
-        mode: SendMode,
-        tcp: TcpConfig,
-        trace_label: Option<&str>,
-        request: Option<RangeReq>,
+        request: Option<Request>,
     ) -> BulkSender {
         path.validate().expect("invalid LSL path");
         assert!(
@@ -320,6 +280,17 @@ impl BulkSender {
             request.is_none() || mode == SendMode::Lsl,
             "a resume or stripe request requires LSL mode"
         );
+        let (resume, stripe) = match request {
+            None => (None, None),
+            Some(Request::Resume(r)) => (Some(r), None),
+            Some(Request::Stripe(s)) => {
+                assert!(
+                    s.start_block <= s.end_block && s.end_block <= stream_blocks(total),
+                    "stripe range outside the stream"
+                );
+                (None, Some(s))
+            }
+        };
         let first = path.first_hop();
         let sock = net.connect(src, first.node, first.port, tcp);
         if let Some(label) = trace_label {
@@ -328,26 +299,18 @@ impl BulkSender {
         let header = match mode {
             SendMode::DirectTcp => {
                 assert!(path.depots.is_empty(), "direct TCP cannot traverse depots");
-                None
+                Bytes::new()
             }
-            SendMode::Lsl => Some(
-                LslHeader {
-                    session,
-                    flags: HEADER_FLAG_DIGEST,
-                    length: total,
-                    resume: match request {
-                        Some(RangeReq::Resume(r)) => Some(r),
-                        _ => None,
-                    },
-                    stripe: match request {
-                        Some(RangeReq::Stripe(r)) => Some(r),
-                        _ => None,
-                    },
-                    route: path.remaining_route(),
-                }
-                .encode()
-                .expect("route length asserted against MAX_HOPS above"),
-            ),
+            SendMode::Lsl => LslHeader {
+                session,
+                flags: HEADER_FLAG_DIGEST,
+                length: total,
+                resume,
+                stripe,
+                route: path.remaining_route(),
+            }
+            .encode()
+            .expect("route length asserted against MAX_HOPS above"),
         };
         let md5 = (mode == SendMode::Lsl).then(Md5::new);
         BulkSender {
@@ -359,7 +322,7 @@ impl BulkSender {
             limit: total,
             header,
             header_sent: 0,
-            trailer: None,
+            trailer: Bytes::new(),
             trailer_sent: 0,
             md5,
             request,
@@ -395,7 +358,7 @@ impl BulkSender {
     /// resume request was sent.
     pub fn resume_granted(&self) -> Option<u64> {
         match self.request {
-            Some(RangeReq::Resume(_)) => {
+            Some(Request::Resume(_)) => {
                 self.grant.map(|(start, _)| block_offset(start, self.total))
             }
             _ => None,
@@ -406,7 +369,7 @@ impl BulkSender {
     /// before confirmation or for non-striped attempts.
     pub fn stripe_granted(&self) -> Option<(u64, u64)> {
         match self.request {
-            Some(RangeReq::Stripe(_)) => self.grant,
+            Some(Request::Stripe(_)) => self.grant,
             _ => None,
         }
     }
@@ -442,7 +405,7 @@ impl BulkSender {
             SockEvent::Connected => {
                 // Ship the header immediately; in LSL mode the payload
                 // waits for the sink's confirmation.
-                self.send_header(net);
+                flush(net, self.sock, &self.header, &mut self.header_sent);
                 match self.mode {
                     SendMode::Lsl => self.state = SenderState::AwaitingConfirm,
                     SendMode::DirectTcp => {
@@ -454,20 +417,15 @@ impl BulkSender {
             SockEvent::Readable if self.state == SenderState::AwaitingConfirm => {
                 // The confirm byte, followed by the grant when a range
                 // was requested (the reply may arrive fragmented).
-                let want = self.request.map_or(1, RangeReq::reply_len);
+                let want = self.request.map_or(1, Request::reply_len);
                 let b = net.recv(self.sock, want - self.confirm_buf.len());
                 self.confirm_buf.extend_from_slice(&b);
                 if self.confirm_buf.len() == want && self.confirm_buf[0] == SESSION_CONFIRM {
-                    match self.request {
-                        None => {
-                            self.state = SenderState::Streaming;
-                            self.pump(net);
-                        }
-                        Some(req) => {
-                            let grant = req.decode_grant(&self.confirm_buf[1..], self.total);
-                            self.on_grant(net, grant);
-                        }
-                    }
+                    let grant = match self.request {
+                        None => Ok((0, stream_blocks(self.total))),
+                        Some(req) => req.decode_grant(&self.confirm_buf[1..], self.total),
+                    };
+                    self.on_grant(net, grant);
                 }
             }
             SockEvent::Writable => self.pump(net),
@@ -505,29 +463,12 @@ impl BulkSender {
         self.pump(net);
     }
 
-    fn send_header(&mut self, net: &mut Net) {
-        if let Some(h) = &self.header {
-            while self.header_sent < h.len() {
-                let n = net.send(self.sock, &h.slice(self.header_sent..));
-                self.header_sent += n;
-                if n == 0 {
-                    return;
-                }
-            }
-        }
-    }
-
     fn pump(&mut self, net: &mut Net) {
         if self.state != SenderState::Streaming {
             return;
         }
         // 1. Header (when not already flushed pre-confirmation).
-        self.send_header(net);
-        if self
-            .header
-            .as_ref()
-            .is_some_and(|h| self.header_sent < h.len())
-        {
+        if !flush(net, self.sock, &self.header, &mut self.header_sent) {
             return;
         }
         // 2. Payload (bounded by the granted range), never more than
@@ -552,16 +493,10 @@ impl BulkSender {
         }
         // 3. Digest trailer.
         if let Some(md5) = self.md5.take() {
-            self.trailer = Some(Bytes::copy_from_slice(&md5.finalize()));
+            self.trailer = Bytes::copy_from_slice(&md5.finalize());
         }
-        if let Some(t) = &self.trailer {
-            while self.trailer_sent < t.len() {
-                let n = net.send(self.sock, &t.slice(self.trailer_sent..));
-                self.trailer_sent += n;
-                if n == 0 {
-                    return;
-                }
-            }
+        if !flush(net, self.sock, &self.trailer, &mut self.trailer_sent) {
+            return;
         }
         // 4. Done: half-close; FIN cascades to the sink.
         self.state = SenderState::Done;
@@ -690,43 +625,161 @@ impl RangeBody {
     }
 }
 
+/// The payload half of one attempt at the sink: everything after the
+/// header (a raw TCP conn is all body). Plain attempts with a digest
+/// hash into one whole-stream MD5; resume and stripe attempts hash into
+/// their granted range's chain, which certifies blocks into the session
+/// ledger; the rest are only pattern-checked.
+struct Body {
+    /// None for raw TCP. Boxed (like `range`) so the conn state stays
+    /// small.
+    header: Option<Box<LslHeader>>,
+    /// Whole-stream hasher of a plain (v1) attempt that carries a digest.
+    md5: Md5,
+    /// Payload bytes consumed by *this* attempt.
+    received: u64,
+    /// The last up-to-16 bytes seen, held back from the hashers: the
+    /// candidate digest trailer.
+    tail: Vec<u8>,
+    content_ok: bool,
+    /// Stream offset this attempt started at (its granted range's
+    /// first byte; 0 for plain attempts).
+    offset: u64,
+    /// The granted block range of a resume or stripe attempt.
+    range: Option<Box<RangeBody>>,
+}
+
+impl Body {
+    fn new(header: Option<LslHeader>, offset: u64, range: Option<RangeBody>) -> Body {
+        Body {
+            header: header.map(Box::new),
+            md5: Md5::new(),
+            received: 0,
+            tail: Vec::new(),
+            content_ok: true,
+            offset,
+            range: range.map(Box::new),
+        }
+    }
+
+    fn has_digest(&self) -> bool {
+        self.header.as_ref().is_some_and(|h| h.has_digest())
+    }
+
+    /// The granted range as outcomes report it: v3 stripes only (a v2
+    /// resume's range is the stream tail from `resume_offset`).
+    fn stripe(&self) -> Option<(u64, u64)> {
+        match (&self.header, &self.range) {
+            (Some(h), Some(r)) if h.stripe.is_some() => Some((r.start_block, r.end_block)),
+            _ => None,
+        }
+    }
+
+    /// The session ledger a ranged attempt certifies into.
+    fn ledger<'a>(
+        &self,
+        sessions: &'a mut BTreeMap<SessionId, SessionProgress>,
+    ) -> Option<&'a mut BlockLedger> {
+        let h = self.header.as_ref().filter(|_| self.range.is_some())?;
+        let p = sessions.get_mut(&h.session);
+        Some(&mut p.expect("range conn without a session").ledger)
+    }
+
+    /// Take in one read, holding back the last 16 bytes seen when a
+    /// digest is expected: they are the candidate trailer, and
+    /// everything before them is payload.
+    fn feed(&mut self, sessions: &mut BTreeMap<SessionId, SessionProgress>, data: &[u8]) {
+        let mut ledger = self.ledger(sessions);
+        if !self.has_digest() {
+            self.absorb(ledger, data);
+            return;
+        }
+        // Bytes beyond the last 16 are payload: the oldest come from the
+        // held-back tail, the rest straight from `data`.
+        let mut tail = std::mem::take(&mut self.tail);
+        let excess = (tail.len() + data.len()).saturating_sub(DIGEST_LEN);
+        let from_tail = excess.min(tail.len());
+        self.absorb(ledger.as_deref_mut(), &tail[..from_tail]);
+        tail.drain(..from_tail);
+        let from_data = excess - from_tail;
+        self.absorb(ledger, &data[..from_data]);
+        tail.extend_from_slice(&data[from_data..]);
+        self.tail = tail;
+    }
+
+    /// Absorb payload bytes: pattern-check, hash, and (for ranged
+    /// attempts) certify newly completed blocks into `ledger`.
+    fn absorb(&mut self, ledger: Option<&mut BlockLedger>, payload: &[u8]) {
+        if self.content_ok {
+            self.content_ok = is_payload(self.offset + self.received, payload);
+        }
+        match (&mut self.range, &self.header, ledger) {
+            (Some(r), Some(h), Some(ledger)) => {
+                r.chain.update(payload);
+                r.certify(ledger, h.length, h.session.0 as u64);
+            }
+            (_, Some(h), _) if h.has_digest() => self.md5.update(payload),
+            _ => {}
+        }
+        self.received += payload.len() as u64;
+    }
+
+    /// The stream ended: certify a ranged attempt's trailing partial
+    /// block, then judge the attempt — its status and whether the
+    /// trailer matched the digest.
+    fn verdict(
+        &mut self,
+        sessions: &mut BTreeMap<SessionId, SessionProgress>,
+    ) -> (TransferStatus, Option<bool>) {
+        // The bytes this attempt owes: the rest of the stream, or its
+        // granted range (until-FIN streams owe nothing in particular —
+        // the FIN ends them).
+        let declared = self
+            .header
+            .as_ref()
+            .map(|h| h.length)
+            .filter(|&l| l != u64::MAX);
+        let mut owed = declared.map(|l| l - self.offset);
+        // The end-to-end digest lives in the range chain of a resume or
+        // stripe attempt, otherwise in the whole-stream hasher.
+        let mut digest = None;
+        let ledger = self.ledger(sessions);
+        if let (Some(ledger), Some(h), Some(r)) = (ledger, &self.header, &mut self.range) {
+            digest = Some(r.chain.whole_digest());
+            if let Some(total) = declared {
+                // The stream's final block may be short: close and
+                // certify the trailing partial.
+                r.chain.finish_partial();
+                r.certify(ledger, total, h.session.0 as u64);
+                owed = Some(block_offset(r.end_block, total) - self.offset);
+            }
+        }
+        // The final 16 bytes are the digest; `feed` kept them out of the
+        // hashers.
+        let digest_ok = self.has_digest().then(|| {
+            let d = digest.unwrap_or_else(|| std::mem::take(&mut self.md5).finalize());
+            self.tail.len() == DIGEST_LEN && d[..] == self.tail[..]
+        });
+        // Most-specific failure first: a short stream explains a bad
+        // digest, a bad digest trumps a content scan.
+        let status = if owed.is_some_and(|o| self.received < o) {
+            TransferStatus::Failed(SessionError::TruncatedStream)
+        } else if digest_ok == Some(false) {
+            TransferStatus::Failed(SessionError::DigestMismatch)
+        } else if !self.content_ok {
+            TransferStatus::Failed(SessionError::ContentMismatch)
+        } else {
+            TransferStatus::Complete
+        };
+        (status, digest_ok)
+    }
+}
+
 enum SinkConnState {
     /// LSL: accumulating header bytes.
     ReadingHeader(Vec<u8>),
     /// Consuming payload (+ digest tail when flagged).
-    Body {
-        /// Boxed (like `range`) so the enum stays near the small
-        /// `ReadingHeader` variant's size.
-        header: Option<Box<LslHeader>>,
-        /// Whole-stream hasher of a plain (v1) attempt that carries a digest.
-        md5: Md5,
-        /// Payload bytes consumed by *this* attempt.
-        received: u64,
-        /// The last up-to-16 bytes seen, held back from the hashers: the
-        /// candidate digest trailer.
-        tail: Vec<u8>,
-        content_ok: bool,
-        /// Stream offset this attempt started at (its granted range's
-        /// first byte; 0 for plain attempts).
-        offset: u64,
-        /// The granted block range of a resume or stripe attempt.
-        range: Option<Box<RangeBody>>,
-    },
-}
-
-impl SinkConnState {
-    /// The granted range as outcomes report it: v3 stripes only (a v2
-    /// resume's range is the stream tail from `resume_offset`).
-    fn stripe(&self) -> Option<(u64, u64)> {
-        match self {
-            SinkConnState::Body {
-                header: Some(h),
-                range: Some(r),
-                ..
-            } if h.stripe.is_some() => Some((r.start_block, r.end_block)),
-            _ => None,
-        }
-    }
+    Body(Body),
 }
 
 struct SinkConn {
@@ -873,15 +926,7 @@ impl SinkServer {
                 let state = if self.expects_lsl {
                     SinkConnState::ReadingHeader(Vec::new())
                 } else {
-                    SinkConnState::Body {
-                        header: None,
-                        md5: Md5::new(),
-                        received: 0,
-                        tail: Vec::new(),
-                        content_ok: true,
-                        offset: 0,
-                        range: None,
-                    }
+                    SinkConnState::Body(Body::new(None, 0, None))
                 };
                 self.conns.insert(
                     *conn,
@@ -918,11 +963,11 @@ impl SinkServer {
     /// predecessor. Returns the session's contiguously verified block
     /// count (0 for a plain attempt).
     fn release_session_conn(&mut self, sock: SockId, state: &SinkConnState) -> u64 {
-        let SinkConnState::Body {
+        let SinkConnState::Body(Body {
             header: Some(h),
             range: Some(_),
             ..
-        } = state
+        }) = state
         else {
             return 0;
         };
@@ -972,46 +1017,47 @@ impl SinkServer {
     /// Record a failed attempt as a typed outcome and drop the
     /// connection state.
     fn fail_conn(&mut self, net: &mut Net, sock: SockId, err: SessionError) {
-        let Some(conn) = self.conns.remove(&sock) else {
-            return;
-        };
+        if let Some(conn) = self.conns.remove(&sock) {
+            self.record(net, sock, &conn, TransferStatus::Failed(err), None);
+        }
+    }
+
+    /// Record how the attempt on `sock` ended — the one place an outcome
+    /// is built — and detach the conn from its session.
+    fn record(
+        &mut self,
+        net: &Net,
+        sock: SockId,
+        conn: &SinkConn,
+        status: TransferStatus,
+        digest_ok: Option<bool>,
+    ) -> &TransferOutcome {
         let verified_blocks = self.release_session_conn(sock, &conn.state);
-        let stripe = conn.state.stripe();
-        let (session, bytes, attempt_bytes, content_ok, resume_offset, blocks_certified) =
-            match &conn.state {
-                SinkConnState::ReadingHeader(_) => (None, 0, 0, true, 0, 0),
-                SinkConnState::Body {
-                    header,
-                    received,
-                    content_ok,
-                    offset,
-                    range,
-                    ..
-                } => (
-                    header.as_ref().map(|h| h.session),
-                    offset + received,
-                    *received,
-                    *content_ok,
-                    *offset,
-                    range.as_ref().map_or(0, |r| r.certified),
-                ),
-            };
-        let session_verified = session.map_or(0, |sid| self.session_certified(sid));
+        let pre_header;
+        let body = match &conn.state {
+            SinkConnState::Body(body) => body,
+            SinkConnState::ReadingHeader(_) => {
+                pre_header = Body::new(None, 0, None);
+                &pre_header
+            }
+        };
+        let session = body.header.as_ref().map(|h| h.session);
         self.outcomes.push(TransferOutcome {
             session,
-            status: TransferStatus::Failed(err),
-            bytes,
-            attempt_bytes,
-            blocks_certified,
-            stripe,
-            session_verified,
-            digest_ok: None,
-            content_ok,
+            status,
+            bytes: body.offset + body.received,
+            attempt_bytes: body.received,
+            blocks_certified: body.range.as_ref().map_or(0, |r| r.certified),
+            stripe: body.stripe(),
+            session_verified: session.map_or(0, |sid| self.session_certified(sid)),
+            digest_ok,
+            content_ok: body.content_ok,
             verified_blocks,
-            resume_offset,
+            resume_offset: body.offset,
             accepted_at: conn.accepted_at,
             completed_at: net.now(),
         });
+        self.outcomes.last().expect("just pushed")
     }
 
     fn drain(&mut self, net: &mut Net, sock: SockId) {
@@ -1022,176 +1068,83 @@ impl SinkServer {
             }
             // Split-borrow the conn table and the session map: body
             // bytes certify into the per-session ledger.
-            let conns = &mut self.conns;
             let sessions = &mut self.sessions;
-            let Some(conn) = conns.get_mut(&sock) else {
+            let Some(conn) = self.conns.get_mut(&sock) else {
                 return;
             };
             conn.activity += chunk.len() as u64;
             let parsed = match &mut conn.state {
                 SinkConnState::ReadingHeader(buf) => {
                     buf.extend_from_slice(&chunk);
-                    match LslHeader::decode(buf) {
-                        Ok(None) => None,
-                        Ok(Some((header, used))) => {
-                            let leftover = buf.split_off(used);
-                            Some(Ok((header, leftover)))
-                        }
-                        Err(e) => Some(Err(e)),
-                    }
+                    LslHeader::decode(buf).map(|h| h.map(|(h, used)| (h, buf.split_off(used))))
                 }
-                st @ SinkConnState::Body { .. } => {
-                    Self::feed_body(st, sessions, &chunk);
-                    None
+                SinkConnState::Body(body) => {
+                    body.feed(sessions, &chunk);
+                    Ok(None)
                 }
             };
-            match parsed {
-                None => {}
-                Some(Ok((header, leftover))) => self.on_header(net, sock, header, &leftover),
-                Some(Err(e)) => {
-                    self.fail_conn(net, sock, SessionError::Wire(e));
-                    net.abort(sock);
-                    return;
-                }
+            let accepted = match parsed {
+                Ok(Some((header, leftover))) => self.on_header(net, sock, header, &leftover),
+                other => other.map(drop),
+            };
+            if let Err(e) = accepted {
+                self.fail_conn(net, sock, SessionError::Wire(e));
+                net.abort(sock);
+                return;
             }
         }
         // EOF: finalize.
         if net.at_eof(sock) {
-            let conn = self.conns.remove(&sock).expect("present");
+            let mut conn = self.conns.remove(&sock).expect("present");
             net.close(sock);
-            let stripe = conn.state.stripe();
-            match conn.state {
-                SinkConnState::Body {
-                    header,
-                    md5,
-                    received,
-                    tail,
-                    content_ok,
-                    offset,
-                    range,
-                } => {
-                    let obs_sid = header.as_ref().map(|h| h.session.0 as u64).unwrap_or(0);
-                    lsl_obs::span_begin(net.now().0, "sink.verdict.drain", obs_sid);
-                    // The bytes this attempt owes: the rest of the stream,
-                    // or its granted range (until-FIN streams owe nothing
-                    // in particular — the FIN ends them).
-                    let declared = header.as_ref().map(|h| h.length).filter(|&l| l != u64::MAX);
-                    let mut owed = declared.map(|l| l - offset);
-                    let mut verified_blocks = 0;
-                    let mut session_verified = 0;
-                    let mut blocks_certified = 0;
-                    // The end-to-end digest lives in the range chain of a
-                    // resume or stripe attempt, otherwise in this conn's
-                    // own hasher.
-                    let mut digest = None;
-                    if let Some(mut r) = range {
-                        let h = header.as_ref().expect("range state implies header");
-                        let p = self
-                            .sessions
-                            .get_mut(&h.session)
-                            .expect("range conn without a session");
-                        if p.active == Some(sock) {
-                            p.active = None;
-                        }
-                        digest = Some(r.chain.whole_digest());
-                        if let Some(total) = declared {
-                            // The stream's final block may be short:
-                            // close and certify the trailing partial.
-                            r.chain.finish_partial();
-                            r.certify(&mut p.ledger, total, obs_sid);
-                            owed = Some(block_offset(r.end_block, total) - offset);
-                        }
-                        verified_blocks = p.ledger.contiguous_verified();
-                        session_verified = p.ledger.verified_count();
-                        blocks_certified = r.certified;
-                    }
-                    let digest_ok = match &header {
-                        Some(h) if h.has_digest() => {
-                            // The final 16 bytes are the digest; they were
-                            // kept out of the hashers by feed_body.
-                            let d = digest.unwrap_or_else(|| md5.finalize());
-                            Some(tail.len() == 16 && d[..] == tail[..])
-                        }
-                        _ => None,
-                    };
-                    // Most-specific failure first: a short stream explains
-                    // a bad digest, a bad digest trumps a content scan.
-                    let status = if owed.is_some_and(|o| received < o) {
-                        TransferStatus::Failed(SessionError::TruncatedStream)
-                    } else if digest_ok == Some(false) {
-                        TransferStatus::Failed(SessionError::DigestMismatch)
-                    } else if !content_ok {
-                        TransferStatus::Failed(SessionError::ContentMismatch)
-                    } else {
-                        TransferStatus::Complete
-                    };
-                    let verdict_ok = matches!(status, TransferStatus::Complete);
-                    self.outcomes.push(TransferOutcome {
-                        session: header.as_ref().map(|h| h.session),
-                        status,
-                        bytes: offset + received,
-                        attempt_bytes: received,
-                        blocks_certified,
-                        stripe,
-                        session_verified,
-                        digest_ok,
-                        content_ok,
-                        verified_blocks,
-                        resume_offset: offset,
-                        accepted_at: conn.accepted_at,
-                        completed_at: net.now(),
-                    });
-                    lsl_obs::gauge_set("sink.verified_blocks", obs_sid, verified_blocks);
-                    lsl_obs::counter_add(
-                        if verdict_ok {
-                            "sink.verdict.complete"
-                        } else {
-                            "sink.verdict.failed"
-                        },
-                        0,
-                        1,
-                    );
-                    lsl_obs::span_end(net.now().0, "sink.verdict.drain", obs_sid);
-                }
-                SinkConnState::ReadingHeader(_) => {
-                    // EOF mid-header.
-                    self.outcomes.push(TransferOutcome {
-                        session: None,
-                        status: TransferStatus::Failed(SessionError::Wire(
-                            WireError::TruncatedHeader,
-                        )),
-                        bytes: 0,
-                        attempt_bytes: 0,
-                        blocks_certified: 0,
-                        stripe: None,
-                        session_verified: 0,
-                        digest_ok: None,
-                        content_ok: true,
-                        verified_blocks: 0,
-                        resume_offset: 0,
-                        accepted_at: conn.accepted_at,
-                        completed_at: net.now(),
-                    });
-                }
-            }
+            let SinkConnState::Body(body) = &mut conn.state else {
+                let eof = TransferStatus::Failed(SessionError::Wire(WireError::TruncatedHeader));
+                self.record(net, sock, &conn, eof, None);
+                return;
+            };
+            let obs_sid = body.header.as_ref().map_or(0, |h| h.session.0 as u64);
+            lsl_obs::span_begin(net.now().0, "sink.verdict.drain", obs_sid);
+            let (status, digest_ok) = body.verdict(&mut self.sessions);
+            let verified_blocks = self
+                .record(net, sock, &conn, status, digest_ok)
+                .verified_blocks;
+            lsl_obs::gauge_set("sink.verified_blocks", obs_sid, verified_blocks);
+            lsl_obs::counter_add(
+                if status == TransferStatus::Complete {
+                    "sink.verdict.complete"
+                } else {
+                    "sink.verdict.failed"
+                },
+                0,
+                1,
+            );
+            lsl_obs::span_end(net.now().0, "sink.verdict.drain", obs_sid);
         }
     }
 
     /// A complete header arrived on `sock`: confirm the session back
     /// through the cascade (granting a block range when one was
-    /// requested) and switch the conn to body consumption.
-    fn on_header(&mut self, net: &mut Net, sock: SockId, header: LslHeader, leftover: &[u8]) {
-        assert!(
-            header.route.is_empty(),
-            "sink received header with residual route"
-        );
-        let mut offset = 0u64;
-        let mut range = None;
-        if header.resume.is_none() && header.stripe.is_none() {
+    /// requested) and switch the conn to body consumption. A header
+    /// this sink cannot serve is rejected before any reply.
+    fn on_header(
+        &mut self,
+        net: &mut Net,
+        sock: SockId,
+        header: LslHeader,
+        leftover: &[u8],
+    ) -> Result<(), WireError> {
+        if !header.route.is_empty() {
+            return Err(WireError::ResidualRoute);
+        }
+        if header.stripe.is_some() && header.length == u64::MAX {
+            return Err(WireError::UnboundedStripe);
+        }
+        let mut body = if header.resume.is_none() && header.stripe.is_none() {
             // Plain v1 confirmation — bit-identical to the pre-resume
             // handshake.
             let n = net.send(sock, &Bytes::from_static(&[SESSION_CONFIRM]));
             debug_assert_eq!(n, 1);
+            Body::new(Some(header), 0, None)
         } else {
             if header.resume.is_some() {
                 // A new attempt supersedes any lingering conn of the same
@@ -1207,10 +1160,6 @@ impl SinkServer {
                     net.abort(stale);
                 }
             }
-            assert!(
-                header.stripe.is_none() || header.length != u64::MAX,
-                "striped sessions must declare a stream length"
-            );
             let progress = self.sessions.entry(header.session).or_default();
             if header.resume.is_some() {
                 progress.active = Some(sock);
@@ -1235,8 +1184,7 @@ impl SinkServer {
                     granted_verified,
                 );
             }
-            offset = block_offset(gstart, header.length);
-            range = Some(Box::new(RangeBody::new(gstart, gend)));
+            let offset = block_offset(gstart, header.length);
             // Grant: confirm byte + the offset this attempt streams from
             // (v2), or + the granted block range (v3).
             let mut reply = vec![SESSION_CONFIRM];
@@ -1249,114 +1197,13 @@ impl SinkServer {
             let len = reply.len();
             let n = net.send(sock, &Bytes::from(reply));
             debug_assert_eq!(n, len);
-        }
-        let mut st = SinkConnState::Body {
-            header: Some(Box::new(header)),
-            md5: Md5::new(),
-            received: 0,
-            tail: Vec::new(),
-            content_ok: true,
-            offset,
-            range,
+            Body::new(Some(header), offset, Some(RangeBody::new(gstart, gend)))
         };
-        Self::feed_body(&mut st, &mut self.sessions, leftover);
+        body.feed(&mut self.sessions, leftover);
         if let Some(conn) = self.conns.get_mut(&sock) {
-            conn.state = st;
+            conn.state = SinkConnState::Body(body);
         }
-    }
-
-    /// Absorb payload bytes, holding back the last 16 seen when a
-    /// digest is expected: they are the candidate trailer, and
-    /// everything before them is payload. Resume and stripe attempts
-    /// hash into their range chain (which certifies completed blocks
-    /// into the session ledger); plain attempts with a digest into the
-    /// conn's own hasher; the rest are only pattern-checked.
-    fn feed_body(
-        state: &mut SinkConnState,
-        sessions: &mut BTreeMap<SessionId, SessionProgress>,
-        data: &[u8],
-    ) {
-        let SinkConnState::Body {
-            header,
-            md5,
-            received,
-            tail,
-            content_ok,
-            offset,
-            range,
-        } = state
-        else {
-            unreachable!("feed_body on header state");
-        };
-        let digest_expected = header.as_ref().is_some_and(|h| h.has_digest());
-        let mut into = match (range.as_mut(), header.as_ref()) {
-            (Some(body), Some(h)) => AbsorbInto::Range {
-                body,
-                ledger: &mut sessions
-                    .get_mut(&h.session)
-                    .expect("range conn without a session")
-                    .ledger,
-                total: h.length,
-                sid: h.session.0 as u64,
-            },
-            _ if digest_expected => AbsorbInto::Plain(md5),
-            _ => AbsorbInto::Unhashed,
-        };
-        let mut absorb = |payload: &[u8]| into.absorb(payload, *offset, received, content_ok);
-        if !digest_expected {
-            absorb(data);
-            return;
-        }
-        // Bytes beyond the last 16 are payload: the oldest come from the
-        // held-back tail, the rest straight from `data`.
-        let excess = (tail.len() + data.len()).saturating_sub(DIGEST_LEN);
-        let from_tail = excess.min(tail.len());
-        absorb(&tail[..from_tail]);
-        tail.drain(..from_tail);
-        let from_data = excess - from_tail;
-        absorb(&data[..from_data]);
-        tail.extend_from_slice(&data[from_data..]);
-    }
-}
-
-/// Where [`SinkServer::feed_body`] routes a conn's payload bytes: the
-/// conn's own whole-stream hasher (plain transfers with a digest, one
-/// MD5 pass), the conn's range chain plus the session block ledger
-/// (resume and stripe attempts), or nowhere (no digest to check: raw
-/// TCP and digest-less LSL).
-enum AbsorbInto<'a> {
-    Plain(&'a mut Md5),
-    Range {
-        body: &'a mut RangeBody,
-        ledger: &'a mut BlockLedger,
-        total: u64,
-        sid: u64,
-    },
-    Unhashed,
-}
-
-impl AbsorbInto<'_> {
-    /// Absorb payload bytes that start `received` bytes past stream
-    /// offset `offset`: pattern-check, hash, and (for range attempts)
-    /// certify newly completed blocks.
-    fn absorb(&mut self, payload: &[u8], offset: u64, received: &mut u64, content_ok: &mut bool) {
-        if *content_ok {
-            *content_ok = is_payload(offset + *received, payload);
-        }
-        match self {
-            AbsorbInto::Plain(md5) => md5.update(payload),
-            AbsorbInto::Unhashed => {}
-            AbsorbInto::Range {
-                body,
-                ledger,
-                total,
-                sid,
-            } => {
-                body.chain.update(payload);
-                body.certify(ledger, *total, *sid);
-            }
-        }
-        *received += payload.len() as u64;
+        Ok(())
     }
 }
 
@@ -1433,26 +1280,16 @@ mod tests {
                 stripe: None,
                 route: Vec::new(),
             };
-            let mut st = SinkConnState::Body {
-                header: Some(Box::new(header)),
-                md5: Md5::new(),
-                received: 0,
-                tail: Vec::new(),
-                content_ok: true,
-                offset: 0,
-                range: None,
-            };
+            let mut body = Body::new(Some(header), 0, None);
             let mut sessions = BTreeMap::new();
             let mut rest = &stream[..];
             for cut in cuts {
                 let (piece, after) = rest.split_at(cut.min(rest.len()));
-                SinkServer::feed_body(&mut st, &mut sessions, piece);
+                body.feed(&mut sessions, piece);
                 rest = after;
             }
-            SinkServer::feed_body(&mut st, &mut sessions, rest);
-            let SinkConnState::Body { md5: hasher, received, tail, content_ok, .. } = st else {
-                unreachable!("feed_body keeps the body state");
-            };
+            body.feed(&mut sessions, rest);
+            let Body { md5: hasher, received, tail, content_ok, .. } = body;
             prop_assert_eq!(received, len as u64);
             prop_assert!(content_ok);
             prop_assert_eq!(&tail[..], &trailer[..]);

@@ -26,6 +26,11 @@ pub enum WireError {
     RouteTooLong(u8),
     /// The stream ended before a complete header arrived.
     TruncatedHeader,
+    /// A header reached its sink with route hops still to go.
+    ResidualRoute,
+    /// A stripe request on an until-FIN stream: block ranges need a
+    /// declared length.
+    UnboundedStripe,
 }
 
 impl fmt::Display for WireError {
@@ -35,6 +40,8 @@ impl fmt::Display for WireError {
             WireError::UnsupportedVersion(v) => write!(f, "unsupported LSL version {v}"),
             WireError::RouteTooLong(n) => write!(f, "route too long: {n} hops"),
             WireError::TruncatedHeader => write!(f, "stream ended mid-header"),
+            WireError::ResidualRoute => write!(f, "header reached the sink with hops left"),
+            WireError::UnboundedStripe => write!(f, "stripe request without a stream length"),
         }
     }
 }
@@ -131,11 +138,11 @@ pub enum SessionError {
     RoutesExhausted,
     /// Retransfer budget exhausted without a verified delivery.
     RetransfersExhausted,
-    /// The sink granted a resume offset incompatible with the sender's
-    /// request (the sender asked to skip bytes the sink has not
-    /// verified). The sender must not stream from beyond the grant, so
-    /// the attempt is abandoned as malformed.
-    ResumeMismatch { requested: u64, granted: u64 },
+    /// The sink's resume grant is not a block boundary of the stream
+    /// (or lies past its end). The sender must not stream from an
+    /// offset the sink did not certify up to, so the attempt is
+    /// abandoned as malformed.
+    ResumeMismatch { granted: u64 },
     /// The sink granted a stripe block range outside the one this
     /// cascade requested — protocol corruption, so the attempt is
     /// abandoned (a *narrowed* grant, including the empty one, is
@@ -158,9 +165,9 @@ impl fmt::Display for SessionError {
             SessionError::TruncatedStream => write!(f, "stream truncated before declared length"),
             SessionError::RoutesExhausted => write!(f, "no candidate route survived"),
             SessionError::RetransfersExhausted => write!(f, "retransfer budget exhausted"),
-            SessionError::ResumeMismatch { requested, granted } => write!(
+            SessionError::ResumeMismatch { granted } => write!(
                 f,
-                "resume offset mismatch: requested {requested}, sink granted {granted}"
+                "resume grant off a block boundary or past the stream: {granted}"
             ),
             SessionError::StripeMismatch {
                 granted_start,

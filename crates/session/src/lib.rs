@@ -53,13 +53,13 @@ pub use client::{
 };
 pub use depot::{Depot, DepotConfig, DepotConfigBuilder, DepotStats};
 pub use endpoint::{
-    expected_block_digest, stream_blocks, BulkSender, SenderState, SinkServer, TransferOutcome,
-    TransferStatus, RESUME_BLOCK, SINK_TIMER_TAG,
+    expected_block_digest, stream_blocks, BulkSender, Request, SenderState, SinkServer,
+    TransferOutcome, TransferStatus, RESUME_BLOCK, SINK_TIMER_TAG,
 };
 pub use error::{Handled, PlanError, RouteError, SessionError, SessionEvent, WireError};
 pub use header::{LslHeader, Resume, StripeReq, HEADER_FLAG_DIGEST, NO_VERIFIED_BLOCK};
 pub use id::SessionId;
-pub use plan::{RouteCandidate, RoutePlan, RoutePlanBuilder, RouteProvenance};
+pub use plan::{RouteCandidate, RoutePlan, RoutePlanBuilder};
 pub use route::{Hop, LslPath};
 pub use score::{cascade_score_ns, rank_candidates, SublinkForecast};
 pub use stripe::{LaneStat, StripeConfig, StripedSession};

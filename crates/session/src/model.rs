@@ -8,7 +8,7 @@
 //!
 //! * slow start doubles cwnd once per RTT, so ramp time scales with RTT,
 //! * steady-state loss-limited throughput follows the Mathis bound
-//!   `BW = (MSS/RTT) · C/√p` (the paper's citation [25]),
+//!   `BW = (MSS/RTT) · C/√p` (the paper's citation \[25\]),
 //! * a pipelined cascade is gated by its slowest sublink, plus the
 //!   sequential connection setup of each hop.
 

@@ -7,49 +7,30 @@
 //! builder: every candidate shares a destination, passes
 //! [`LslPath::validate`], and fits the wire header's [`MAX_HOPS`]
 //! bound. That construction-time check is what makes
-//! [`WireError::RouteTooLong`](crate::error::WireError::RouteTooLong)
+//! [`WireError::RouteTooLong`]
 //! unreachable from `LslHeader::encode` for in-repo senders.
 //!
 //! Each candidate carries an optional fixed-point score (integer
 //! nanoseconds of predicted transfer time, lower is better — see
-//! [`crate::score`]) and a [`RouteProvenance`] recording where the
-//! candidate (or its latest score) came from, so campaign timelines can
-//! distinguish a statically configured route from a forecast pick from
-//! the appended direct fallback.
+//! [`crate::score`]).
 
 use crate::error::{PlanError, WireError};
 use crate::header::MAX_HOPS;
 use crate::route::{Hop, LslPath};
 
-/// Where a candidate (or its current score) came from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RouteProvenance {
-    /// Statically configured by the driver; never scored.
-    Static,
-    /// Scored from NWS per-sublink forecasts.
-    Forecast,
-    /// Appended by the recovery layer as a last-resort fallback.
-    Failover,
-}
-
-/// One candidate route with its score and provenance.
+/// One candidate route with its score.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RouteCandidate {
     pub path: LslPath,
     /// Predicted transfer time in integer nanoseconds (lower is
     /// better); `None` until a forecast scores the candidate.
     pub score: Option<u64>,
-    pub provenance: RouteProvenance,
 }
 
 impl RouteCandidate {
     /// A statically configured, unscored candidate.
     pub fn new(path: LslPath) -> RouteCandidate {
-        RouteCandidate {
-            path,
-            score: None,
-            provenance: RouteProvenance::Static,
-        }
+        RouteCandidate { path, score: None }
     }
 }
 
@@ -113,9 +94,8 @@ impl RoutePlan {
         self.candidates.iter().any(|c| c.path.depots.is_empty())
     }
 
-    /// Append a recovery-layer fallback candidate (provenance
-    /// [`RouteProvenance::Failover`]), validated like any other.
-    /// Returns the new candidate's index.
+    /// Append a recovery-layer fallback candidate, validated like any
+    /// other. Returns the new candidate's index.
     pub fn push_failover(&mut self, path: LslPath) -> Result<usize, PlanError> {
         validate_path(&path)?;
         if path.dst != self.dst {
@@ -124,24 +104,15 @@ impl RoutePlan {
                 got: path.dst.node,
             });
         }
-        self.candidates.push(RouteCandidate {
-            path,
-            score: None,
-            provenance: RouteProvenance::Failover,
-        });
+        self.candidates.push(RouteCandidate::new(path));
         Ok(self.candidates.len() - 1)
     }
 
-    /// Record a forecast score for candidate `idx`. A `Some` score also
-    /// stamps the candidate's provenance as forecast-driven; `None`
-    /// clears a stale score (the forecaster lost confidence) without
-    /// touching provenance.
+    /// Record a forecast score for candidate `idx`; `None` clears a
+    /// stale score (the forecaster lost confidence).
     pub fn set_score(&mut self, idx: usize, score: Option<u64>) {
         if let Some(c) = self.candidates.get_mut(idx) {
             c.score = score;
-            if score.is_some() {
-                c.provenance = RouteProvenance::Forecast;
-            }
         }
     }
 }
@@ -213,7 +184,6 @@ mod tests {
         assert_eq!(plan.dst(), dst());
         assert!(plan.has_depot_free());
         assert_eq!(plan.get(0).unwrap().path.depots, vec![hop(1)]);
-        assert_eq!(plan.get(0).unwrap().provenance, RouteProvenance::Static);
         assert_eq!(plan.get(0).unwrap().score, None);
     }
 
@@ -264,7 +234,7 @@ mod tests {
         let mut plan = RoutePlan::single(LslPath::via(vec![hop(1)], dst())).unwrap();
         let idx = plan.push_failover(LslPath::direct(dst())).unwrap();
         assert_eq!(idx, 1);
-        assert_eq!(plan.get(1).unwrap().provenance, RouteProvenance::Failover);
+        assert_eq!(plan.get(1).unwrap().path, LslPath::direct(dst()));
         assert!(plan.has_depot_free());
         // Wrong destination still rejected.
         assert!(plan
@@ -273,14 +243,12 @@ mod tests {
     }
 
     #[test]
-    fn set_score_stamps_forecast_provenance() {
+    fn set_score_records_and_clears() {
         let mut plan = RoutePlan::single(LslPath::via(vec![hop(1)], dst())).unwrap();
         plan.set_score(0, Some(42));
         assert_eq!(plan.get(0).unwrap().score, Some(42));
-        assert_eq!(plan.get(0).unwrap().provenance, RouteProvenance::Forecast);
         plan.set_score(0, None);
         assert_eq!(plan.get(0).unwrap().score, None);
-        assert_eq!(plan.get(0).unwrap().provenance, RouteProvenance::Forecast);
         // Out-of-range index is a no-op, not a panic.
         plan.set_score(9, Some(1));
     }

@@ -87,7 +87,7 @@ impl SublinkForecast {
     /// Predicted bulk-transfer time over an established connection,
     /// nanoseconds — the integer mirror of
     /// `TcpPathModel::transfer_time`: slow-start rounds doubling from
-    /// [`INIT_CWND`] to the steady window, then line rate.
+    /// `INIT_CWND` to the steady window, then line rate.
     pub fn transfer_time_ns(&self, size: u64) -> u64 {
         let rtt = self.rtt_ns;
         if size == 0 {

@@ -4,8 +4,9 @@
 use lsl_netsim::{Dur, LinkSpec, LossModel, NodeId, Topology, TopologyBuilder};
 use lsl_session::endpoint::{payload_chunk, SendMode, SenderState};
 use lsl_session::{
-    BulkSender, Depot, DepotConfig, Hop, LslHeader, LslPath, Resume, SessionId, SinkServer,
-    TransferStatus, HEADER_FLAG_DIGEST,
+    BulkSender, Depot, DepotConfig, Handled, Hop, LslHeader, LslPath, Request, Resume,
+    SessionError, SessionId, SinkServer, StripeReq, TransferStatus, WireError, HEADER_FLAG_DIGEST,
+    RESUME_BLOCK,
 };
 use lsl_tcp::{AppEvent, Net, SockEvent, TcpConfig};
 
@@ -519,12 +520,27 @@ fn hand_attempt(
     dst: NodeId,
     stream: bytes::Bytes,
 ) -> Vec<u8> {
-    let sock = net.connect(src, dst, SINK_PORT, TcpConfig::default());
+    hand_attempt_to(net, src, dst, SINK_PORT, stream, |net, ev| {
+        sink.handle(net, ev)
+    })
+}
+
+/// [`hand_attempt`] toward any listener at `dst:port`, whose events
+/// `peer` handles.
+fn hand_attempt_to(
+    net: &mut Net,
+    src: NodeId,
+    dst: NodeId,
+    port: u16,
+    stream: bytes::Bytes,
+    mut peer: impl FnMut(&mut Net, &AppEvent) -> Handled,
+) -> Vec<u8> {
+    let sock = net.connect(src, dst, port, TcpConfig::default());
     let mut sent = 0usize;
     let mut reply = Vec::new();
     let mut closed = false;
     while let Some(ev) = net.poll() {
-        if sink.handle(net, &ev).consumed() {
+        if peer(net, &ev).consumed() {
             continue;
         }
         let AppEvent::Sock { sock: s, event } = &ev else {
@@ -636,4 +652,171 @@ fn digest_mismatch_freezes_certification_and_resume_grants_the_rest() {
     assert_eq!(o.verified_blocks, blocks);
     assert_eq!(sink.session_certified(session), blocks);
     assert_eq!(sink.stripe_regrants(), 0);
+}
+
+/// A header that reaches the sink with hops still to go is misrouted
+/// wire input: the sink fails the attempt with a typed wire error and
+/// resets the conn instead of taking the simulation down.
+#[test]
+fn sink_rejects_a_header_with_route_hops_left() {
+    let (topo, nodes) = chain_topology(0, 50_000_000, Dur::from_millis(5), 0.0);
+    let mut net = Net::new(topo.into_sim(21));
+    let (src, dst) = (nodes[0], *nodes.last().unwrap());
+    let mut sink = SinkServer::new(&mut net, dst, SINK_PORT, true, TcpConfig::default());
+    let header = LslHeader {
+        session: SessionId(0x31),
+        flags: HEADER_FLAG_DIGEST,
+        length: 1000,
+        resume: None,
+        stripe: None,
+        route: vec![Hop::new(dst, SINK_PORT)],
+    };
+    let reply = hand_attempt(&mut net, &mut sink, src, dst, header.encode().unwrap());
+    assert!(reply.is_empty(), "no confirmation for a rejected header");
+    let done = sink.take_outcomes();
+    assert_eq!(done.len(), 1);
+    assert_eq!(
+        done[0].status,
+        TransferStatus::Failed(SessionError::Wire(WireError::ResidualRoute))
+    );
+}
+
+/// A stripe request on an until-FIN stream has no block range to grant:
+/// the sink rejects it with a typed wire error, before opening any
+/// session state.
+#[test]
+fn sink_rejects_a_stripe_request_without_a_length() {
+    let (topo, nodes) = chain_topology(0, 50_000_000, Dur::from_millis(5), 0.0);
+    let mut net = Net::new(topo.into_sim(22));
+    let (src, dst) = (nodes[0], *nodes.last().unwrap());
+    let mut sink = SinkServer::new(&mut net, dst, SINK_PORT, true, TcpConfig::default());
+    let session = SessionId(0x32);
+    let header = LslHeader {
+        session,
+        flags: HEADER_FLAG_DIGEST,
+        length: u64::MAX,
+        resume: None,
+        stripe: Some(StripeReq {
+            start_block: 0,
+            end_block: 2,
+        }),
+        route: Vec::new(),
+    };
+    let reply = hand_attempt(&mut net, &mut sink, src, dst, header.encode().unwrap());
+    assert!(reply.is_empty(), "no grant for a rejected header");
+    let done = sink.take_outcomes();
+    assert_eq!(done.len(), 1);
+    assert_eq!(
+        done[0].status,
+        TransferStatus::Failed(SessionError::Wire(WireError::UnboundedStripe))
+    );
+    assert_eq!(sink.session_certified(session), 0);
+}
+
+/// A depot asked to relay toward a node outside the topology counts a
+/// header error and tears the relay down; it never opens the onward
+/// sublink.
+#[test]
+fn depot_rejects_a_next_hop_outside_the_topology() {
+    let (topo, nodes) = chain_topology(1, 50_000_000, Dur::from_millis(5), 0.0);
+    let mut net = Net::new(topo.into_sim(23));
+    let (src, depot_node) = (nodes[0], nodes[1]);
+    let mut depot = Depot::new(&mut net, depot_node, DepotConfig::default());
+    let header = LslHeader {
+        session: SessionId(0x33),
+        flags: HEADER_FLAG_DIGEST,
+        length: 1000,
+        resume: None,
+        stripe: None,
+        route: vec![Hop::new(lsl_netsim::NodeId(99), SINK_PORT)],
+    };
+    let stream = header.encode().unwrap();
+    let reply = hand_attempt_to(&mut net, src, depot_node, DEPOT_PORT, stream, |net, ev| {
+        depot.handle(net, ev)
+    });
+    assert!(reply.is_empty());
+    let stats = depot.stats();
+    assert_eq!(stats.sessions_accepted, 1);
+    assert_eq!(stats.header_errors, 1);
+    assert_eq!(depot.active_sessions(), 0);
+}
+
+/// Run one LSL attempt carrying `request` against a fake sink: a bare
+/// listener on the sink port that answers the header with the confirm
+/// byte plus `grant`. Returns the sender and whether the fake sink saw
+/// its conn reset.
+fn against_fake_grant(request: Request, grant: &[u8]) -> (Net, BulkSender, bool) {
+    let (topo, nodes) = chain_topology(0, 50_000_000, Dur::from_millis(5), 0.0);
+    let mut net = Net::new(topo.into_sim(24));
+    let (src, dst) = (nodes[0], *nodes.last().unwrap());
+    let listener = net.listen(dst, SINK_PORT, TcpConfig::default());
+    let mut sender = BulkSender::start(
+        &mut net,
+        src,
+        &LslPath::direct(Hop::new(dst, SINK_PORT)),
+        SessionId(0x34),
+        4 * RESUME_BLOCK + RESUME_BLOCK / 2,
+        SendMode::lsl(),
+        TcpConfig::default(),
+        None,
+        Some(request),
+    );
+    let mut replied = false;
+    let mut reset = false;
+    while let Some(ev) = net.poll() {
+        if sender.handle(&mut net, &ev).consumed() {
+            continue;
+        }
+        let AppEvent::Sock { sock, event } = ev else {
+            continue;
+        };
+        match event {
+            SockEvent::Readable if sock != listener && !replied => {
+                let _header = net.recv(sock, 1 << 10);
+                let mut reply = vec![0x4b];
+                reply.extend_from_slice(grant);
+                assert_eq!(net.send(sock, &reply.into()), 1 + grant.len());
+                replied = true;
+            }
+            SockEvent::Error(_) => reset = true,
+            _ => {}
+        }
+    }
+    assert!(replied, "the header never reached the fake sink");
+    (net, sender, reset)
+}
+
+/// The sender checks the sink's grant: a resume offset off a block
+/// boundary, or a stripe range outside the request, fails the attempt
+/// with its typed mismatch and resets the sublink.
+#[test]
+fn sender_rejects_a_malformed_grant() {
+    let misaligned = RESUME_BLOCK + 1;
+    let (net, sender, reset) =
+        against_fake_grant(Request::Resume(Resume::fresh()), &misaligned.to_be_bytes());
+    assert_eq!(
+        sender.state(),
+        SenderState::Failed(SessionError::ResumeMismatch {
+            granted: misaligned
+        })
+    );
+    assert!(reset, "the sender must abort its sublink");
+    assert!(net.state(sender.sock()).is_none_or(|s| s.is_closed()));
+
+    let request = StripeReq {
+        start_block: 1,
+        end_block: 3,
+    };
+    let mut outside = 1u64.to_be_bytes().to_vec();
+    outside.extend_from_slice(&4u64.to_be_bytes());
+    let (net, sender, reset) = against_fake_grant(Request::Stripe(request), &outside);
+    assert_eq!(
+        sender.state(),
+        SenderState::Failed(SessionError::StripeMismatch {
+            granted_start: 1,
+            granted_end: 4
+        })
+    );
+    assert!(reset, "the sender must abort its sublink");
+    assert!(net.state(sender.sock()).is_none_or(|s| s.is_closed()));
 }

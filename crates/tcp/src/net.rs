@@ -35,7 +35,7 @@ pub enum AppEvent {
 /// top token bit.
 const APP_TIMER_BIT: u64 = 1 << 63;
 
-/// The simulated internet: a [`Simulator`] plus one [`TcpStack`] per node
+/// The simulated internet: a [`Simulator`] plus one TCP stack per node
 /// and a BSD-socket-shaped API. Drive it by alternating [`Net::poll`]
 /// with socket calls.
 pub struct Net {

@@ -83,48 +83,13 @@ impl RunConfigBuilder {
         self
     }
 
-    pub fn relay_buf(mut self, bytes: usize) -> Self {
-        self.cfg.relay_buf = bytes;
-        self
-    }
-
-    pub fn depot_setup_delay(mut self, delay: Dur) -> Self {
-        self.cfg.depot_setup_delay = delay;
-        self
-    }
-
-    pub fn tcp(mut self, tcp: TcpConfig) -> Self {
-        self.cfg.tcp = tcp;
-        self
-    }
-
-    pub fn depot_port(mut self, port: u16) -> Self {
-        self.cfg.depot_port = port;
-        self
-    }
-
-    pub fn sink_port(mut self, port: u16) -> Self {
-        self.cfg.sink_port = port;
-        self
-    }
-
     /// Validate and produce the config.
     ///
     /// # Panics
     ///
-    /// On configurations that cannot produce a data point: zero transfer
-    /// size, a zero-byte relay buffer, or depot and sink sharing a port
-    /// (ambiguous when they share a host in custom cases).
+    /// On a zero transfer size, which cannot produce a data point.
     pub fn build(self) -> RunConfig {
         assert!(self.cfg.size > 0, "transfer size must be non-zero");
-        assert!(
-            self.cfg.relay_buf > 0,
-            "depot relay buffer must be non-zero (a 0-byte buffer can never relay)"
-        );
-        assert!(
-            self.cfg.depot_port != self.cfg.sink_port,
-            "depot and sink ports must differ"
-        );
         self.cfg
     }
 }

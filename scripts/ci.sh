@@ -2,8 +2,8 @@
 # Workspace CI gate. Run from the repository root: scripts/ci.sh
 #
 # Order is cheapest-first so style failures surface before long test
-# runs: formatting, lints, the determinism audit (lsl-audit), then the
-# workspace test suite. Tests build in debug, so every runtime
+# runs: formatting, lints, rustdoc, the determinism audit (lsl-audit),
+# then the workspace test suite. Tests build in debug, so every runtime
 # invariant check (a `debug_assert!`) is live in every crate's tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -13,6 +13,10 @@ cargo fmt --check
 
 echo "==> cargo clippy (workspace, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (workspace, rustdoc warnings are errors)"
+# A deleted or private item must not leave a dangling doc link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> lsl-audit (static determinism analyzer, SARIF artifact)"
 # The analyzer must (a) pass clean, (b) emit a well-formed SARIF
