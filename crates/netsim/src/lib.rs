@@ -35,7 +35,7 @@ mod topo;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use link::{LinkSpec, DEFAULT_QUEUE_BYTES};
 pub use loss::LossModel;
-pub use packet::{LinkId, NodeId, Packet, PROTO_TCP};
+pub use packet::{Header, LinkId, NodeId, Packet, HEADER_MAX, PROTO_TCP};
 pub use sim::{Output, PathProbe, Simulator, TimerHandle};
 pub use stats::LinkStats;
 pub use storm::{fault_kind_name, fault_plan_of, FaultStormGen, StormAtom, StormPlan, StormSpec};

@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use crate::loss::LossModel;
 use crate::packet::{LinkId, NodeId, Packet};
 use crate::stats::LinkStats;
-use crate::time::Dur;
+use crate::time::{Dur, Time};
 
 /// Default drop-tail queue capacity: 256 KB, roughly 170 full-size
 /// segments — a plausible router buffer for the paper's era.
@@ -75,6 +75,11 @@ pub(crate) struct Link {
     queue: VecDeque<Packet>,
     queued_bytes: u64,
     busy: bool,
+    /// Packets propagating toward `to`, each with its arrival time and
+    /// the scheduler seq reserved for its arrival. Sorted by
+    /// `(time, seq)`: the simulator keeps one `Arrive` entry in its
+    /// scheduler, keyed by the front.
+    flight: VecDeque<(Time, u64, Packet)>,
     /// Fault-injection state: a down link accepts nothing and loses the
     /// frame it was serializing when the outage hit.
     up: bool,
@@ -101,6 +106,7 @@ impl Link {
             queue: VecDeque::new(),
             queued_bytes: 0,
             busy: false,
+            flight: VecDeque::new(),
             up: true,
             #[cfg(debug_assertions)]
             delivered_bytes: 0,
@@ -157,6 +163,28 @@ impl Link {
             self.busy = false;
             (done, None)
         }
+    }
+
+    /// Put a transmitted packet on the wire, arriving at `at` under the
+    /// reserved scheduler `seq`. Returns whether the flight queue was
+    /// empty, i.e. whether the link needs a new `Arrive` entry.
+    pub fn launch(&mut self, at: Time, seq: u64, packet: Packet) -> bool {
+        debug_assert!(
+            self.flight.back().is_none_or(|b| (b.0, b.1) < (at, seq)),
+            "link-flight-order: link {:?}->{:?} launched an arrival at ({at:?}, {seq}) \
+             behind a later one",
+            self.from,
+            self.to
+        );
+        self.flight.push_back((at, seq, packet));
+        self.flight.len() == 1
+    }
+
+    /// Take the packet at the front of the flight queue; also return
+    /// the `(time, seq)` of the next one to arrive, if any.
+    pub fn land(&mut self) -> (Packet, Option<(Time, u64)>) {
+        let (_, _, packet) = self.flight.pop_front().expect("arrival on an empty link");
+        (packet, self.flight.front().map(|f| (f.0, f.1)))
     }
 
     /// Bytes currently waiting (excludes the serializing packet).

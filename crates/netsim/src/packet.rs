@@ -1,7 +1,13 @@
 //! Packets and the identifiers for nodes and links.
+//!
+//! A packet carries its transport header as real serialized bytes,
+//! inline in a fixed-size [`Header`]: the receiving stack re-parses
+//! them on every hop, and building or moving a packet allocates
+//! nothing for them. Only the payload is shared, as [`Bytes`].
 
 use bytes::Bytes;
 use std::fmt;
+use std::ops::Deref;
 
 /// Identifies a node (host or router) in the topology.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -20,6 +26,42 @@ pub const PROTO_TCP: u8 = 6;
 /// part of `header` and counted separately.
 pub const WIRE_OVERHEAD: u32 = 38;
 
+/// Longest transport header a packet carries, in bytes (TCP's is 32).
+pub const HEADER_MAX: usize = 32;
+
+/// A serialized transport header of up to [`HEADER_MAX`] bytes, stored
+/// inline. Derefs to the header bytes.
+#[derive(Clone, Copy, Debug)]
+pub struct Header {
+    len: u8,
+    bytes: [u8; HEADER_MAX],
+}
+
+impl Header {
+    /// Copy `bytes` in. Panics past [`HEADER_MAX`]: a protocol that
+    /// emits a longer header is misbuilt.
+    pub fn new(bytes: &[u8]) -> Header {
+        assert!(
+            bytes.len() <= HEADER_MAX,
+            "transport header of {} bytes exceeds HEADER_MAX",
+            bytes.len()
+        );
+        let mut h = Header {
+            len: bytes.len() as u8,
+            bytes: [0; HEADER_MAX],
+        };
+        h.bytes[..bytes.len()].copy_from_slice(bytes);
+        h
+    }
+}
+
+impl Deref for Header {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+}
+
 /// A packet in flight.
 ///
 /// The transport header travels as real serialized bytes in `header`
@@ -32,7 +74,7 @@ pub struct Packet {
     pub dst: NodeId,
     pub proto: u8,
     /// Serialized transport header.
-    pub header: Bytes,
+    pub header: Header,
     /// Transport payload.
     pub data: Bytes,
     /// Unique id assigned by the simulator at send time (for tracing).
@@ -41,12 +83,12 @@ pub struct Packet {
 
 impl Packet {
     /// New TCP packet; `id` is assigned by [`crate::Simulator::send`].
-    pub fn tcp(src: NodeId, dst: NodeId, header: Bytes, data: Bytes) -> Packet {
+    pub fn tcp(src: NodeId, dst: NodeId, header: impl AsRef<[u8]>, data: Bytes) -> Packet {
         Packet {
             src,
             dst,
             proto: PROTO_TCP,
-            header,
+            header: Header::new(header.as_ref()),
             data,
             id: 0,
         }
@@ -84,6 +126,20 @@ mod tests {
             Bytes::from_static(&[0u8; 100]),
         );
         assert_eq!(p.wire_len(), WIRE_OVERHEAD + 120);
+    }
+
+    #[test]
+    fn header_holds_exactly_the_bytes_given() {
+        let h = Header::new(&[1, 2, 3]);
+        assert_eq!(&*h, &[1, 2, 3]);
+        assert_eq!(Header::new(&[]).len(), 0);
+        assert_eq!(Header::new(&[9; HEADER_MAX]).len(), HEADER_MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds HEADER_MAX")]
+    fn oversized_header_rejected() {
+        let _ = Header::new(&[0; HEADER_MAX + 1]);
     }
 
     #[test]

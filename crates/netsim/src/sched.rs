@@ -13,9 +13,19 @@
 //! (pop or cancel) bumps its generation, so a key kept past its event's
 //! firing never matches the unrelated event that later reuses the slot.
 //!
+//! **Re-timing.** An event source that always has one next event (a
+//! link's transmitter, a link's flight queue) keeps a single entry and
+//! moves it with [`Scheduler::retime_top`] when it fires: the top entry
+//! takes a later `(time, seq)` and sifts down once, with no arena
+//! traffic. Such entries are never cancelled, so reusing the slot needs
+//! no generation bump.
+//!
 //! **Determinism.** Pop order is exactly global `(time, seq)` order:
 //! `seq` is a single insertion counter, so keys are unique and
-//! same-time events pop in insertion order.
+//! same-time events pop in insertion order. A seq can be taken with
+//! [`Scheduler::reserve_seq`] before its entry exists and used later
+//! ([`Scheduler::insert_seq`], [`Scheduler::retime_top`]); it still
+//! orders by when it was reserved.
 
 use crate::time::Time;
 
@@ -72,8 +82,21 @@ impl<T> Scheduler<T> {
         }
     }
 
+    /// Take the next value of the insertion counter.
+    pub fn reserve_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq - 1
+    }
+
     /// Schedule `val` at absolute time `at`. The returned key cancels it.
     pub fn insert(&mut self, at: Time, val: T) -> Key {
+        let seq = self.reserve_seq();
+        self.insert_seq(at, seq, val)
+    }
+
+    /// Schedule `val` at `at` under a `seq` taken from
+    /// [`Scheduler::reserve_seq`].
+    pub fn insert_seq(&mut self, at: Time, seq: u64, val: T) -> Key {
         let pos = self.heap.len() as u32;
         let slot = match self.free.pop() {
             Some(i) => {
@@ -94,10 +117,9 @@ impl<T> Scheduler<T> {
         };
         self.heap.push(Entry {
             at: at.0,
-            seq: self.seq,
+            seq,
             slot,
         });
-        self.seq += 1;
         self.sift_up(pos as usize);
         Key {
             slot,
@@ -126,9 +148,39 @@ impl<T> Scheduler<T> {
         Some((Time(e.at), self.vacate(e.slot)))
     }
 
-    /// Time of the earliest pending event without popping it.
-    pub fn peek_time(&self) -> Option<Time> {
-        self.heap.first().map(|e| Time(e.at))
+    /// The globally earliest event, left in place.
+    pub fn peek(&self) -> Option<(Time, &T)> {
+        let e = self.heap.first()?;
+        let val = self.arena[e.slot as usize].val.as_ref();
+        Some((
+            Time(e.at),
+            val.expect("heap entry names an empty arena slot"),
+        ))
+    }
+
+    /// Move the earliest event, payload and key unchanged, to the later
+    /// `(at, seq)` (`seq` from [`Scheduler::reserve_seq`]) and restore
+    /// heap order with one sift down.
+    pub fn retime_top(&mut self, at: Time, seq: u64) {
+        let top = &mut self.heap[0];
+        debug_assert!(
+            (at.0, seq) > (top.at, top.seq),
+            "retime_top moved an event earlier"
+        );
+        top.at = at.0;
+        top.seq = seq;
+        self.sift_down(0);
+    }
+
+    /// Re-time the earliest event to `next` when its source has a next
+    /// event, else pop it.
+    pub fn retime_or_pop(&mut self, next: Option<(Time, u64)>) {
+        match next {
+            Some((at, seq)) => self.retime_top(at, seq),
+            None => {
+                self.pop();
+            }
+        }
     }
 
     /// Pending entries (a cancel removes its entry at once).
@@ -275,7 +327,7 @@ mod tests {
         assert_eq!(s.cancel(b), Some(1));
         assert_eq!(s.cancel(c), Some(2));
         assert_eq!(s.len(), 2);
-        assert_eq!(s.peek_time(), Some(t(1_000)));
+        assert_eq!(s.peek(), Some((t(1_000), &0)));
         assert_eq!(s.cancel(a), Some(0));
         assert_eq!(s.len(), 1);
         assert_eq!(drain(&mut s), vec![(1_000, 3)]);
@@ -325,8 +377,65 @@ mod tests {
         }
     }
 
+    #[test]
+    fn retimed_top_moves_behind_its_peers() {
+        let mut s = Scheduler::new();
+        s.insert(t(1_000), 0u64);
+        s.insert(t(2_000), 1);
+        s.insert(t(2_000), 2);
+        s.insert(t(9_000), 3);
+        assert_eq!(s.peek(), Some((t(1_000), &0)));
+        // Same time as its peers, later seq: it queues behind both.
+        let seq = s.reserve_seq();
+        s.retime_top(t(2_000), seq);
+        assert_eq!(s.peek(), Some((t(2_000), &1)));
+        assert_eq!(s.len(), 4);
+        assert_eq!(
+            drain(&mut s),
+            vec![(2_000, 1), (2_000, 2), (2_000, 0), (9_000, 3)]
+        );
+    }
+
+    #[test]
+    fn a_reserved_seq_settles_equal_time_ties_by_age() {
+        let mut s = Scheduler::new();
+        let old = s.reserve_seq();
+        s.insert(t(5_000), 1u64);
+        // Inserted last, but under the older seq: it pops first.
+        s.insert_seq(t(5_000), old, 0);
+        // A re-timed top carrying an older reserved seq also wins a tie
+        // against an entry inserted after the reservation.
+        s.insert(t(1_000), 2);
+        let older = s.reserve_seq();
+        s.insert(t(7_000), 3);
+        assert_eq!(s.peek(), Some((t(1_000), &2)));
+        s.retime_top(t(7_000), older);
+        assert_eq!(
+            drain(&mut s),
+            vec![(5_000, 0), (5_000, 1), (7_000, 2), (7_000, 3)]
+        );
+    }
+
+    #[test]
+    fn cancel_after_a_retime_finds_its_entry() {
+        let mut s = Scheduler::new();
+        s.insert(t(100), 0u64);
+        let keys: Vec<Key> = (1..=6).map(|i| s.insert(t(1_000 * i), i)).collect();
+        // The top sifts past every peer, moving each of them up a level.
+        let seq = s.reserve_seq();
+        s.retime_top(t(10_000), seq);
+        assert_eq!(s.cancel(keys[0]), Some(1));
+        assert_eq!(s.cancel(keys[4]), Some(5));
+        assert_eq!(s.cancel(keys[4]), None);
+        assert_eq!(
+            drain(&mut s),
+            vec![(2_000, 2), (3_000, 3), (4_000, 4), (6_000, 6), (10_000, 0)]
+        );
+    }
+
     /// Model equivalence at the scheduler level: random programs of
-    /// inserts (delays from zero to minutes, including equal times) and
+    /// inserts (delays from zero to minutes, including equal times),
+    /// inserts under earlier-reserved seqs, re-times of the top and
     /// cancels must pop in exactly the reference heap's (time, seq)
     /// order.
     #[test]
@@ -342,25 +451,50 @@ mod tests {
             let mut s: Scheduler<u64> = Scheduler::new();
             let mut reference: Vec<(u64, u64, u64)> = Vec::new(); // (at, seq, token)
             let mut live: Vec<(Key, u64)> = Vec::new(); // (key, token)
+            let mut reserved: Vec<u64> = Vec::new();
             let mut seq = 0u64;
             let mut now = 0u64;
             let ops = 200 + round * 10;
             for _ in 0..ops {
-                match rng() % 10 {
-                    // Insert with a delay drawn from a wide band.
+                // A delay drawn from a wide band.
+                let delay = match rng() % 6 {
+                    0 => 0,
+                    1 => rng() % 1_000,
+                    2 => rng() % 1_000_000,
+                    3 => rng() % 100_000_000,
+                    4 => rng() % 10_000_000_000,
+                    _ => rng() % 100_000_000_000,
+                };
+                match rng() % 14 {
                     0..=5 => {
-                        let delay = match rng() % 6 {
-                            0 => 0,
-                            1 => rng() % 1_000,
-                            2 => rng() % 1_000_000,
-                            3 => rng() % 100_000_000,
-                            4 => rng() % 10_000_000_000,
-                            _ => rng() % 100_000_000_000,
-                        };
                         let at = now + delay;
                         let key = s.insert(Time(at), seq);
                         reference.push((at, seq, seq));
                         live.push((key, seq));
+                        seq += 1;
+                    }
+                    // Reserve a seq now, insert under it later.
+                    10 => {
+                        assert_eq!(s.reserve_seq(), seq);
+                        reserved.push(seq);
+                        seq += 1;
+                    }
+                    11 if !reserved.is_empty() => {
+                        let i = (rng() % reserved.len() as u64) as usize;
+                        let rseq = reserved.swap_remove(i);
+                        let at = now + delay;
+                        let key = s.insert_seq(Time(at), rseq, rseq);
+                        reference.push((at, rseq, rseq));
+                        live.push((key, rseq));
+                    }
+                    // Re-time the top to a later time under a fresh seq.
+                    12 if !reference.is_empty() => {
+                        reference.sort();
+                        let top = &mut reference[0];
+                        assert_eq!(s.peek(), Some((Time(top.0), &top.2)));
+                        assert_eq!(s.reserve_seq(), seq);
+                        s.retime_top(Time(top.0 + delay), seq);
+                        (top.0, top.1) = (top.0 + delay, seq);
                         seq += 1;
                     }
                     // Cancel a random live entry.

@@ -49,16 +49,15 @@ pub struct PathProbe {
 pub struct TimerHandle(Key);
 
 /// A scheduled occurrence. Kept `Copy` and small (≤ 32 bytes, pinned
-/// by a test): the scheduler moves these through its arena; anything
-/// bulky — the packet payload — lives in the simulator's packet arena
-/// and is named here by slot id.
+/// by a test): the scheduler moves these through its arena. Packets in
+/// flight wait on their link's flight queue, not in the event.
 #[derive(Clone, Copy)]
 enum Event {
     /// The packet at the head of the link finished serializing.
     TxDone(LinkId),
-    /// The packet in arena slot `.1` arrives at the receiving end of
-    /// link `.0`.
-    Arrive(LinkId, u32),
+    /// The packet at the front of the link's flight queue arrives at
+    /// the link's receiving end.
+    Arrive(LinkId),
     Timer {
         node: NodeId,
         token: u64,
@@ -67,48 +66,11 @@ enum Event {
     Fault(u32),
 }
 
-/// Home for in-flight packet payloads: `Event::Arrive` carries a slot
-/// id instead of the ~100-byte `Packet`, keeping scheduler entries at
-/// 24 bytes. Slots are recycled through a free list; each is occupied
-/// for exactly one propagation interval.
-#[derive(Default)]
-struct PacketArena {
-    slots: Vec<Option<Packet>>,
-    free: Vec<u32>,
-}
-
-impl PacketArena {
-    fn put(&mut self, p: Packet) -> u32 {
-        match self.free.pop() {
-            Some(i) => {
-                let s = &mut self.slots[i as usize];
-                debug_assert!(s.is_none(), "free-listed packet slot still occupied");
-                *s = Some(p);
-                i
-            }
-            None => {
-                let i = self.slots.len() as u32;
-                self.slots.push(Some(p));
-                i
-            }
-        }
-    }
-
-    fn take(&mut self, i: u32) -> Packet {
-        let p = self.slots[i as usize]
-            .take()
-            .expect("arrival names an empty packet slot");
-        self.free.push(i);
-        p
-    }
-}
-
 /// The network simulator: nodes, links, routes, timers, and the event
 /// scheduler. Construct via [`crate::TopologyBuilder`].
 pub struct Simulator {
     now: Time,
     sched: Scheduler<Event>,
-    packets: PacketArena,
     pub(crate) links: Vec<Link>,
     num_nodes: usize,
     /// Dense next-hop table, `routes[node * num_nodes + dst]` = raw
@@ -144,7 +106,6 @@ impl Simulator {
         Simulator {
             now: Time::ZERO,
             sched: Scheduler::new(),
-            packets: PacketArena::default(),
             links,
             num_nodes,
             routes: vec![NO_ROUTE; num_nodes * num_nodes],
@@ -411,7 +372,7 @@ impl Simulator {
     pub fn next(&mut self) -> Option<Output> {
         #[cfg(debug_assertions)]
         self.audit_timer_accounting();
-        while let Some((at, event)) = self.sched.pop() {
+        while let Some((at, &event)) = self.sched.peek() {
             debug_assert!(
                 at >= self.now,
                 "event-time-monotonic: popped {at:?} with now {:?}",
@@ -429,7 +390,7 @@ impl Simulator {
                     // the transmitter is gone (node crash) or the medium is
                     // (link down).
                     let faulted = !link.is_up() || !self.node_up[link.from.0 as usize];
-                    let mut arrive_after = None;
+                    let mut arrives = false;
                     if faulted {
                         link.stats.on_drop_fault();
                         #[cfg(debug_assertions)]
@@ -455,23 +416,26 @@ impl Simulator {
                             }
                             link.check_conservation();
                         }
-                        if !lost {
-                            arrive_after = Some(link.spec.prop_delay);
+                        arrives = !lost;
+                    }
+                    // Seq order (next TxDone before Arrive) is a
+                    // determinism contract: it fixes the pop order. The
+                    // next frame's TxDone reuses this entry.
+                    let next = next_tx.map(|d| (self.now + d, self.sched.reserve_seq()));
+                    self.sched.retime_or_pop(next);
+                    if arrives {
+                        let at = self.now + link.spec.prop_delay;
+                        let seq = self.sched.reserve_seq();
+                        if link.launch(at, seq, packet) {
+                            self.sched.insert_seq(at, seq, Event::Arrive(link_id));
                         }
                     }
-                    // Scheduling order (next TxDone before Arrive) is a
-                    // determinism contract: it fixes the seq numbers.
-                    if let Some(d) = next_tx {
-                        self.schedule(self.now + d, Event::TxDone(link_id));
-                    }
-                    if let Some(prop) = arrive_after {
-                        let pslot = self.packets.put(packet);
-                        self.schedule(self.now + prop, Event::Arrive(link_id, pslot));
-                    }
                 }
-                Event::Arrive(link_id, pslot) => {
-                    let packet = self.packets.take(pslot);
+                Event::Arrive(link_id) => {
                     let link = &mut self.links[link_id.0 as usize];
+                    // The link's next arrival reuses this entry.
+                    let (packet, next) = link.land();
+                    self.sched.retime_or_pop(next);
                     let to = link.to;
                     // Arrival at a crashed node (destination or forwarder):
                     // the bits reached a dead host and vanish.
@@ -504,12 +468,14 @@ impl Simulator {
                     self.offer_to_link(LinkId(raw), packet);
                 }
                 Event::Timer { node, token } => {
+                    self.sched.pop();
                     // Cancelled timers are purged at cancel time, so a
                     // popped timer always fires.
                     self.armed_timers -= 1;
                     return Some(Output::Timer { node, token });
                 }
                 Event::Fault(idx) => {
+                    self.sched.pop();
                     let ev = self.faults[idx as usize];
                     debug_assert!(
                         !self.faults_fired[idx as usize],
@@ -565,7 +531,7 @@ impl Simulator {
     /// real protocol loops call [`Simulator::next`] directly).
     pub fn run_collect(&mut self, deadline: Time) -> Vec<Output> {
         let mut out = Vec::new();
-        while let Some(at) = self.sched.peek_time() {
+        while let Some((at, _)) = self.sched.peek() {
             if at > deadline {
                 break;
             }
@@ -605,8 +571,8 @@ mod tests {
 
     #[test]
     fn event_fits_hot_size_budget() {
-        // Scheduler entries carry `Event` through the arena; payloads
-        // (packets) must stay out-of-line for the arena to stay small.
+        // Scheduler entries carry `Event` through the arena; packets
+        // wait on their link's flight queue, out of the arena.
         assert!(
             std::mem::size_of::<Event>() <= 32,
             "Event grew past 32 bytes: {}",
@@ -819,6 +785,71 @@ mod tests {
             tokens.push(token);
         }
         assert_eq!(tokens, (0..50).collect::<Vec<_>>());
+    }
+
+    /// Arrivals on different links that land at the same instant are
+    /// delivered in the order they were scheduled (when each frame
+    /// finished serializing), not by link id, send order or when the
+    /// arrival reached the front of its link's flight queue.
+    #[test]
+    fn equal_time_arrivals_on_two_links_follow_scheduling_order() {
+        // Frames (wire bytes) and prop delay (us) for a's link and b's
+        // link. At 8 Mbit/s a wire byte takes 1 us.
+        let run = |a: (&[usize], u64), b: (&[usize], u64)| {
+            let mut tb = TopologyBuilder::new();
+            let (na, nb, nc) = (tb.node("a"), tb.node("b"), tb.node("c"));
+            tb.duplex(na, nc, LinkSpec::new(8_000_000, Dur::from_micros(a.1)));
+            tb.duplex(nb, nc, LinkSpec::new(8_000_000, Dur::from_micros(b.1)));
+            let mut sim = tb.build().into_sim(1);
+            for &wire in b.0 {
+                sim.send(nb, pkt(nb, nc, wire - 38));
+            }
+            for &wire in a.0 {
+                sim.send(na, pkt(na, nc, wire - 38));
+            }
+            let mut got = Vec::new();
+            while let Some(Output::Deliver { packet, .. }) = sim.next() {
+                let from = if packet.src == na { "a" } else { "b" };
+                got.push((sim.now().0 / 1_000, from));
+            }
+            got
+        };
+        // Both arrive at 5.962 ms; the frame that finished first (0.962
+        // ms) took the older seq.
+        let tie = vec![(5_962, "a"), (5_962, "b")];
+        assert_eq!(run((&[962], 5_000), (&[2_962], 3_000)), tie);
+        let swapped = vec![(5_962, "b"), (5_962, "a")];
+        assert_eq!(run((&[2_962], 3_000), (&[962], 5_000)), swapped);
+        // a's second frame leaves at 2 ms, b's at 3 ms; both arrive at
+        // 7 ms. a's reaches the front of its flight queue only at 6 ms,
+        // after b's arrival was scheduled, and still goes first.
+        assert_eq!(
+            run((&[1_000, 1_000], 5_000), (&[3_000], 4_000)),
+            vec![(6_000, "a"), (7_000, "a"), (7_000, "b")]
+        );
+    }
+
+    /// The seq contract "next TxDone before Arrive": when a link's
+    /// serialization delay equals its propagation delay, a frame lands
+    /// at the instant the next one finishes, and the next frame's
+    /// `TxDone` goes first. Observable downstream: the router forwards
+    /// the landed frame only after the third frame's `TxDone` is
+    /// scheduled, so at 3 ms the second frame reaches the router while
+    /// the first still holds the onward link, and waits in its queue.
+    #[test]
+    fn a_frames_txdone_goes_before_an_arrival_at_the_same_instant() {
+        let mut tb = TopologyBuilder::new();
+        let (a, r, c) = (tb.node("a"), tb.node("r"), tb.node("c"));
+        // 1,000 wire bytes at 8 Mbit/s serialize in 1 ms = prop.
+        tb.duplex(a, r, LinkSpec::new(8_000_000, Dur::from_millis(1)));
+        tb.duplex(r, c, LinkSpec::new(8_000_000, Dur::from_millis(1)));
+        let mut sim = tb.build().into_sim(1);
+        for _ in 0..3 {
+            sim.send(a, pkt(a, c, 1_000 - 38));
+        }
+        while sim.next().is_some() {}
+        let onward = sim.route(r, c).unwrap();
+        assert_eq!(sim.link_stats(onward).max_queue_pkts, 1);
     }
 
     #[test]

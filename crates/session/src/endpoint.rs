@@ -518,7 +518,8 @@ pub enum TransferStatus {
 /// not, every attempt yields exactly one outcome.
 #[derive(Clone, Debug)]
 pub struct TransferOutcome {
-    /// Session id (None for direct-TCP transfers or pre-header failures).
+    /// Session id (None for direct-TCP transfers or failures before a
+    /// header decoded).
     pub session: Option<SessionId>,
     /// Typed disposition of the attempt.
     pub status: TransferStatus,
@@ -1133,11 +1134,20 @@ impl SinkServer {
         header: LslHeader,
         leftover: &[u8],
     ) -> Result<(), WireError> {
-        if !header.route.is_empty() {
-            return Err(WireError::ResidualRoute);
-        }
-        if header.stripe.is_some() && header.length == u64::MAX {
-            return Err(WireError::UnboundedStripe);
+        let refusal = if !header.route.is_empty() {
+            Some(WireError::ResidualRoute)
+        } else if header.stripe.is_some() && header.length == u64::MAX {
+            Some(WireError::UnboundedStripe)
+        } else {
+            None
+        };
+        if let Some(e) = refusal {
+            // Keep the decoded header so the failed outcome names its
+            // session; with no granted range it opens no session state.
+            if let Some(conn) = self.conns.get_mut(&sock) {
+                conn.state = SinkConnState::Body(Body::new(Some(header), 0, None));
+            }
+            return Err(e);
         }
         let mut body = if header.resume.is_none() && header.stripe.is_none() {
             // Plain v1 confirmation — bit-identical to the pre-resume

@@ -131,12 +131,6 @@ impl RoutePlanBuilder {
         self
     }
 
-    /// Add a fully specified candidate.
-    pub fn candidate(mut self, c: RouteCandidate) -> RoutePlanBuilder {
-        self.candidates.push(c);
-        self
-    }
-
     /// Validate and seal the plan: non-empty, shared destination, every
     /// route loop-free and within [`MAX_HOPS`].
     pub fn build(self) -> Result<RoutePlan, PlanError> {

@@ -679,6 +679,7 @@ fn sink_rejects_a_header_with_route_hops_left() {
         done[0].status,
         TransferStatus::Failed(SessionError::Wire(WireError::ResidualRoute))
     );
+    assert_eq!(done[0].session, Some(SessionId(0x31)));
 }
 
 /// A stripe request on an until-FIN stream has no block range to grant:
@@ -710,6 +711,7 @@ fn sink_rejects_a_stripe_request_without_a_length() {
         done[0].status,
         TransferStatus::Failed(SessionError::Wire(WireError::UnboundedStripe))
     );
+    assert_eq!(done[0].session, Some(session));
     assert_eq!(sink.session_certified(session), 0);
 }
 

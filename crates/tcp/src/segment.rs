@@ -4,8 +4,8 @@
 //! and are re-parsed at the receiving stack, so the codec is exercised by
 //! every simulated segment. Sequence/ack/window fields are 64-bit (see
 //! the crate docs for the rationale); the fixed header is 32 bytes.
-
-use bytes::{BufMut, Bytes, BytesMut};
+//! [`Segment::encode`] writes them into a plain array, which the packet
+//! stores inline, so a segment header costs no heap allocation.
 
 /// TCP flag bits.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -83,18 +83,17 @@ pub const HEADER_LEN: usize = 32;
 
 impl Segment {
     /// Serialize to the fixed 32-byte wire format.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(HEADER_LEN);
-        b.put_u16(self.src_port);
-        b.put_u16(self.dst_port);
-        b.put_u64(self.seq);
-        b.put_u64(self.ack);
-        b.put_u8(self.flags.to_bits());
-        b.put_u8(if self.mss.is_some() { 1 } else { 0 });
-        b.put_u16(self.mss.unwrap_or(0));
-        b.put_u64(self.wnd);
-        debug_assert_eq!(b.len(), HEADER_LEN);
-        b.freeze()
+    pub fn encode(&self) -> [u8; HEADER_LEN] {
+        let mut b = [0u8; HEADER_LEN];
+        b[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        b[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        b[4..12].copy_from_slice(&self.seq.to_be_bytes());
+        b[12..20].copy_from_slice(&self.ack.to_be_bytes());
+        b[20] = self.flags.to_bits();
+        b[21] = u8::from(self.mss.is_some());
+        b[22..24].copy_from_slice(&self.mss.unwrap_or(0).to_be_bytes());
+        b[24..32].copy_from_slice(&self.wnd.to_be_bytes());
+        b
     }
 
     /// Parse a wire header; `None` on truncation or a malformed option
@@ -161,6 +160,23 @@ mod tests {
         let enc = s.encode();
         assert_eq!(enc.len(), HEADER_LEN);
         assert_eq!(Segment::decode(&enc), Some(s));
+    }
+
+    #[test]
+    fn encode_writes_the_big_endian_layout() {
+        let s = Segment {
+            src_port: 0x0102,
+            dst_port: 0x0304,
+            seq: 0x0506_0708_090a_0b0c,
+            ack: 0x0d0e_0f10_1112_1314,
+            flags: Flags::SYN_ACK,
+            wnd: 0x1718_191a_1b1c_1d1e,
+            mss: Some(0x1516),
+        };
+        let mut want: Vec<u8> = (0x01..=0x14).collect();
+        want.extend([0b0011, 1, 0x15, 0x16]);
+        want.extend(0x17..=0x1e);
+        assert_eq!(s.encode().to_vec(), want);
     }
 
     #[test]
