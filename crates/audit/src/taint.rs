@@ -58,7 +58,7 @@ pub const SINK_NAMES: &[&str] = &[
     "record",
     "record_obs_link_metrics",
     "fingerprint",
-    "whole_digest",
+    "list_digest",
     "schedule",
     "enqueue",
 ];

@@ -3,25 +3,24 @@
 //! The paper verifies a transfer with one MD5 over the *whole* stream —
 //! which means a failed check can only be answered by resending from
 //! byte 0. [`DigestChain`] refines that: the stream is cut into
-//! fixed-size blocks, each block gets its own MD5, and a running MD5
-//! over every absorbed byte is maintained alongside, so the paper's
-//! end-to-end check is preserved bit-for-bit while a receiver can
-//! additionally certify *which* blocks are known-good.
+//! fixed-size blocks and each block gets its own MD5, so a receiver can
+//! certify *which* blocks are known-good. The end-to-end check over the
+//! range becomes a hash list: [`DigestChain::list_digest`] is the MD5 of
+//! the block digests concatenated, so every byte is hashed once and the
+//! list adds 16 bytes of hashing per block.
 //!
-//! A chain never rolls back. A sink feeds one chain per attempt, over
-//! the block range the attempt was granted; blocks that certify are
-//! recorded in a [`crate::BlockLedger`], and a later attempt is granted
-//! only the blocks still missing, so nothing before its range is ever
-//! re-read.
+//! A chain never rolls back. Sender and sink each feed one chain per
+//! attempt, over the block range the attempt was granted; blocks that
+//! certify are recorded in a [`crate::BlockLedger`], and a later attempt
+//! is granted only the blocks still missing, so nothing before its range
+//! is ever re-read.
 
 use crate::md5::{Md5, DIGEST_LEN};
 
-/// Incremental per-block MD5 chain plus the running MD5 over every
-/// absorbed byte.
+/// Incremental per-block MD5 chain.
 #[derive(Clone)]
 pub struct DigestChain {
     block_size: u64,
-    whole: Md5,
     /// Hasher over the current (incomplete) block.
     cur: Md5,
     cur_len: u64,
@@ -38,7 +37,6 @@ impl DigestChain {
         assert!(block_size > 0, "block size must be positive");
         DigestChain {
             block_size,
-            whole: Md5::new(),
             cur: Md5::new(),
             cur_len: 0,
             blocks: Vec::new(),
@@ -67,7 +65,6 @@ impl DigestChain {
             let take = room.min(data.len());
             let (head, rest) = data.split_at(take);
             self.cur.update(head);
-            self.whole.update(head);
             self.cur_len += take as u64;
             if self.cur_len == self.block_size {
                 self.close_block();
@@ -91,11 +88,15 @@ impl DigestChain {
         }
     }
 
-    /// The MD5 over every byte absorbed so far (the paper's end-to-end
-    /// digest when the chain absorbed the whole stream). Non-destructive:
-    /// hashing may continue afterwards.
-    pub fn whole_digest(&self) -> [u8; DIGEST_LEN] {
-        self.whole.clone().finalize()
+    /// The hash list: MD5 of the completed blocks' digests
+    /// concatenated, in stream order. Non-destructive: hashing may
+    /// continue afterwards.
+    pub fn list_digest(&self) -> [u8; DIGEST_LEN] {
+        let mut list = Md5::new();
+        for d in &self.blocks {
+            list.update(d);
+        }
+        list.finalize()
     }
 }
 
@@ -109,17 +110,23 @@ mod tests {
     }
 
     #[test]
-    fn whole_digest_matches_oneshot_regardless_of_chunking() {
+    fn list_digest_matches_oneshot_regardless_of_chunking() {
         let data = pattern(0..1000);
+        let mut list = Vec::new();
+        for block in data.chunks(128) {
+            list.extend_from_slice(&md5(block));
+        }
         for chunk in [1usize, 7, 64, 128, 999, 1000] {
             let mut c = DigestChain::new(128);
             for piece in data.chunks(chunk) {
                 c.update(piece);
             }
-            assert_eq!(c.whole_digest(), md5(&data), "chunk {chunk}");
             assert_eq!(c.position(), 1000);
             assert_eq!(c.completed(), 1000 / 128);
+            c.finish_partial();
+            assert_eq!(c.list_digest(), md5(&list), "chunk {chunk}");
         }
+        assert_eq!(DigestChain::new(128).list_digest(), md5(b""));
     }
 
     #[test]

@@ -7,21 +7,25 @@
 //!
 //! Every attempt has one shape at each end. The sender
 //! ([`BulkSender::start`]) takes an optional [`Request`] and streams the
-//! block range `[start_block, end_block)` the sink grants, trailed by
-//! its MD5: a v2 resume is the range from the first unverified block to
-//! the end of the stream, a v3 stripe its own sub-range, and a plain v1
-//! attempt's one-byte confirmation grants the whole stream. The sink
-//! feeds each attempt's payload through one `Body` (trailer hold-back,
-//! pattern check, hashing) — a ranged attempt hashes in a
+//! block range `[start_block, end_block)` the sink grants: a v2 resume
+//! is the range from the first unverified block to the end of the
+//! stream, a v3 stripe its own sub-range, and a plain v1 attempt's
+//! one-byte confirmation grants the whole stream. A plain attempt
+//! trails its payload with one MD5, the paper's stream. A ranged attempt
+//! carries its evidence in band: each block is followed by its MD5, and
+//! the trailer is the MD5 of those block digests (a hash list), so each
+//! payload byte is hashed once at each end. The sink feeds each
+//! attempt's payload through one `Body` (trailer hold-back or frame
+//! walk, pattern check, hashing) — a ranged attempt hashes in a
 //! per-connection [`DigestChain`] whose blocks certify into the
-//! session's [`BlockLedger`] — and records every way an attempt ends as
-//! one [`TransferOutcome`].
+//! session's [`BlockLedger`] when their in-band digests match — and
+//! records every way an attempt ends as one [`TransferOutcome`].
 
 use std::collections::BTreeMap;
 use std::sync::LazyLock;
 
 use bytes::Bytes;
-use lsl_digest::{md5, BlockLedger, DigestChain, Md5, DIGEST_LEN};
+use lsl_digest::{BlockLedger, DigestChain, Md5, DIGEST_LEN};
 use lsl_netsim::{Dur, NodeId, Time};
 use lsl_tcp::{AppEvent, Net, SockEvent, SockId, TcpConfig};
 
@@ -33,17 +37,6 @@ use crate::route::LslPath;
 /// Resume granularity: the sink certifies delivery in blocks of this
 /// many bytes, and grants resume offsets only at block boundaries.
 pub const RESUME_BLOCK: u64 = 64 * 1024;
-
-/// The MD5 block `block` of a `total`-byte stream must carry when the
-/// stream follows the generator pattern — the sink's per-block
-/// verification reference (the pattern plays the role a stored file's
-/// on-disk blocks would play in a deployment). The stream's final
-/// block may be shorter than [`RESUME_BLOCK`].
-pub fn expected_block_digest(block: u64, total: u64) -> [u8; DIGEST_LEN] {
-    let start = block * RESUME_BLOCK;
-    let len = RESUME_BLOCK.min(total.saturating_sub(start));
-    md5(&payload_chunk(start, len as usize))
-}
 
 /// Number of [`RESUME_BLOCK`]-sized blocks covering a `total`-byte
 /// stream (the last block may be short).
@@ -154,13 +147,18 @@ pub struct BulkSender {
     /// One past the last byte this attempt streams (the granted range's
     /// end; mid-stream only for striped attempts).
     limit: u64,
-    /// The LSL header, then the digest trailer (both empty in direct
-    /// TCP mode; the trailer until the payload is out).
+    /// The LSL header (empty in direct TCP mode).
     header: Bytes,
     header_sent: usize,
-    trailer: Bytes,
-    trailer_sent: usize,
-    md5: Option<Md5>,
+    /// In-band evidence being flushed: a ranged attempt's latest block
+    /// digest, then the trailer (empty until the first is queued).
+    evidence: Bytes,
+    evidence_sent: usize,
+    /// Evidence bytes flushed before the current piece.
+    evidence_done: u64,
+    /// Hashes the payload the socket accepts; taken when the trailer is
+    /// queued. None in direct TCP mode.
+    hasher: Option<Hasher>,
     /// The block-range request sent in the header (None = plain v1
     /// attempt, whose confirmation grants the whole stream).
     request: Option<Request>,
@@ -174,6 +172,35 @@ pub struct BulkSender {
     /// Payload bytes handed to `net.send`, accepted or not.
     #[cfg(test)]
     generated: u64,
+    /// Payload bytes fed to an MD5.
+    #[cfg(test)]
+    hashed: u64,
+}
+
+/// What an LSL attempt's sender hashes its payload into.
+enum Hasher {
+    /// A plain (v1) attempt: one MD5 over the whole stream, sent as the
+    /// trailer.
+    Whole(Md5),
+    /// A ranged (v2/v3) attempt: one MD5 per granted block, sent after
+    /// the block; the trailer is the hash list.
+    Blocks(DigestChain),
+}
+
+impl Hasher {
+    fn update(&mut self, data: &[u8]) {
+        match self {
+            Hasher::Whole(md5) => md5.update(data),
+            Hasher::Blocks(chain) => chain.update(data),
+        }
+    }
+
+    fn trailer(self) -> [u8; DIGEST_LEN] {
+        match self {
+            Hasher::Whole(md5) => md5.finalize(),
+            Hasher::Blocks(chain) => chain.list_digest(),
+        }
+    }
 }
 
 /// The block range a certifying attempt asks the sink for.
@@ -256,9 +283,10 @@ impl BulkSender {
     ///   the 17-byte confirmation carrying the range the sink grants,
     ///   possibly narrowed because another cascade delivered the head.
     ///
-    /// Either way the attempt streams exactly the granted range and
-    /// trails it with an MD5 over those bytes. Without a request, the
-    /// one-byte v1 confirmation grants the whole stream.
+    /// Either way the attempt streams exactly the granted range, each
+    /// block followed by its MD5, and trails it with the MD5 of those
+    /// block digests. Without a request, the one-byte v1 confirmation
+    /// grants the whole stream, trailed by one MD5 over it.
     #[allow(clippy::too_many_arguments)] // one-shot constructor mirroring the LSL API surface
     pub fn start(
         net: &mut Net,
@@ -312,7 +340,10 @@ impl BulkSender {
             .encode()
             .expect("route length asserted against MAX_HOPS above"),
         };
-        let md5 = (mode == SendMode::Lsl).then(Md5::new);
+        let hasher = (mode == SendMode::Lsl).then(|| match request {
+            None => Hasher::Whole(Md5::new()),
+            Some(_) => Hasher::Blocks(DigestChain::new(RESUME_BLOCK)),
+        });
         BulkSender {
             sock,
             mode,
@@ -322,9 +353,10 @@ impl BulkSender {
             limit: total,
             header,
             header_sent: 0,
-            trailer: Bytes::new(),
-            trailer_sent: 0,
-            md5,
+            evidence: Bytes::new(),
+            evidence_sent: 0,
+            evidence_done: 0,
+            hasher,
             request,
             grant: None,
             confirm_buf: Vec::new(),
@@ -332,6 +364,8 @@ impl BulkSender {
             finished_at: None,
             #[cfg(test)]
             generated: 0,
+            #[cfg(test)]
+            hashed: 0,
         }
     }
 
@@ -348,9 +382,9 @@ impl BulkSender {
     }
 
     /// Monotone progress metric for the recovery watchdog: bytes the
-    /// socket has accepted so far (header + payload + digest trailer).
+    /// socket has accepted so far (header + payload + evidence).
     pub fn progress(&self) -> u64 {
-        self.header_sent as u64 + self.sent + self.trailer_sent as u64
+        self.header_sent as u64 + self.sent + self.evidence_done + self.evidence_sent as u64
     }
 
     /// The offset the sink granted this attempt (resume mode, after the
@@ -441,11 +475,12 @@ impl BulkSender {
         Handled::Consumed
     }
 
-    /// The sink's grant arrived: stream exactly blocks `[start, end)`,
-    /// trailed by an MD5 over those bytes only (the blocks outside it
-    /// are certified through other ranges). An empty grant is a no-op
-    /// attempt: everything it offered to carry is already verified. A
-    /// malformed grant fails the attempt with its typed mismatch.
+    /// The sink's grant arrived: stream exactly blocks `[start, end)`
+    /// with their evidence (the blocks outside it are certified through
+    /// other ranges). An empty grant is a no-op attempt: everything it
+    /// offered to carry is already verified, and only the trailer (the
+    /// MD5 of an empty list) is sent. A malformed grant fails the
+    /// attempt with its typed mismatch.
     fn on_grant(&mut self, net: &mut Net, grant: Result<(u64, u64), SessionError>) {
         let (start, end) = match grant {
             Ok(range) => range,
@@ -471,36 +506,70 @@ impl BulkSender {
         if !flush(net, self.sock, &self.header, &mut self.header_sent) {
             return;
         }
-        // 2. Payload (bounded by the granted range), never more than
-        // the socket can take plus one byte: a full buffer refuses that
-        // byte, and the short send arms the next Writable.
-        while self.sent < self.limit {
-            let room = net.send_space(self.sock).saturating_add(1);
-            let len = (self.limit - self.sent).min(SEND_CHUNK).min(room) as usize;
-            let chunk = payload_chunk(self.sent, len);
-            #[cfg(test)]
-            {
-                self.generated += len as u64;
-            }
-            let n = net.send(self.sock, &chunk);
-            if let Some(md5) = &mut self.md5 {
-                md5.update(&chunk[..n]);
-            }
-            self.sent += n as u64;
-            if n < len {
+        loop {
+            // 2. Queued evidence: a block digest, or the trailer.
+            if !flush(net, self.sock, &self.evidence, &mut self.evidence_sent) {
                 return;
             }
+            if self.sent == self.limit {
+                // 3. The trailer once the range is out; then done:
+                // half-close, and the FIN cascades to the sink.
+                match self.hasher.take() {
+                    Some(hasher) => self.queue_evidence(hasher.trailer()),
+                    None => break,
+                }
+                continue;
+            }
+            // 4. Payload up to the next evidence (the end of the block
+            // for a ranged attempt, of the range otherwise), never more
+            // than the socket can take plus one byte: a full buffer
+            // refuses that byte, and the short send arms the next
+            // Writable.
+            let stop = match self.hasher {
+                Some(Hasher::Blocks(_)) => {
+                    block_offset(self.sent / RESUME_BLOCK + 1, self.total).min(self.limit)
+                }
+                _ => self.limit,
+            };
+            while self.sent < stop {
+                let room = net.send_space(self.sock).saturating_add(1);
+                let len = (stop - self.sent).min(SEND_CHUNK).min(room) as usize;
+                let chunk = payload_chunk(self.sent, len);
+                #[cfg(test)]
+                {
+                    self.generated += len as u64;
+                }
+                let n = net.send(self.sock, &chunk);
+                if let Some(hasher) = &mut self.hasher {
+                    hasher.update(&chunk[..n]);
+                    #[cfg(test)]
+                    {
+                        self.hashed += n as u64;
+                    }
+                }
+                self.sent += n as u64;
+                if n < len {
+                    return;
+                }
+            }
+            // A ranged attempt follows each block with its digest.
+            if let Some(Hasher::Blocks(chain)) = &mut self.hasher {
+                // Closes the stream's short final block; a no-op at a
+                // full block's end.
+                chain.finish_partial();
+                let digest = chain.digest_of(chain.completed() - 1);
+                self.queue_evidence(digest.expect("a block just closed"));
+            }
         }
-        // 3. Digest trailer.
-        if let Some(md5) = self.md5.take() {
-            self.trailer = Bytes::copy_from_slice(&md5.finalize());
-        }
-        if !flush(net, self.sock, &self.trailer, &mut self.trailer_sent) {
-            return;
-        }
-        // 4. Done: half-close; FIN cascades to the sink.
         self.state = SenderState::Done;
         net.close(self.sock);
+    }
+
+    /// Queue the next piece of evidence; the previous one is flushed.
+    fn queue_evidence(&mut self, digest: [u8; DIGEST_LEN]) {
+        self.evidence_done += self.evidence.len() as u64;
+        self.evidence = Bytes::copy_from_slice(&digest);
+        self.evidence_sent = 0;
     }
 }
 
@@ -575,62 +644,103 @@ impl TransferOutcome {
 }
 
 /// Per-connection certification state for one granted block range
-/// `[start_block, end_block)`: a [`DigestChain`] over *this
-/// connection's bytes only*, whose block `i` is stream block
-/// `start_block + i`. Certified blocks go into the session's
-/// [`BlockLedger`], so attempts and cascades certify independently of
-/// one another's arrival order.
+/// `[start_block, end_block)` of a `total`-byte stream. The grant fixes
+/// the frame: each block's payload, then the 16-byte MD5 the sender
+/// computed over it, then the trailer — the MD5 of those block digests
+/// (the hash list). A [`DigestChain`] over *this connection's payload*
+/// hashes each block once, its block `i` being stream block
+/// `start_block + i`. A block whose in-band digest matches certifies
+/// into the session's [`BlockLedger`], so attempts and cascades certify
+/// independently of one another's arrival order.
 struct RangeBody {
     start_block: u64,
     end_block: u64,
+    total: u64,
     chain: DigestChain,
-    /// Chain blocks already checked against the reference digests.
-    scanned: u64,
+    /// In-band evidence gathered so far: the digest of the block just
+    /// received, or the trailer.
+    evidence: Vec<u8>,
+    /// Chain blocks whose in-band digest has been checked.
+    checked: u64,
     /// Blocks this connection newly certified in the session ledger.
     certified: u64,
-    /// A completed block failed its digest; certification is frozen.
+    /// A block failed its digest, or bytes followed the trailer:
+    /// certification is frozen and the attempt's evidence fails.
     corrupt: bool,
 }
 
 impl RangeBody {
-    fn new(start_block: u64, end_block: u64) -> RangeBody {
+    fn new(start_block: u64, end_block: u64, total: u64) -> RangeBody {
         RangeBody {
             start_block,
             end_block,
+            total,
             chain: DigestChain::new(RESUME_BLOCK),
-            scanned: 0,
+            evidence: Vec::with_capacity(DIGEST_LEN),
+            checked: 0,
             certified: 0,
             corrupt: false,
         }
     }
 
-    /// Check every newly completed chain block of a `total`-byte stream
-    /// against its reference digest and certify matches in the session
-    /// ledger (duplicates are counted and discarded). A mismatch
-    /// freezes certification for this connection; the next attempt is
-    /// granted from the first block still missing.
-    fn certify(&mut self, ledger: &mut BlockLedger, total: u64, sid: u64) {
-        while !self.corrupt && self.scanned < self.chain.completed() {
-            let block = self.start_block + self.scanned;
-            if self.chain.digest_of(self.scanned) != Some(expected_block_digest(block, total)) {
+    /// Payload bytes the frame still owes before the next evidence,
+    /// with the attempt at stream offset `pos`: 0 when a block's digest
+    /// or the trailer is due.
+    fn payload_left(&self, pos: u64) -> u64 {
+        if self.checked < self.chain.completed() {
+            return 0;
+        }
+        let block_end = block_offset(self.start_block + self.checked + 1, self.total);
+        block_end.min(block_offset(self.end_block, self.total)) - pos
+    }
+
+    /// Take in-band evidence from the front of `data` and return how
+    /// many bytes were taken. A complete block digest is checked at
+    /// once: a match certifies the block in `ledger` (a duplicate
+    /// another cascade delivered is counted and discarded), a mismatch
+    /// freezes certification for this connection, and the next attempt
+    /// is granted from the first block still missing. Bytes past the
+    /// trailer break the frame.
+    fn take_evidence(&mut self, ledger: &mut BlockLedger, data: &[u8], sid: u64) -> usize {
+        let n = (DIGEST_LEN - self.evidence.len()).min(data.len());
+        if n == 0 {
+            self.corrupt = true;
+            return data.len();
+        }
+        self.evidence.extend_from_slice(&data[..n]);
+        if self.evidence.len() == DIGEST_LEN && self.checked < self.chain.completed() {
+            let block = self.start_block + self.checked;
+            let own = self
+                .chain
+                .digest_of(self.checked)
+                .expect("a completed block");
+            if self.corrupt || own[..] != self.evidence[..] {
                 self.corrupt = true;
-                break;
-            }
-            if ledger.certify(block) {
+            } else if ledger.certify(block) {
                 self.certified += 1;
             } else {
                 lsl_obs::counter_add("sink.stripe.dup_block", sid, 1);
             }
-            self.scanned += 1;
+            self.checked += 1;
+            self.evidence.clear();
         }
+        n
+    }
+
+    /// Whether every block matched its digest and the trailer matched
+    /// the MD5 of the sink's own block digests, with nothing after it.
+    /// (Gathered evidence is 16 bytes long only once it is the trailer.)
+    fn trailer_ok(&self) -> bool {
+        !self.corrupt && self.evidence[..] == self.chain.list_digest()[..]
     }
 }
 
 /// The payload half of one attempt at the sink: everything after the
 /// header (a raw TCP conn is all body). Plain attempts with a digest
-/// hash into one whole-stream MD5; resume and stripe attempts hash into
-/// their granted range's chain, which certifies blocks into the session
-/// ledger; the rest are only pattern-checked.
+/// hash into one whole-stream MD5; resume and stripe attempts walk the
+/// frame their grant fixed, hashing into the range's chain, which
+/// certifies blocks into the session ledger; the rest are only
+/// pattern-checked.
 struct Body {
     /// None for raw TCP. Boxed (like `range`) so the conn state stays
     /// small.
@@ -639,8 +749,8 @@ struct Body {
     md5: Md5,
     /// Payload bytes consumed by *this* attempt.
     received: u64,
-    /// The last up-to-16 bytes seen, held back from the hashers: the
-    /// candidate digest trailer.
+    /// A plain attempt's last up-to-16 bytes seen, held back from the
+    /// hasher: the candidate digest trailer.
     tail: Vec<u8>,
     content_ok: bool,
     /// Stream offset this attempt started at (its granted range's
@@ -648,6 +758,9 @@ struct Body {
     offset: u64,
     /// The granted block range of a resume or stripe attempt.
     range: Option<Box<RangeBody>>,
+    /// Payload bytes fed to an MD5.
+    #[cfg(test)]
+    hashed: u64,
 }
 
 impl Body {
@@ -660,6 +773,8 @@ impl Body {
             content_ok: true,
             offset,
             range: range.map(Box::new),
+            #[cfg(test)]
+            hashed: 0,
         }
     }
 
@@ -686,13 +801,17 @@ impl Body {
         Some(&mut p.expect("range conn without a session").ledger)
     }
 
-    /// Take in one read, holding back the last 16 bytes seen when a
-    /// digest is expected: they are the candidate trailer, and
-    /// everything before them is payload.
+    /// Take in one read. A ranged attempt walks its frame; a plain one
+    /// holds back the last 16 bytes seen when a digest is expected:
+    /// they are the candidate trailer, and everything before them is
+    /// payload.
     fn feed(&mut self, sessions: &mut BTreeMap<SessionId, SessionProgress>, data: &[u8]) {
-        let mut ledger = self.ledger(sessions);
+        if let Some(ledger) = self.ledger(sessions) {
+            self.feed_range(ledger, data);
+            return;
+        }
         if !self.has_digest() {
-            self.absorb(ledger, data);
+            self.absorb(data);
             return;
         }
         // Bytes beyond the last 16 are payload: the oldest come from the
@@ -700,67 +819,83 @@ impl Body {
         let mut tail = std::mem::take(&mut self.tail);
         let excess = (tail.len() + data.len()).saturating_sub(DIGEST_LEN);
         let from_tail = excess.min(tail.len());
-        self.absorb(ledger.as_deref_mut(), &tail[..from_tail]);
+        self.absorb(&tail[..from_tail]);
         tail.drain(..from_tail);
         let from_data = excess - from_tail;
-        self.absorb(ledger, &data[..from_data]);
+        self.absorb(&data[..from_data]);
         tail.extend_from_slice(&data[from_data..]);
         self.tail = tail;
     }
 
-    /// Absorb payload bytes: pattern-check, hash, and (for ranged
-    /// attempts) certify newly completed blocks into `ledger`.
-    fn absorb(&mut self, ledger: Option<&mut BlockLedger>, payload: &[u8]) {
+    /// Absorb a plain attempt's payload bytes: pattern-check, and hash
+    /// when a digest trails them.
+    fn absorb(&mut self, payload: &[u8]) {
         if self.content_ok {
             self.content_ok = is_payload(self.offset + self.received, payload);
         }
-        match (&mut self.range, &self.header, ledger) {
-            (Some(r), Some(h), Some(ledger)) => {
-                r.chain.update(payload);
-                r.certify(ledger, h.length, h.session.0 as u64);
+        if self.has_digest() {
+            self.md5.update(payload);
+            #[cfg(test)]
+            {
+                self.hashed += payload.len() as u64;
             }
-            (_, Some(h), _) if h.has_digest() => self.md5.update(payload),
-            _ => {}
         }
         self.received += payload.len() as u64;
     }
 
-    /// The stream ended: certify a ranged attempt's trailing partial
-    /// block, then judge the attempt — its status and whether the
-    /// trailer matched the digest.
-    fn verdict(
-        &mut self,
-        sessions: &mut BTreeMap<SessionId, SessionProgress>,
-    ) -> (TransferStatus, Option<bool>) {
-        // The bytes this attempt owes: the rest of the stream, or its
-        // granted range (until-FIN streams owe nothing in particular —
-        // the FIN ends them).
-        let declared = self
-            .header
-            .as_ref()
-            .map(|h| h.length)
-            .filter(|&l| l != u64::MAX);
-        let mut owed = declared.map(|l| l - self.offset);
-        // The end-to-end digest lives in the range chain of a resume or
-        // stripe attempt, otherwise in the whole-stream hasher.
-        let mut digest = None;
-        let ledger = self.ledger(sessions);
-        if let (Some(ledger), Some(h), Some(r)) = (ledger, &self.header, &mut self.range) {
-            digest = Some(r.chain.whole_digest());
-            if let Some(total) = declared {
-                // The stream's final block may be short: close and
-                // certify the trailing partial.
-                r.chain.finish_partial();
-                r.certify(ledger, total, h.session.0 as u64);
-                owed = Some(block_offset(r.end_block, total) - self.offset);
-            }
+    /// Take in one read of a ranged attempt: payload bytes are
+    /// pattern-checked and hashed into the range's chain, and each
+    /// block's digest is checked as it lands.
+    fn feed_range(&mut self, ledger: &mut BlockLedger, mut data: &[u8]) {
+        let sid = self.header.as_ref().map_or(0, |h| h.session.0 as u64);
+        let r = self.range.as_deref_mut().expect("ranged attempt");
+        while !data.is_empty() {
+            let pos = self.offset + self.received;
+            let left = r.payload_left(pos);
+            let taken = if left == 0 {
+                r.take_evidence(ledger, data, sid)
+            } else {
+                let n = left.min(data.len() as u64) as usize;
+                if self.content_ok {
+                    self.content_ok = is_payload(pos, &data[..n]);
+                }
+                r.chain.update(&data[..n]);
+                self.received += n as u64;
+                #[cfg(test)]
+                {
+                    self.hashed += n as u64;
+                }
+                if n as u64 == left {
+                    // Closes the stream's short final block; a no-op at
+                    // a full block's end.
+                    r.chain.finish_partial();
+                }
+                n
+            };
+            data = &data[taken..];
         }
-        // The final 16 bytes are the digest; `feed` kept them out of the
-        // hashers.
-        let digest_ok = self.has_digest().then(|| {
-            let d = digest.unwrap_or_else(|| std::mem::take(&mut self.md5).finalize());
-            self.tail.len() == DIGEST_LEN && d[..] == self.tail[..]
-        });
+    }
+
+    /// The stream ended: judge the attempt — its status and whether its
+    /// evidence matched.
+    fn verdict(&mut self) -> (TransferStatus, Option<bool>) {
+        // The payload bytes this attempt owes: its granted range, or
+        // the rest of the stream (until-FIN streams owe nothing in
+        // particular — the FIN ends them).
+        let owed = match (&self.range, &self.header) {
+            (Some(r), _) => Some(block_offset(r.end_block, r.total) - self.offset),
+            (None, Some(h)) if h.length != u64::MAX => Some(h.length),
+            _ => None,
+        };
+        // A plain attempt's final 16 bytes are the digest; `feed` kept
+        // them out of the hasher.
+        let digest_ok = match &self.range {
+            Some(r) => Some(r.trailer_ok()),
+            None => self.has_digest().then(|| {
+                let d = std::mem::take(&mut self.md5).finalize();
+                self.tail.len() == DIGEST_LEN && d[..] == self.tail[..]
+            }),
+        };
         // Most-specific failure first: a short stream explains a bad
         // digest, a bad digest trumps a content scan.
         let status = if owed.is_some_and(|o| self.received < o) {
@@ -839,6 +974,9 @@ pub struct SinkServer {
     /// count means a verified block was re-sent (the striped chaos
     /// contract machine-checks this).
     stripe_regrants: u64,
+    /// Payload bytes the recorded attempts fed to an MD5.
+    #[cfg(test)]
+    hashed: u64,
 }
 
 impl SinkServer {
@@ -861,6 +999,8 @@ impl SinkServer {
             idle: None,
             timer_armed: false,
             stripe_regrants: 0,
+            #[cfg(test)]
+            hashed: 0,
         }
     }
 
@@ -1043,6 +1183,10 @@ impl SinkServer {
             }
         };
         let session = body.header.as_ref().map(|h| h.session);
+        #[cfg(test)]
+        {
+            self.hashed += body.hashed;
+        }
         self.outcomes.push(TransferOutcome {
             session,
             status,
@@ -1105,7 +1249,7 @@ impl SinkServer {
             };
             let obs_sid = body.header.as_ref().map_or(0, |h| h.session.0 as u64);
             lsl_obs::span_begin(net.now().0, "sink.verdict.drain", obs_sid);
-            let (status, digest_ok) = body.verdict(&mut self.sessions);
+            let (status, digest_ok) = body.verdict();
             let verified_blocks = self
                 .record(net, sock, &conn, status, digest_ok)
                 .verified_blocks;
@@ -1136,8 +1280,10 @@ impl SinkServer {
     ) -> Result<(), WireError> {
         let refusal = if !header.route.is_empty() {
             Some(WireError::ResidualRoute)
-        } else if header.stripe.is_some() && header.length == u64::MAX {
-            Some(WireError::UnboundedStripe)
+        } else if (header.resume.is_some() || header.stripe.is_some())
+            && (header.length == u64::MAX || !header.has_digest())
+        {
+            Some(WireError::UnframedRange)
         } else {
             None
         };
@@ -1207,7 +1353,8 @@ impl SinkServer {
             let len = reply.len();
             let n = net.send(sock, &Bytes::from(reply));
             debug_assert_eq!(n, len);
-            Body::new(Some(header), offset, Some(RangeBody::new(gstart, gend)))
+            let range = RangeBody::new(gstart, gend, header.length);
+            Body::new(Some(header), offset, Some(range))
         };
         body.feed(&mut self.sessions, leftover);
         if let Some(conn) = self.conns.get_mut(&sock) {
@@ -1222,6 +1369,7 @@ mod tests {
     use super::*;
     use crate::depot::{Depot, DepotConfig};
     use crate::route::Hop;
+    use lsl_digest::md5;
     use lsl_netsim::{LinkSpec, LossModel, Topology, TopologyBuilder};
     use proptest::prelude::*;
 
@@ -1307,6 +1455,105 @@ mod tests {
         }
     }
 
+    /// A ranged attempt's body as the sender frames it: each granted
+    /// block of a `total`-byte stream followed by its MD5, then the MD5
+    /// of those digests.
+    fn ranged_frame(start: u64, end: u64, total: u64) -> Vec<u8> {
+        let (mut frame, mut list) = (Vec::new(), Vec::new());
+        for b in start..end {
+            let (lo, hi) = (block_offset(b, total), block_offset(b + 1, total));
+            let payload = payload_chunk(lo, (hi - lo) as usize);
+            let digest = md5(&payload);
+            frame.extend_from_slice(&payload);
+            frame.extend_from_slice(&digest);
+            list.extend_from_slice(&digest);
+        }
+        frame.extend_from_slice(&md5(&list));
+        frame
+    }
+
+    /// Feed `frame` to a fresh sink body for blocks `[start, end)` of a
+    /// `total`-byte stream, cut at `cuts`; returns the verdict, the
+    /// blocks this body certified and the session ledger's blocks.
+    fn sink_ranged(
+        start: u64,
+        end: u64,
+        total: u64,
+        frame: &[u8],
+        cuts: &[usize],
+    ) -> (TransferStatus, u64, Vec<u64>) {
+        let session = SessionId(1);
+        let header = LslHeader {
+            session,
+            flags: HEADER_FLAG_DIGEST,
+            length: total,
+            resume: None,
+            stripe: Some(StripeReq {
+                start_block: start,
+                end_block: end,
+            }),
+            route: Vec::new(),
+        };
+        let offset = block_offset(start, total);
+        let range = RangeBody::new(start, end, total);
+        let mut body = Body::new(Some(header), offset, Some(range));
+        let mut sessions = BTreeMap::new();
+        sessions.insert(session, SessionProgress::default());
+        let mut rest = frame;
+        for &cut in cuts {
+            let (piece, after) = rest.split_at(cut.min(rest.len()));
+            body.feed(&mut sessions, piece);
+            rest = after;
+        }
+        body.feed(&mut sessions, rest);
+        let (status, _) = body.verdict();
+        let ledger = &sessions[&session].ledger;
+        let blocks = (0..stream_blocks(total)).filter(|&b| ledger.is_verified(b));
+        let certified = body.range.as_ref().map_or(0, |r| r.certified);
+        (status, certified, blocks.collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The sink walks a ranged attempt's frame under any read split:
+        /// it certifies exactly the granted blocks. One flipped payload,
+        /// in-band digest or trailer byte fails the attempt's digest and
+        /// certifies only the blocks whose frame ends before the flip.
+        #[test]
+        fn ranged_frame_certifies_exactly_the_grant(
+            total in 0u64..4 * RESUME_BLOCK,
+            first in any::<proptest::sample::Index>(),
+            last in any::<proptest::sample::Index>(),
+            cuts in proptest::collection::vec(0usize..80_000, 0..12),
+            at in any::<proptest::sample::Index>(),
+        ) {
+            let blocks = stream_blocks(total) as usize;
+            let (a, b) = (first.index(blocks + 1) as u64, last.index(blocks + 1) as u64);
+            let (start, end) = (a.min(b), a.max(b));
+            let frame = ranged_frame(start, end, total);
+            let (status, certified, verified) = sink_ranged(start, end, total, &frame, &cuts);
+            prop_assert_eq!(status, TransferStatus::Complete);
+            prop_assert_eq!(certified, end - start);
+            prop_assert_eq!(verified, (start..end).collect::<Vec<_>>());
+
+            let mut flipped = frame.clone();
+            let at = at.index(frame.len());
+            flipped[at] ^= 0x01;
+            // Blocks whose payload and digest end at or before the flip.
+            let before = (start..end)
+                .take_while(|&b| {
+                    let framed = block_offset(b + 1, total) - block_offset(start, total);
+                    (framed + (b + 1 - start) * DIGEST_LEN as u64) as usize <= at
+                })
+                .count() as u64;
+            let (status, certified, verified) = sink_ranged(start, end, total, &flipped, &cuts);
+            prop_assert_eq!(status, TransferStatus::Failed(SessionError::DigestMismatch));
+            prop_assert_eq!(certified, before);
+            prop_assert_eq!(verified, (start..start + before).collect::<Vec<_>>());
+        }
+    }
+
     /// The table's edges: the last phase of the period, chunks ending
     /// exactly at the table's end, and copies one byte past a table
     /// view.
@@ -1363,9 +1610,14 @@ mod tests {
     }
 
     /// Run one verified `total`-byte transfer on case 1, direct or via
-    /// the depot; returns the finished sender and how many events it
-    /// handled.
-    fn case1_transfer(total: u64, via_depot: bool) -> (BulkSender, u64) {
+    /// the depot, asking for `request`'s range (which needs the depot);
+    /// returns the finished sender, the sink and how many events the
+    /// sender handled.
+    fn case1_transfer(
+        total: u64,
+        via_depot: bool,
+        request: Option<Request>,
+    ) -> (BulkSender, SinkServer, u64) {
         const DEPOT_PORT: u16 = 7000;
         const SINK_PORT: u16 = 5000;
         let (topo, src, dst, depot_node) = case1();
@@ -1404,7 +1656,7 @@ mod tests {
             mode,
             tcp,
             None,
-            None,
+            request,
         );
         let mut handled = 0;
         while let Some(ev) = net.poll() {
@@ -1420,8 +1672,8 @@ mod tests {
         let outcomes = sink.take_outcomes();
         assert_eq!(outcomes.len(), 1);
         assert!(outcomes[0].ok() && outcomes[0].content_ok);
-        assert_eq!(outcomes[0].bytes, total);
-        (sender, handled)
+        assert_eq!(outcomes[0].bytes, sender.limit);
+        (sender, sink, handled)
     }
 
     /// The sender generates only what the socket takes: a 16 MiB case 1
@@ -1432,7 +1684,7 @@ mod tests {
     fn generation_tracks_acceptance() {
         const TOTAL: u64 = 16 << 20;
         for via_depot in [false, true] {
-            let (sender, handled) = case1_transfer(TOTAL, via_depot);
+            let (sender, _, handled) = case1_transfer(TOTAL, via_depot, None);
             assert_eq!(sender.sent, TOTAL);
             assert!(
                 sender.generated <= sender.sent + handled,
@@ -1440,6 +1692,31 @@ mod tests {
                 sender.generated,
                 sender.sent
             );
+        }
+    }
+
+    /// Each certifying payload byte is hashed once at each end: MD5
+    /// bytes per payload byte are exactly 1.0 at the sender and at the
+    /// sink, for a plain v1 attempt, a resume and a stripe. (The hash
+    /// list adds 16 bytes of hashing per block on top.)
+    #[test]
+    fn each_certifying_byte_is_hashed_once_at_each_end() {
+        const TOTAL: u64 = 4 * RESUME_BLOCK + 1000;
+        let requests = [
+            None,
+            Some(Request::Resume(Resume::fresh())),
+            Some(Request::Stripe(StripeReq {
+                start_block: 1,
+                end_block: 3,
+            })),
+        ];
+        for request in requests {
+            let (sender, sink, _) = case1_transfer(TOTAL, true, request);
+            let (start, end) = sender.grant.expect("granted");
+            let payload = block_offset(end, TOTAL) - block_offset(start, TOTAL);
+            assert!(payload > 0);
+            assert_eq!(sender.hashed, payload, "sender, {request:?}");
+            assert_eq!(sink.hashed, payload, "sink, {request:?}");
         }
     }
 }

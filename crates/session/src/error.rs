@@ -28,9 +28,10 @@ pub enum WireError {
     TruncatedHeader,
     /// A header reached its sink with route hops still to go.
     ResidualRoute,
-    /// A stripe request on an until-FIN stream: block ranges need a
-    /// declared length.
-    UnboundedStripe,
+    /// A resume or stripe request the sink cannot frame: the in-band
+    /// block digests need a declared length and the digest flag, so an
+    /// until-FIN or digestless ranged header is refused.
+    UnframedRange,
 }
 
 impl fmt::Display for WireError {
@@ -41,7 +42,12 @@ impl fmt::Display for WireError {
             WireError::RouteTooLong(n) => write!(f, "route too long: {n} hops"),
             WireError::TruncatedHeader => write!(f, "stream ended mid-header"),
             WireError::ResidualRoute => write!(f, "header reached the sink with hops left"),
-            WireError::UnboundedStripe => write!(f, "stripe request without a stream length"),
+            WireError::UnframedRange => {
+                write!(
+                    f,
+                    "resume or stripe request without a stream length or digest"
+                )
+            }
         }
     }
 }

@@ -45,6 +45,21 @@
 //! 47      6n    hops
 //! ```
 //!
+//! The body after the header depends on the version. A v1 body is the
+//! paper's stream: `length` payload bytes, then (with the digest flag)
+//! one MD5 over all of them. A v2 or v3 body carries its evidence in
+//! band over the granted block range `[s, e)` of 64 KiB blocks (the
+//! stream's final block may be short):
+//!
+//! ```text
+//! block s payload, MD5(block s), …, block e-1 payload, MD5(block e-1),
+//! MD5(MD5(block s) ‖ … ‖ MD5(block e-1))      (the hash-list trailer)
+//! ```
+//!
+//! The grant and `length` fix where each block and digest begin, so a
+//! ranged header must declare its length and set the digest flag; the
+//! sink refuses one that does not ([`WireError::UnframedRange`]).
+//!
 //! A depot reads the header, pops the first hop, opens the next sublink
 //! and forwards the header with the shortened route (resume fields
 //! ride along untouched — they are end-to-end state, not depot state).

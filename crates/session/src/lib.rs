@@ -53,8 +53,8 @@ pub use client::{
 };
 pub use depot::{Depot, DepotConfig, DepotConfigBuilder, DepotStats};
 pub use endpoint::{
-    expected_block_digest, stream_blocks, BulkSender, Request, SenderState, SinkServer,
-    TransferOutcome, TransferStatus, RESUME_BLOCK, SINK_TIMER_TAG,
+    stream_blocks, BulkSender, Request, SenderState, SinkServer, TransferOutcome, TransferStatus,
+    RESUME_BLOCK, SINK_TIMER_TAG,
 };
 pub use error::{Handled, PlanError, RouteError, SessionError, SessionEvent, WireError};
 pub use header::{LslHeader, Resume, StripeReq, HEADER_FLAG_DIGEST, NO_VERIFIED_BLOCK};

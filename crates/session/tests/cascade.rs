@@ -424,92 +424,6 @@ fn concurrent_sessions_through_one_depot() {
     assert_eq!(depot.active_sessions(), 0);
 }
 
-/// Satellite (ISSUE 5): the `length == u64::MAX` ("until FIN") sentinel
-/// interacting with a resume request. The sink must not read the
-/// sentinel as a declared length (no spurious `TruncatedStream`), must
-/// grant a fresh resume from offset 0, and must still certify full
-/// blocks and the whole-stream digest off the FIN-terminated stream.
-#[test]
-fn until_fin_sentinel_with_resume_verifies_blocks_at_fin() {
-    let (topo, nodes) = chain_topology(0, 50_000_000, Dur::from_millis(5), 0.0);
-    let mut net = Net::new(topo.into_sim(9));
-    let tcp = TcpConfig::default();
-    let sink_node = *nodes.last().unwrap();
-    let mut sink = SinkServer::new(&mut net, sink_node, SINK_PORT, true, tcp.clone());
-    let sock = net.connect(nodes[0], sink_node, SINK_PORT, tcp);
-
-    // 1.5 resume blocks: one certifiable full block plus a partial tail
-    // whose bytes only the whole-stream digest can vouch for.
-    let total = lsl_session::RESUME_BLOCK + lsl_session::RESUME_BLOCK / 2;
-    let header = LslHeader {
-        session: SessionId(0x51),
-        flags: HEADER_FLAG_DIGEST,
-        length: u64::MAX,
-        resume: Some(Resume::fresh()),
-        stripe: None,
-        route: Vec::new(),
-    };
-    let payload = payload_chunk(0, total as usize);
-    let digest = lsl_digest::md5(&payload);
-    let mut stream = Vec::from(&header.encode().unwrap()[..]);
-    stream.extend_from_slice(&payload);
-    stream.extend_from_slice(&digest);
-    let stream = bytes::Bytes::from(stream);
-
-    // Hand-driven sender: push bytes whenever the socket will take them,
-    // drain the sink's 9-byte resume grant, FIN when the stream is out.
-    let mut sent = 0usize;
-    let mut grant = Vec::new();
-    let mut closed = false;
-    while let Some(ev) = net.poll() {
-        if sink.handle(&mut net, &ev).consumed() {
-            continue;
-        }
-        let AppEvent::Sock { sock: s, event } = &ev else {
-            continue;
-        };
-        if *s != sock {
-            continue;
-        }
-        if matches!(event, SockEvent::Readable) {
-            grant.extend_from_slice(&net.recv(sock, 64));
-        }
-        if matches!(
-            event,
-            SockEvent::Connected | SockEvent::Writable | SockEvent::Readable
-        ) {
-            if sent < stream.len() {
-                sent += net.send(sock, &stream.slice(sent..));
-            }
-            if sent == stream.len() && !closed {
-                net.close(sock);
-                closed = true;
-            }
-        }
-    }
-    assert!(closed, "stream never fully handed to the socket");
-
-    // Fresh session: the sink granted offset 0 (0x4b confirm + BE u64).
-    assert_eq!(grant.len(), 9, "version-2 confirm is 9 bytes");
-    assert_eq!(grant[0], 0x4b);
-    assert_eq!(u64::from_be_bytes(grant[1..9].try_into().unwrap()), 0);
-
-    let done = sink.take_outcomes();
-    assert_eq!(done.len(), 1);
-    let o = &done[0];
-    assert_eq!(o.session, Some(SessionId(0x51)));
-    // No declared length ⇒ no truncation verdict: the FIN ends the
-    // stream and the digest decides.
-    assert_eq!(o.status, TransferStatus::Complete);
-    assert_eq!(o.bytes, total);
-    assert_eq!(o.digest_ok, Some(true));
-    assert!(o.content_ok);
-    // Exactly the one full block is certified; the partial tail rides on
-    // the whole-stream digest alone.
-    assert_eq!(o.verified_blocks, 1);
-    assert_eq!(o.resume_offset, 0);
-}
-
 /// Hand-drive one raw LSL attempt from `src` to the sink: push `stream`
 /// (header, payload, trailer) whenever the socket will take it, FIN when
 /// it is out, and return the sink's confirmation reply.
@@ -569,12 +483,37 @@ fn hand_attempt_to(
     reply
 }
 
-/// A corrupted block fails the attempt's digest and freezes
-/// certification at that block; the retransfer is granted exactly the
-/// block range from there to the end, trails the MD5 of that range
-/// alone, and completes the session's certification.
-#[test]
-fn digest_mismatch_freezes_certification_and_resume_grants_the_rest() {
+/// The MD5 block `block` of a `total`-byte stream carries when the
+/// stream follows the generator pattern (its final block may be short).
+fn expected_block_digest(block: u64, total: u64) -> [u8; 16] {
+    const B: u64 = lsl_session::RESUME_BLOCK;
+    let start = (block * B).min(total);
+    let len = B.min(total - start);
+    lsl_digest::md5(&payload_chunk(start, len as usize))
+}
+
+/// A ranged attempt's body as the sender frames it: each of blocks
+/// `[start, end)` followed by its MD5, then the hash-list trailer (the
+/// MD5 of those digests).
+fn ranged_frame(start: u64, end: u64, total: u64) -> Vec<u8> {
+    const B: u64 = lsl_session::RESUME_BLOCK;
+    let (mut frame, mut list) = (Vec::new(), Vec::new());
+    for b in start..end {
+        let lo = b * B;
+        frame.extend_from_slice(&payload_chunk(lo, (B.min(total - lo)) as usize));
+        frame.extend_from_slice(&expected_block_digest(b, total));
+        list.extend_from_slice(&expected_block_digest(b, total));
+    }
+    frame.extend_from_slice(&lsl_digest::md5(&list));
+    frame
+}
+
+/// A corrupted byte at frame offset `flip(k)` of the first attempt —
+/// in block k's payload or in its in-band digest — fails the attempt's
+/// digest and freezes certification at block k; the retransfer is
+/// granted exactly the block range from there to the end, frames that
+/// range alone, and completes the session's certification.
+fn corruption_freezes_certification_and_resume_grants_the_rest(flip: impl Fn(u64) -> usize) {
     const B: u64 = lsl_session::RESUME_BLOCK;
     let (topo, nodes) = chain_topology(0, 50_000_000, Dur::from_millis(5), 0.0);
     let mut net = Net::new(topo.into_sim(13));
@@ -583,6 +522,7 @@ fn digest_mismatch_freezes_certification_and_resume_grants_the_rest() {
     let session = SessionId(0x77);
     // Four full blocks and a short fifth; block k arrives corrupted.
     let total = 4 * B + B / 2;
+    let blocks = lsl_session::stream_blocks(total);
     let k = 2;
     let header = |offset: u64| LslHeader {
         session,
@@ -604,15 +544,12 @@ fn digest_mismatch_freezes_certification_and_resume_grants_the_rest() {
         u64::from_be_bytes(reply[1..9].try_into().unwrap())
     };
 
-    // Attempt 1: the whole stream with one payload byte flipped in
-    // block k, trailed by the digest of the clean stream (the sender's
-    // view; the flip happened in transit).
-    let clean = payload_chunk(0, total as usize);
+    // Attempt 1: the whole stream framed with the clean blocks' digests
+    // and hash list (the sender's view), one byte flipped in transit.
     let mut stream = Vec::from(&header(0).encode().unwrap()[..]);
     let body_at = stream.len();
-    stream.extend_from_slice(&clean);
-    stream[body_at + (k * B) as usize + 100] ^= 0x01;
-    stream.extend_from_slice(&lsl_digest::md5(&clean));
+    stream.extend_from_slice(&ranged_frame(0, blocks, total));
+    stream[body_at + flip(k)] ^= 0x01;
     let reply = hand_attempt(&mut net, &mut sink, src, dst, stream.into());
     assert_eq!(grant_of(&reply), 0);
     let first = sink.take_outcomes();
@@ -629,12 +566,10 @@ fn digest_mismatch_freezes_certification_and_resume_grants_the_rest() {
     assert_eq!(first[0].blocks_certified, k);
     assert_eq!(sink.session_certified(session), k);
 
-    // Attempt 2: asks to resume at k and is granted exactly k·B; streams
-    // [k·B, total) trailed by the MD5 of that range alone.
-    let rest = payload_chunk(k * B, (total - k * B) as usize);
+    // Attempt 2: asks to resume at k and is granted exactly k·B; frames
+    // blocks [k, blocks) alone.
     let mut stream = Vec::from(&header(k * B).encode().unwrap()[..]);
-    stream.extend_from_slice(&rest);
-    stream.extend_from_slice(&lsl_digest::md5(&rest));
+    stream.extend_from_slice(&ranged_frame(k, blocks, total));
     let reply = hand_attempt(&mut net, &mut sink, src, dst, stream.into());
     assert_eq!(grant_of(&reply), k * B);
     let second = sink.take_outcomes();
@@ -647,11 +582,29 @@ fn digest_mismatch_freezes_certification_and_resume_grants_the_rest() {
     assert_eq!(o.bytes, total);
     assert_eq!(o.attempt_bytes, total - k * B);
     assert_eq!(o.stripe, None);
-    let blocks = lsl_session::stream_blocks(total);
     assert_eq!(o.blocks_certified, blocks - k);
     assert_eq!(o.verified_blocks, blocks);
     assert_eq!(sink.session_certified(session), blocks);
     assert_eq!(sink.stripe_regrants(), 0);
+}
+
+/// Each framed block is its payload plus a 16-byte digest.
+const FRAMED_BLOCK: u64 = lsl_session::RESUME_BLOCK + 16;
+
+#[test]
+fn digest_mismatch_freezes_certification_and_resume_grants_the_rest() {
+    // A payload byte of block k.
+    corruption_freezes_certification_and_resume_grants_the_rest(|k| {
+        (k * FRAMED_BLOCK + 100) as usize
+    });
+}
+
+#[test]
+fn a_flipped_in_band_digest_freezes_certification_too() {
+    // A byte of block k's in-band digest.
+    corruption_freezes_certification_and_resume_grants_the_rest(|k| {
+        (k * FRAMED_BLOCK + lsl_session::RESUME_BLOCK + 5) as usize
+    });
 }
 
 /// A header that reaches the sink with hops still to go is misrouted
@@ -709,10 +662,44 @@ fn sink_rejects_a_stripe_request_without_a_length() {
     assert_eq!(done.len(), 1);
     assert_eq!(
         done[0].status,
-        TransferStatus::Failed(SessionError::Wire(WireError::UnboundedStripe))
+        TransferStatus::Failed(SessionError::Wire(WireError::UnframedRange))
     );
     assert_eq!(done[0].session, Some(session));
     assert_eq!(sink.session_certified(session), 0);
+}
+
+/// A resume request the sink cannot frame — an until-FIN stream has no
+/// block lengths, a digestless one no in-band digests — is rejected
+/// with a typed wire error before any grant, naming its session.
+#[test]
+fn sink_rejects_a_resume_request_it_cannot_frame() {
+    let (topo, nodes) = chain_topology(0, 50_000_000, Dur::from_millis(5), 0.0);
+    let mut net = Net::new(topo.into_sim(23));
+    let (src, dst) = (nodes[0], *nodes.last().unwrap());
+    let mut sink = SinkServer::new(&mut net, dst, SINK_PORT, true, TcpConfig::default());
+    for (session, flags, length) in [
+        (SessionId(0x33), HEADER_FLAG_DIGEST, u64::MAX),
+        (SessionId(0x34), 0, 2 * RESUME_BLOCK),
+    ] {
+        let header = LslHeader {
+            session,
+            flags,
+            length,
+            resume: Some(Resume::fresh()),
+            stripe: None,
+            route: Vec::new(),
+        };
+        let reply = hand_attempt(&mut net, &mut sink, src, dst, header.encode().unwrap());
+        assert!(reply.is_empty(), "no grant for a rejected header");
+        let done = sink.take_outcomes();
+        assert_eq!(done.len(), 1);
+        assert_eq!(
+            done[0].status,
+            TransferStatus::Failed(SessionError::Wire(WireError::UnframedRange))
+        );
+        assert_eq!(done[0].session, Some(session));
+        assert_eq!(sink.session_certified(session), 0);
+    }
 }
 
 /// A depot asked to relay toward a node outside the topology counts a

@@ -119,10 +119,10 @@ fn fault_drill_digest_is_pinned() {
 }
 
 /// Chaos seeds 0..8 at the default config.
-const GOLDEN_CHAOS: u64 = 0xf293_63d5_0c70_5a87;
+const GOLDEN_CHAOS: u64 = 0x489d_5521_0aeb_dd83;
 /// Routing seeds 0..8: (static arm, forecast arm).
-const GOLDEN_ROUTING: (u64, u64) = (0x092d_5ecd_c7c5_d886, 0xa935_672d_ddab_c092);
+const GOLDEN_ROUTING: (u64, u64) = (0x53b3_c9ef_f3b9_b690, 0x3a3a_123d_9c86_45bb);
 /// Striped seeds 0..8, targeted depot kill included.
-const GOLDEN_STRIPED: u64 = 0xfb06_813c_b74a_bfa4;
+const GOLDEN_STRIPED: u64 = 0x24d1_8919_5943_491f;
 /// The four scripted drills at seed 7.
-const GOLDEN_DRILLS: u64 = 0x74c0_4055_e3e1_6bf4;
+const GOLDEN_DRILLS: u64 = 0xa2ba_7a3c_2e02_29f6;

@@ -18,6 +18,14 @@ echo "==> cargo doc (workspace, rustdoc warnings are errors)"
 # A deleted or private item must not leave a dangling doc link behind.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
+echo "==> no payload oracle in program code"
+# A sink certifies blocks against the digests that travel in band. A
+# helper that regenerates the payload pattern to hash it is something
+# no real sink could run, so it lives in tests only.
+if grep -rn expected_block_digest crates/*/src src; then
+  echo "expected_block_digest is test-only (crates/session/tests/)"; exit 1
+fi
+
 echo "==> lsl-audit (static determinism analyzer, SARIF artifact)"
 # The analyzer must (a) pass clean, (b) emit a well-formed SARIF
 # artifact for CI annotation, and (c) stay fast enough to run on every
