@@ -11,9 +11,10 @@
 //!
 //! Either way the run emits `BENCH_netsim.json` at the workspace root:
 //! a machine-readable perf trajectory (simulator events/sec, 1 MiB and
-//! 16 MiB case 1 transfer wall time, MD5 throughput, 16 MiB loopback
-//! relay rate, campaign wall time at 1 and N jobs, and the ns/iter of
-//! the segment and LSL header codecs and of the NWS mixture update)
+//! 16 MiB case 1 transfer wall time, MD5 throughput for one input and
+//! for eight 64 KiB inputs at a time, 16 MiB loopback relay rate,
+//! campaign wall time at 1 and N jobs, and the ns/iter of the segment
+//! and LSL header codecs and of the NWS mixture update)
 //! that CI checks for shape and future PRs diff against. The
 //! `BASELINE_*` constants pin each row's figure from before the work
 //! that moved it, so the change stays visible in the artifact itself.
@@ -140,6 +141,23 @@ fn bench_md5(b: &Bench) -> f64 {
         });
     }
     (1 << 20) as f64 * 1e3 / ns.max(1e-9)
+}
+
+/// `md5_many` over `LANES` (eight) 64 KiB inputs, a ranged sender's
+/// group of blocks; returns the aggregate MB/s.
+fn bench_md5_lanes(b: &Bench) -> f64 {
+    const BLOCK: usize = 64 << 10;
+    let bytes = (lsl_digest::LANES * BLOCK) as u64;
+    let data: Vec<Vec<u8>> = (0..lsl_digest::LANES)
+        .map(|i| vec![0xa5 ^ i as u8; BLOCK])
+        .collect();
+    let inputs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+    let ns = b.run(
+        &format!("md5_many/{}x{BLOCK}", inputs.len()),
+        Some(bytes),
+        || lsl_digest::md5_many(&inputs),
+    );
+    bytes as f64 * 1e3 / ns.max(1e-9)
 }
 
 /// Segment and LSL header encode+decode round trips; returns
@@ -431,6 +449,7 @@ fn write_json(smoke: bool, rows: &[(&str, f64, usize)]) {
 fn main() {
     let b = Bench::new();
     let md5_mb_per_s = bench_md5(&b);
+    let md5_lanes_mb_per_s = bench_md5_lanes(&b);
     let (segment_ns, header_ns) = bench_codecs(&b);
     let events_per_sec = bench_simulator_events(&b);
     let timer_events_per_sec = bench_simulator_timer_events(&b);
@@ -449,6 +468,7 @@ fn main() {
             ("run_wall_s_16mb_direct", direct16_s, 6),
             ("run_wall_s_16mb_depot", depot16_s, 6),
             ("md5_mb_per_s", md5_mb_per_s, 1),
+            ("md5_lanes_mb_per_s", md5_lanes_mb_per_s, 1),
             ("realnet_relay_mb_per_s", realnet_relay_mb_per_s, 1),
             ("campaign_jobs", jobs_n as f64, 0),
             ("campaign_wall_s_jobs1", w1, 6),

@@ -9,11 +9,12 @@
 //! the block digests concatenated, so every byte is hashed once and the
 //! list adds 16 bytes of hashing per block.
 //!
-//! A chain never rolls back. Sender and sink each feed one chain per
-//! attempt, over the block range the attempt was granted; blocks that
-//! certify are recorded in a [`crate::BlockLedger`], and a later attempt
-//! is granted only the blocks still missing, so nothing before its range
-//! is ever re-read.
+//! A chain never rolls back. The sink feeds one chain per attempt, over
+//! the block range the attempt was granted, as its bytes land (the
+//! sender, which holds its payload, hashes its blocks ahead with
+//! [`crate::md5_many`]); blocks that certify are recorded in a
+//! [`crate::BlockLedger`], and a later attempt is granted only the
+//! blocks still missing, so nothing before its range is ever re-read.
 
 use crate::md5::{Md5, DIGEST_LEN};
 

@@ -3,7 +3,11 @@
 /// Length of an MD5 digest in bytes.
 pub const DIGEST_LEN: usize = 16;
 
-const BLOCK_LEN: usize = 64;
+pub(crate) const BLOCK_LEN: usize = 64;
+
+/// The RFC 1321 initialization vector: the chaining state before any
+/// block.
+pub(crate) const IV: [u32; 4] = [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476];
 
 /// Per-step left-rotate amounts (RFC 1321 §3.4), as the looped
 /// reference looks them up.
@@ -16,7 +20,7 @@ const S: [u32; 64] = [
 ];
 
 /// Sine-derived additive constants: `floor(2^32 * |sin(i+1)|)`.
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a, 0xa8304613, 0xfd469501,
     0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be, 0x6b901122, 0xfd987193, 0xa679438e, 0x49b40821,
     0xf61e2562, 0xc040b340, 0x265e5a51, 0xe9b6c7aa, 0xd62f105d, 0x02441453, 0xd8a1e681, 0xe7d3fbc8,
@@ -47,9 +51,17 @@ impl Default for Md5 {
 impl Md5 {
     /// Fresh hasher with the RFC 1321 initialization vector.
     pub fn new() -> Self {
+        Md5::resume(IV, 0)
+    }
+
+    /// A hasher that has absorbed `len` bytes, a whole number of
+    /// blocks, whose chaining state is `state`: where a multi-lane pass
+    /// hands one lane over to finish its tail and padding.
+    pub(crate) fn resume(state: [u32; 4], len: u64) -> Self {
+        debug_assert!(len.is_multiple_of(BLOCK_LEN as u64));
         Md5 {
-            state: [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476],
-            len: 0,
+            state,
+            len,
             buf: [0u8; BLOCK_LEN],
             buf_len: 0,
         }

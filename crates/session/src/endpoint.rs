@@ -14,7 +14,9 @@
 //! trails its payload with one MD5, the paper's stream. A ranged attempt
 //! carries its evidence in band: each block is followed by its MD5, and
 //! the trailer is the MD5 of those block digests (a hash list), so each
-//! payload byte is hashed once at each end. The sink feeds each
+//! payload byte is hashed once at each end. The sender hashes a ranged
+//! attempt's blocks ahead of sending them, up to eight side by side
+//! ([`lsl_digest::md5_many`]). The sink feeds each
 //! attempt's payload through one `Body` (trailer hold-back or frame
 //! walk, pattern check, hashing) — a ranged attempt hashes in a
 //! per-connection [`DigestChain`] whose blocks certify into the
@@ -25,7 +27,7 @@ use std::collections::BTreeMap;
 use std::sync::LazyLock;
 
 use bytes::Bytes;
-use lsl_digest::{BlockLedger, DigestChain, Md5, DIGEST_LEN};
+use lsl_digest::{md5_many, BlockLedger, DigestChain, Md5, DIGEST_LEN, LANES};
 use lsl_netsim::{Dur, NodeId, Time};
 use lsl_tcp::{AppEvent, Net, SockEvent, SockId, TcpConfig};
 
@@ -182,23 +184,18 @@ enum Hasher {
     /// A plain (v1) attempt: one MD5 over the whole stream, sent as the
     /// trailer.
     Whole(Md5),
-    /// A ranged (v2/v3) attempt: one MD5 per granted block, sent after
-    /// the block; the trailer is the hash list.
-    Blocks(DigestChain),
+    /// A ranged (v2/v3) attempt: the MD5 of each granted block, from
+    /// the grant's first block on, each sent after its block; the
+    /// trailer is the hash list. Blocks are hashed ahead of sending, up
+    /// to [`LANES`] at a time.
+    Blocks(Vec<[u8; DIGEST_LEN]>),
 }
 
 impl Hasher {
-    fn update(&mut self, data: &[u8]) {
-        match self {
-            Hasher::Whole(md5) => md5.update(data),
-            Hasher::Blocks(chain) => chain.update(data),
-        }
-    }
-
     fn trailer(self) -> [u8; DIGEST_LEN] {
         match self {
             Hasher::Whole(md5) => md5.finalize(),
-            Hasher::Blocks(chain) => chain.list_digest(),
+            Hasher::Blocks(digests) => lsl_digest::md5(digests.as_flattened()),
         }
     }
 }
@@ -342,7 +339,7 @@ impl BulkSender {
         };
         let hasher = (mode == SendMode::Lsl).then(|| match request {
             None => Hasher::Whole(Md5::new()),
-            Some(_) => Hasher::Blocks(DigestChain::new(RESUME_BLOCK)),
+            Some(_) => Hasher::Blocks(Vec::new()),
         });
         BulkSender {
             sock,
@@ -540,8 +537,8 @@ impl BulkSender {
                     self.generated += len as u64;
                 }
                 let n = net.send(self.sock, &chunk);
-                if let Some(hasher) = &mut self.hasher {
-                    hasher.update(&chunk[..n]);
+                if let Some(Hasher::Whole(md5)) = &mut self.hasher {
+                    md5.update(&chunk[..n]);
                     #[cfg(test)]
                     {
                         self.hashed += n as u64;
@@ -553,16 +550,40 @@ impl BulkSender {
                 }
             }
             // A ranged attempt follows each block with its digest.
-            if let Some(Hasher::Blocks(chain)) = &mut self.hasher {
-                // Closes the stream's short final block; a no-op at a
-                // full block's end.
-                chain.finish_partial();
-                let digest = chain.digest_of(chain.completed() - 1);
-                self.queue_evidence(digest.expect("a block just closed"));
+            if let Some(digest) = self.block_digest() {
+                self.queue_evidence(digest);
             }
         }
         self.state = SenderState::Done;
         net.close(self.sock);
+    }
+
+    /// The digest of the block whose last byte was just sent, in a
+    /// ranged attempt (None otherwise). The first time a block's digest
+    /// is needed, it and the granted blocks after it are hashed, up to
+    /// [`LANES`] side by side, from the sender's own payload.
+    fn block_digest(&mut self) -> Option<[u8; DIGEST_LEN]> {
+        let Some(Hasher::Blocks(digests)) = &mut self.hasher else {
+            return None;
+        };
+        let (start, end) = self.grant.expect("a ranged attempt streams its grant");
+        let block = (self.sent - 1) / RESUME_BLOCK;
+        let i = (block - start) as usize;
+        if i == digests.len() {
+            let blocks: Vec<Bytes> = (block..end.min(block + LANES as u64))
+                .map(|b| {
+                    let lo = block_offset(b, self.total);
+                    payload_chunk(lo, (block_offset(b + 1, self.total) - lo) as usize)
+                })
+                .collect();
+            #[cfg(test)]
+            {
+                self.hashed += blocks.iter().map(|b| b.len() as u64).sum::<u64>();
+            }
+            let views: Vec<&[u8]> = blocks.iter().map(|b| &b[..]).collect();
+            digests.extend(md5_many(&views));
+        }
+        Some(digests[i])
     }
 
     /// Queue the next piece of evidence; the previous one is flushed.
@@ -1618,12 +1639,33 @@ mod tests {
         via_depot: bool,
         request: Option<Request>,
     ) -> (BulkSender, SinkServer, u64) {
+        let tcp = TcpConfig::default();
+        let (sender, mut sink, handled) =
+            case1_run(total, via_depot, request, tcp.send_buf, |_, _| {});
+        assert_eq!(sender.state(), SenderState::Done);
+        let outcomes = sink.take_outcomes();
+        assert_eq!(outcomes.len(), 1);
+        assert!(outcomes[0].ok() && outcomes[0].content_ok);
+        assert_eq!(outcomes[0].bytes, sender.limit);
+        (sender, sink, handled)
+    }
+
+    /// [`case1_transfer`]'s run with `send_buf`-byte socket buffers;
+    /// `watch` sees the sender after each event and may act on it.
+    fn case1_run(
+        total: u64,
+        via_depot: bool,
+        request: Option<Request>,
+        send_buf: u64,
+        mut watch: impl FnMut(&mut BulkSender, &mut Net),
+    ) -> (BulkSender, SinkServer, u64) {
         const DEPOT_PORT: u16 = 7000;
         const SINK_PORT: u16 = 5000;
         let (topo, src, dst, depot_node) = case1();
         let mut net = Net::new(topo.into_sim(1));
         let tcp = TcpConfig {
             time_wait: Dur::from_millis(1),
+            send_buf,
             ..TcpConfig::default()
         };
         let mut depot = via_depot.then(|| {
@@ -1667,12 +1709,8 @@ mod tests {
                     let _ = d.handle(&mut net, &ev);
                 }
             }
+            watch(&mut sender, &mut net);
         }
-        assert_eq!(sender.state(), SenderState::Done);
-        let outcomes = sink.take_outcomes();
-        assert_eq!(outcomes.len(), 1);
-        assert!(outcomes[0].ok() && outcomes[0].content_ok);
-        assert_eq!(outcomes[0].bytes, sender.limit);
         (sender, sink, handled)
     }
 
@@ -1698,25 +1736,65 @@ mod tests {
     /// Each certifying payload byte is hashed once at each end: MD5
     /// bytes per payload byte are exactly 1.0 at the sender and at the
     /// sink, for a plain v1 attempt, a resume and a stripe. (The hash
-    /// list adds 16 bytes of hashing per block on top.)
+    /// list adds 16 bytes of hashing per block on top.) The 20-block
+    /// resume ending in a short block hashes ahead in groups of 8, 8
+    /// and 4, the last one unequal and so through the scalar fallback.
     #[test]
     fn each_certifying_byte_is_hashed_once_at_each_end() {
-        const TOTAL: u64 = 4 * RESUME_BLOCK + 1000;
+        const SHORT: u64 = 4 * RESUME_BLOCK + 1000;
+        const TWENTY: u64 = 19 * RESUME_BLOCK + 1000;
         let requests = [
-            None,
-            Some(Request::Resume(Resume::fresh())),
-            Some(Request::Stripe(StripeReq {
-                start_block: 1,
-                end_block: 3,
-            })),
+            (SHORT, None),
+            (SHORT, Some(Request::Resume(Resume::fresh()))),
+            (
+                SHORT,
+                Some(Request::Stripe(StripeReq {
+                    start_block: 1,
+                    end_block: 3,
+                })),
+            ),
+            (TWENTY, Some(Request::Resume(Resume::fresh()))),
         ];
-        for request in requests {
-            let (sender, sink, _) = case1_transfer(TOTAL, true, request);
+        for (total, request) in requests {
+            let (sender, sink, _) = case1_transfer(total, true, request);
             let (start, end) = sender.grant.expect("granted");
-            let payload = block_offset(end, TOTAL) - block_offset(start, TOTAL);
+            let payload = block_offset(end, total) - block_offset(start, total);
             assert!(payload > 0);
             assert_eq!(sender.hashed, payload, "sender, {request:?}");
             assert_eq!(sink.hashed, payload, "sink, {request:?}");
+        }
+    }
+
+    /// A ranged attempt hashes ahead no further than the end of its
+    /// current group: after every event, at most `LANES - 1` blocks
+    /// past the payload it sent. Aborted mid-range (64 KiB socket
+    /// buffers keep it from sending the range in one wakeup), it has
+    /// hashed short of the whole grant, and nothing more afterwards.
+    #[test]
+    fn an_aborted_attempt_hashes_no_further_than_its_group() {
+        const TOTAL: u64 = 20 * RESUME_BLOCK;
+        let request = Some(Request::Resume(Resume::fresh()));
+        for cut in [1, 8, 10, 15] {
+            let mut aborted_at = None;
+            let (sender, _, _) = case1_run(TOTAL, true, request, RESUME_BLOCK, |s, net| {
+                assert!(
+                    s.hashed <= s.sent + (LANES as u64 - 1) * RESUME_BLOCK,
+                    "cut {cut}: hashed {} for {} sent",
+                    s.hashed,
+                    s.sent
+                );
+                if aborted_at.is_none() && s.sent >= cut * RESUME_BLOCK {
+                    s.fail(net, SessionError::Stalled);
+                    aborted_at = Some(s.hashed);
+                }
+            });
+            assert!(
+                matches!(sender.state(), SenderState::Failed(_)),
+                "cut {cut}"
+            );
+            assert!(sender.sent < TOTAL, "cut {cut}: aborted mid-range");
+            assert_eq!(Some(sender.hashed), aborted_at, "cut {cut}");
+            assert!(sender.hashed < TOTAL, "cut {cut}");
         }
     }
 }

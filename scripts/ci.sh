@@ -123,7 +123,7 @@ smoke_json="$PWD/target/BENCH_netsim.smoke.json"
 BENCH_SMOKE=1 BENCH_OUT="$smoke_json" cargo bench -q -p lsl-bench --bench micro
 for key in netsim_events_per_sec netsim_timer_events_per_sec \
            run_wall_s_1mb_direct run_wall_s_1mb_depot \
-           run_wall_s_16mb_direct run_wall_s_16mb_depot md5_mb_per_s \
+           run_wall_s_16mb_direct run_wall_s_16mb_depot md5_mb_per_s md5_lanes_mb_per_s \
            realnet_relay_mb_per_s campaign_jobs campaign_wall_s_jobs1 campaign_wall_s_jobsN \
            segment_encode_decode_ns lsl_header_encode_decode_ns nws_mixture_update_x100_ns \
            baseline; do
@@ -142,7 +142,8 @@ echo "==> bench regression gate (smoke rate vs committed BENCH_netsim.json)"
 # committed figure — so it only trips on structural regressions (an
 # accidental O(n) scan, a lost fast path), never on machine noise. The
 # 16 MiB loopback relay rate (real sockets, digest verified as it
-# arrives) is held to the same 50% rule. The
+# arrives) and the eight-lane MD5 rate (a lost AVX2 path reads about
+# 15% of committed) are held to the same 50% rule. The
 # 16 MiB case 1 wall times get the same rule the other way up: a smoke
 # run may take at most 2x the committed time (the per-byte path; one
 # run each, no warm-up).
@@ -152,7 +153,7 @@ import json, sys
 smoke, committed = (json.load(open(p)) for p in sys.argv[1:3])
 ok = True
 for key in ("netsim_events_per_sec", "netsim_timer_events_per_sec",
-            "realnet_relay_mb_per_s"):
+            "realnet_relay_mb_per_s", "md5_lanes_mb_per_s"):
     got, want = smoke[key], committed[key]
     if got < 0.5 * want:
         print(f"regression: smoke {key} = {got:.0f} < 50% of committed {want:.0f}")
