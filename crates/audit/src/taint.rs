@@ -58,7 +58,7 @@ pub const SINK_NAMES: &[&str] = &[
     "record",
     "record_obs_link_metrics",
     "fingerprint",
-    "list_digest",
+    "trailer_digest",
     "schedule",
     "enqueue",
 ];

@@ -1,8 +1,8 @@
 //! Block certification in any order.
 //!
-//! A [`super::DigestChain`] hashes the blocks of one contiguous byte
-//! range in stream order. A session is delivered by one or more such
-//! ranges: a one-cascade session by the ranges its successive attempts
+//! An attempt certifies the blocks of one contiguous granted range, in
+//! stream order, each against the MD5 that follows it in band. A
+//! session is delivered by one or more such ranges: a one-cascade session by the ranges its successive attempts
 //! were granted, a striped session by disjoint ranges over N concurrent
 //! cascades. The sink therefore keeps one ledger per session recording
 //! which blocks are verified, independent of arrival order, plus the

@@ -6,19 +6,18 @@
 //! digest with both one-shot and incremental APIs so endpoints can hash
 //! the stream as it is produced/consumed without buffering it.
 //!
-//! A ranged attempt is certified block by block: [`DigestChain`] hashes
-//! a stream into per-block digests and a hash list, and [`BlockLedger`]
-//! records which blocks of a session have certified. [`md5_many`]
-//! hashes up to [`LANES`] independent inputs (a sender's next blocks)
-//! side by side in AVX2 lanes when the CPU has them, with results equal
-//! to [`md5`] of each.
+//! A ranged attempt is certified block by block: each block carries its
+//! own MD5 and the trailer is the MD5 of those digests (a hash list), so
+//! a receiver learns *which* blocks are good, not only whether the whole
+//! range is. [`BlockLedger`] records which blocks of a session have
+//! certified, in any order. [`md5_many`] hashes up to [`LANES`]
+//! independent inputs (a sender's next blocks) side by side in AVX2
+//! lanes when the CPU has them, with results equal to [`md5`] of each.
 
-mod chain;
 mod lanes;
 mod ledger;
 mod md5;
 
-pub use chain::DigestChain;
 pub use lanes::{md5_many, LANES};
 pub use ledger::BlockLedger;
 pub use md5::{Md5, DIGEST_LEN};

@@ -14,25 +14,26 @@
 //! trails its payload with one MD5, the paper's stream. A ranged attempt
 //! carries its evidence in band: each block is followed by its MD5, and
 //! the trailer is the MD5 of those block digests (a hash list), so each
-//! payload byte is hashed once at each end. The sender hashes a ranged
-//! attempt's blocks ahead of sending them, up to eight side by side
-//! ([`lsl_digest::md5_many`]). The sink feeds each
-//! attempt's payload through one `Body` (trailer hold-back or frame
-//! walk, pattern check, hashing) — a ranged attempt hashes in a
-//! per-connection [`DigestChain`] whose blocks certify into the
-//! session's [`BlockLedger`] when their in-band digests match — and
-//! records every way an attempt ends as one [`TransferOutcome`].
+//! payload byte is hashed once at each end. Both ends walk the body
+//! through the one frame the grant fixes (see [`crate::header`]). The
+//! sender hashes a ranged attempt's blocks ahead of sending them, up to
+//! eight side by side ([`lsl_digest::md5_many`]). The sink's `Body`
+//! pattern-checks and hashes each payload run as it lands, checks each
+//! block digest against its own (a match certifies the block into the
+//! session's [`BlockLedger`]) and the trailer against the run's MD5 or
+//! the hash list, and records every way an attempt ends as one
+//! [`TransferOutcome`].
 
 use std::collections::BTreeMap;
 use std::sync::LazyLock;
 
 use bytes::Bytes;
-use lsl_digest::{md5_many, BlockLedger, DigestChain, Md5, DIGEST_LEN, LANES};
+use lsl_digest::{md5_many, BlockLedger, Md5, DIGEST_LEN, LANES};
 use lsl_netsim::{Dur, NodeId, Time};
 use lsl_tcp::{AppEvent, Net, SockEvent, SockId, TcpConfig};
 
 use crate::error::{Handled, SessionError, WireError};
-use crate::header::{LslHeader, Resume, StripeReq, HEADER_FLAG_DIGEST};
+use crate::header::{Evidence, Frame, LslHeader, Piece, Resume, StripeReq, HEADER_FLAG_DIGEST};
 use crate::id::SessionId;
 use crate::route::LslPath;
 
@@ -48,7 +49,7 @@ pub fn stream_blocks(total: u64) -> u64 {
 
 /// Stream offset of block boundary `block` in a `total`-byte stream:
 /// where a range starting (or ending) there begins (or stops).
-fn block_offset(block: u64, total: u64) -> u64 {
+pub(crate) fn block_offset(block: u64, total: u64) -> u64 {
     block.saturating_mul(RESUME_BLOCK).min(total)
 }
 
@@ -145,21 +146,18 @@ pub struct BulkSender {
     mode: SendMode,
     state: SenderState,
     total: u64,
+    /// Stream offset reached: the granted range's start plus the
+    /// payload the socket accepted.
     sent: u64,
-    /// One past the last byte this attempt streams (the granted range's
-    /// end; mid-stream only for striped attempts).
-    limit: u64,
     /// The LSL header (empty in direct TCP mode).
     header: Bytes,
     header_sent: usize,
-    /// In-band evidence being flushed: a ranged attempt's latest block
-    /// digest, then the trailer (empty until the first is queued).
-    evidence: Bytes,
-    evidence_sent: usize,
-    /// Evidence bytes flushed before the current piece.
-    evidence_done: u64,
-    /// Hashes the payload the socket accepts; taken when the trailer is
-    /// queued. None in direct TCP mode.
+    /// The body this attempt streams (the whole stream until a ranged
+    /// attempt's grant arrives).
+    frame: Frame,
+    /// Body bytes the socket accepted.
+    pos: u64,
+    /// Hashes the payload into its evidence. None in direct TCP mode.
     hasher: Option<Hasher>,
     /// The block-range request sent in the header (None = plain v1
     /// attempt, whose confirmation grants the whole stream).
@@ -192,12 +190,17 @@ enum Hasher {
 }
 
 impl Hasher {
-    fn trailer(self) -> [u8; DIGEST_LEN] {
+    fn trailer(&self) -> [u8; DIGEST_LEN] {
         match self {
-            Hasher::Whole(md5) => md5.finalize(),
-            Hasher::Blocks(digests) => lsl_digest::md5(digests.as_flattened()),
+            Hasher::Whole(md5) => md5.clone().finalize(),
+            Hasher::Blocks(digests) => hash_list(digests),
         }
     }
+}
+
+/// A ranged attempt's trailer: the MD5 of its block digests.
+fn hash_list(digests: &[[u8; DIGEST_LEN]]) -> [u8; DIGEST_LEN] {
+    lsl_digest::md5(digests.as_flattened())
 }
 
 /// The block range a certifying attempt asks the sink for.
@@ -337,22 +340,21 @@ impl BulkSender {
             .encode()
             .expect("route length asserted against MAX_HOPS above"),
         };
-        let hasher = (mode == SendMode::Lsl).then(|| match request {
-            None => Hasher::Whole(Md5::new()),
-            Some(_) => Hasher::Blocks(Vec::new()),
-        });
+        let (evidence, hasher) = match (mode, request) {
+            (SendMode::DirectTcp, _) => (Evidence::None, None),
+            (SendMode::Lsl, None) => (Evidence::Trailer, Some(Hasher::Whole(Md5::new()))),
+            (SendMode::Lsl, Some(_)) => (Evidence::Blocks, Some(Hasher::Blocks(Vec::new()))),
+        };
         BulkSender {
             sock,
             mode,
             state: SenderState::Connecting,
             total,
             sent: 0,
-            limit: total,
             header,
             header_sent: 0,
-            evidence: Bytes::new(),
-            evidence_sent: 0,
-            evidence_done: 0,
+            frame: Frame::new((0, stream_blocks(total)), total, evidence),
+            pos: 0,
             hasher,
             request,
             grant: None,
@@ -381,7 +383,7 @@ impl BulkSender {
     /// Monotone progress metric for the recovery watchdog: bytes the
     /// socket has accepted so far (header + payload + evidence).
     pub fn progress(&self) -> u64 {
-        self.header_sent as u64 + self.sent + self.evidence_done + self.evidence_sent as u64
+        self.header_sent as u64 + self.frame.start + self.pos
     }
 
     /// The offset the sink granted this attempt (resume mode, after the
@@ -489,85 +491,76 @@ impl BulkSender {
             }
         };
         self.grant = Some((start, end));
-        self.sent = block_offset(start, self.total);
-        self.limit = block_offset(end, self.total);
+        self.frame = Frame::new((start, end), self.total, self.frame.evidence);
+        self.sent = self.frame.start;
         self.state = SenderState::Streaming;
         self.pump(net);
     }
 
+    /// Walk the frame from the body position: payload, evidence as it
+    /// falls due, the trailer; then half-close, and the FIN cascades to
+    /// the sink.
     fn pump(&mut self, net: &mut Net) {
         if self.state != SenderState::Streaming {
             return;
         }
-        // 1. Header (when not already flushed pre-confirmation).
+        // The header, when not already flushed pre-confirmation.
         if !flush(net, self.sock, &self.header, &mut self.header_sent) {
             return;
         }
         loop {
-            // 2. Queued evidence: a block digest, or the trailer.
-            if !flush(net, self.sock, &self.evidence, &mut self.evidence_sent) {
-                return;
-            }
-            if self.sent == self.limit {
-                // 3. The trailer once the range is out; then done:
-                // half-close, and the FIN cascades to the sink.
-                match self.hasher.take() {
-                    Some(hasher) => self.queue_evidence(hasher.trailer()),
-                    None => break,
-                }
-                continue;
-            }
-            // 4. Payload up to the next evidence (the end of the block
-            // for a ranged attempt, of the range otherwise), never more
-            // than the socket can take plus one byte: a full buffer
-            // refuses that byte, and the short send arms the next
-            // Writable.
-            let stop = match self.hasher {
-                Some(Hasher::Blocks(_)) => {
-                    block_offset(self.sent / RESUME_BLOCK + 1, self.total).min(self.limit)
-                }
-                _ => self.limit,
-            };
-            while self.sent < stop {
-                let room = net.send_space(self.sock).saturating_add(1);
-                let len = (stop - self.sent).min(SEND_CHUNK).min(room) as usize;
-                let chunk = payload_chunk(self.sent, len);
-                #[cfg(test)]
-                {
-                    self.generated += len as u64;
-                }
-                let n = net.send(self.sock, &chunk);
-                if let Some(Hasher::Whole(md5)) = &mut self.hasher {
-                    md5.update(&chunk[..n]);
+            let evidence = match self.frame.at(self.pos) {
+                Piece::Payload { offset, left } => {
+                    // Never more than the socket can take plus one byte:
+                    // a full buffer refuses that byte, and the short send
+                    // arms the next Writable.
+                    let room = net.send_space(self.sock).saturating_add(1);
+                    let len = left.min(SEND_CHUNK).min(room) as usize;
+                    let chunk = payload_chunk(offset, len);
                     #[cfg(test)]
                     {
-                        self.hashed += n as u64;
+                        self.generated += len as u64;
                     }
+                    let n = net.send(self.sock, &chunk);
+                    if let Some(Hasher::Whole(md5)) = &mut self.hasher {
+                        md5.update(&chunk[..n]);
+                        #[cfg(test)]
+                        {
+                            self.hashed += n as u64;
+                        }
+                    }
+                    self.sent = offset + n as u64;
+                    self.pos += n as u64;
+                    if n < len {
+                        return;
+                    }
+                    continue;
                 }
-                self.sent += n as u64;
-                if n < len {
-                    return;
+                Piece::Digest { block, k } => self.block_digest(block)[k..].to_vec(),
+                Piece::Trailer(k) => {
+                    let hasher = self.hasher.as_ref().expect("a trailer has a hasher");
+                    hasher.trailer()[k..].to_vec()
                 }
+                Piece::End => break,
+            };
+            let n = net.send(self.sock, &Bytes::from(evidence));
+            if n == 0 {
+                return;
             }
-            // A ranged attempt follows each block with its digest.
-            if let Some(digest) = self.block_digest() {
-                self.queue_evidence(digest);
-            }
+            self.pos += n as u64;
         }
         self.state = SenderState::Done;
         net.close(self.sock);
     }
 
-    /// The digest of the block whose last byte was just sent, in a
-    /// ranged attempt (None otherwise). The first time a block's digest
-    /// is needed, it and the granted blocks after it are hashed, up to
-    /// [`LANES`] side by side, from the sender's own payload.
-    fn block_digest(&mut self) -> Option<[u8; DIGEST_LEN]> {
+    /// The digest of granted block `block`. The first time a block's
+    /// digest is needed, it and the granted blocks after it are hashed,
+    /// up to [`LANES`] side by side, from the sender's own payload.
+    fn block_digest(&mut self, block: u64) -> [u8; DIGEST_LEN] {
         let Some(Hasher::Blocks(digests)) = &mut self.hasher else {
-            return None;
+            unreachable!("only a ranged frame has block digests");
         };
         let (start, end) = self.grant.expect("a ranged attempt streams its grant");
-        let block = (self.sent - 1) / RESUME_BLOCK;
         let i = (block - start) as usize;
         if i == digests.len() {
             let blocks: Vec<Bytes> = (block..end.min(block + LANES as u64))
@@ -583,14 +576,7 @@ impl BulkSender {
             let views: Vec<&[u8]> = blocks.iter().map(|b| &b[..]).collect();
             digests.extend(md5_many(&views));
         }
-        Some(digests[i])
-    }
-
-    /// Queue the next piece of evidence; the previous one is flushed.
-    fn queue_evidence(&mut self, digest: [u8; DIGEST_LEN]) {
-        self.evidence_done += self.evidence.len() as u64;
-        self.evidence = Bytes::copy_from_slice(&digest);
-        self.evidence_sent = 0;
+        digests[i]
     }
 }
 
@@ -664,262 +650,164 @@ impl TransferOutcome {
     }
 }
 
-/// Per-connection certification state for one granted block range
-/// `[start_block, end_block)` of a `total`-byte stream. The grant fixes
-/// the frame: each block's payload, then the 16-byte MD5 the sender
-/// computed over it, then the trailer — the MD5 of those block digests
-/// (the hash list). A [`DigestChain`] over *this connection's payload*
-/// hashes each block once, its block `i` being stream block
-/// `start_block + i`. A block whose in-band digest matches certifies
-/// into the session's [`BlockLedger`], so attempts and cascades certify
-/// independently of one another's arrival order.
-struct RangeBody {
-    start_block: u64,
-    end_block: u64,
-    total: u64,
-    chain: DigestChain,
-    /// In-band evidence gathered so far: the digest of the block just
-    /// received, or the trailer.
-    evidence: Vec<u8>,
-    /// Chain blocks whose in-band digest has been checked.
-    checked: u64,
-    /// Blocks this connection newly certified in the session ledger.
-    certified: u64,
-    /// A block failed its digest, or bytes followed the trailer:
-    /// certification is frozen and the attempt's evidence fails.
-    corrupt: bool,
-}
-
-impl RangeBody {
-    fn new(start_block: u64, end_block: u64, total: u64) -> RangeBody {
-        RangeBody {
-            start_block,
-            end_block,
-            total,
-            chain: DigestChain::new(RESUME_BLOCK),
-            evidence: Vec::with_capacity(DIGEST_LEN),
-            checked: 0,
-            certified: 0,
-            corrupt: false,
-        }
-    }
-
-    /// Payload bytes the frame still owes before the next evidence,
-    /// with the attempt at stream offset `pos`: 0 when a block's digest
-    /// or the trailer is due.
-    fn payload_left(&self, pos: u64) -> u64 {
-        if self.checked < self.chain.completed() {
-            return 0;
-        }
-        let block_end = block_offset(self.start_block + self.checked + 1, self.total);
-        block_end.min(block_offset(self.end_block, self.total)) - pos
-    }
-
-    /// Take in-band evidence from the front of `data` and return how
-    /// many bytes were taken. A complete block digest is checked at
-    /// once: a match certifies the block in `ledger` (a duplicate
-    /// another cascade delivered is counted and discarded), a mismatch
-    /// freezes certification for this connection, and the next attempt
-    /// is granted from the first block still missing. Bytes past the
-    /// trailer break the frame.
-    fn take_evidence(&mut self, ledger: &mut BlockLedger, data: &[u8], sid: u64) -> usize {
-        let n = (DIGEST_LEN - self.evidence.len()).min(data.len());
-        if n == 0 {
-            self.corrupt = true;
-            return data.len();
-        }
-        self.evidence.extend_from_slice(&data[..n]);
-        if self.evidence.len() == DIGEST_LEN && self.checked < self.chain.completed() {
-            let block = self.start_block + self.checked;
-            let own = self
-                .chain
-                .digest_of(self.checked)
-                .expect("a completed block");
-            if self.corrupt || own[..] != self.evidence[..] {
-                self.corrupt = true;
-            } else if ledger.certify(block) {
-                self.certified += 1;
-            } else {
-                lsl_obs::counter_add("sink.stripe.dup_block", sid, 1);
-            }
-            self.checked += 1;
-            self.evidence.clear();
-        }
-        n
-    }
-
-    /// Whether every block matched its digest and the trailer matched
-    /// the MD5 of the sink's own block digests, with nothing after it.
-    /// (Gathered evidence is 16 bytes long only once it is the trailer.)
-    fn trailer_ok(&self) -> bool {
-        !self.corrupt && self.evidence[..] == self.chain.list_digest()[..]
-    }
-}
-
-/// The payload half of one attempt at the sink: everything after the
-/// header (a raw TCP conn is all body). Plain attempts with a digest
-/// hash into one whole-stream MD5; resume and stripe attempts walk the
-/// frame their grant fixed, hashing into the range's chain, which
-/// certifies blocks into the session ledger; the rest are only
-/// pattern-checked.
+/// The body of one attempt at the sink: everything after the header (a
+/// raw TCP conn is all body), walked through its frame. Each payload
+/// run is pattern-checked and, when evidence follows, hashed into one
+/// MD5. A ranged attempt checks each block digest against its own as
+/// it lands: a match certifies the block into the session's
+/// [`BlockLedger`], so attempts and cascades certify independently of
+/// one another's arrival order.
 struct Body {
-    /// None for raw TCP. Boxed (like `range`) so the conn state stays
-    /// small.
+    /// None for raw TCP. Boxed so the conn state stays small.
     header: Option<Box<LslHeader>>,
-    /// Whole-stream hasher of a plain (v1) attempt that carries a digest.
-    md5: Md5,
+    frame: Frame,
+    /// Body bytes consumed.
+    pos: u64,
     /// Payload bytes consumed by *this* attempt.
     received: u64,
-    /// A plain attempt's last up-to-16 bytes seen, held back from the
-    /// hasher: the candidate digest trailer.
-    tail: Vec<u8>,
+    /// Hasher over the current payload run.
+    run: Md5,
+    /// The digest or trailer being gathered.
+    evidence: [u8; DIGEST_LEN],
+    /// The sink's own digest of each block so far: the hash list.
+    list: Vec<[u8; DIGEST_LEN]>,
+    /// Blocks this connection newly certified in the session ledger.
+    certified: u64,
+    /// A block or the trailer failed its digest, or bytes followed the
+    /// trailer: certification is frozen and the attempt's evidence
+    /// fails.
+    corrupt: bool,
     content_ok: bool,
-    /// Stream offset this attempt started at (its granted range's
-    /// first byte; 0 for plain attempts).
-    offset: u64,
-    /// The granted block range of a resume or stripe attempt.
-    range: Option<Box<RangeBody>>,
     /// Payload bytes fed to an MD5.
     #[cfg(test)]
     hashed: u64,
 }
 
 impl Body {
-    fn new(header: Option<LslHeader>, offset: u64, range: Option<RangeBody>) -> Body {
+    fn new(header: Option<LslHeader>, frame: Frame) -> Body {
         Body {
             header: header.map(Box::new),
-            md5: Md5::new(),
+            frame,
+            pos: 0,
             received: 0,
-            tail: Vec::new(),
+            run: Md5::new(),
+            evidence: [0; DIGEST_LEN],
+            list: Vec::new(),
+            certified: 0,
+            corrupt: false,
             content_ok: true,
-            offset,
-            range: range.map(Box::new),
             #[cfg(test)]
             hashed: 0,
         }
     }
 
-    fn has_digest(&self) -> bool {
-        self.header.as_ref().is_some_and(|h| h.has_digest())
-    }
-
     /// The granted range as outcomes report it: v3 stripes only (a v2
     /// resume's range is the stream tail from `resume_offset`).
     fn stripe(&self) -> Option<(u64, u64)> {
-        match (&self.header, &self.range) {
-            (Some(h), Some(r)) if h.stripe.is_some() => Some((r.start_block, r.end_block)),
-            _ => None,
-        }
+        let h = self.header.as_ref()?;
+        h.stripe.map(|_| self.frame.blocks())
     }
 
-    /// The session ledger a ranged attempt certifies into.
-    fn ledger<'a>(
-        &self,
-        sessions: &'a mut BTreeMap<SessionId, SessionProgress>,
-    ) -> Option<&'a mut BlockLedger> {
-        let h = self.header.as_ref().filter(|_| self.range.is_some())?;
-        let p = sessions.get_mut(&h.session);
-        Some(&mut p.expect("range conn without a session").ledger)
-    }
-
-    /// Take in one read. A ranged attempt walks its frame; a plain one
-    /// holds back the last 16 bytes seen when a digest is expected:
-    /// they are the candidate trailer, and everything before them is
-    /// payload.
-    fn feed(&mut self, sessions: &mut BTreeMap<SessionId, SessionProgress>, data: &[u8]) {
-        if let Some(ledger) = self.ledger(sessions) {
-            self.feed_range(ledger, data);
-            return;
-        }
-        if !self.has_digest() {
-            self.absorb(data);
-            return;
-        }
-        // Bytes beyond the last 16 are payload: the oldest come from the
-        // held-back tail, the rest straight from `data`.
-        let mut tail = std::mem::take(&mut self.tail);
-        let excess = (tail.len() + data.len()).saturating_sub(DIGEST_LEN);
-        let from_tail = excess.min(tail.len());
-        self.absorb(&tail[..from_tail]);
-        tail.drain(..from_tail);
-        let from_data = excess - from_tail;
-        self.absorb(&data[..from_data]);
-        tail.extend_from_slice(&data[from_data..]);
-        self.tail = tail;
-    }
-
-    /// Absorb a plain attempt's payload bytes: pattern-check, and hash
-    /// when a digest trails them.
-    fn absorb(&mut self, payload: &[u8]) {
-        if self.content_ok {
-            self.content_ok = is_payload(self.offset + self.received, payload);
-        }
-        if self.has_digest() {
-            self.md5.update(payload);
-            #[cfg(test)]
-            {
-                self.hashed += payload.len() as u64;
-            }
-        }
-        self.received += payload.len() as u64;
-    }
-
-    /// Take in one read of a ranged attempt: payload bytes are
-    /// pattern-checked and hashed into the range's chain, and each
-    /// block's digest is checked as it lands.
-    fn feed_range(&mut self, ledger: &mut BlockLedger, mut data: &[u8]) {
-        let sid = self.header.as_ref().map_or(0, |h| h.session.0 as u64);
-        let r = self.range.as_deref_mut().expect("ranged attempt");
+    /// Take in one read, walking the frame.
+    fn feed(&mut self, sessions: &mut BTreeMap<SessionId, SessionProgress>, mut data: &[u8]) {
         while !data.is_empty() {
-            let pos = self.offset + self.received;
-            let left = r.payload_left(pos);
-            let taken = if left == 0 {
-                r.take_evidence(ledger, data, sid)
-            } else {
-                let n = left.min(data.len() as u64) as usize;
-                if self.content_ok {
-                    self.content_ok = is_payload(pos, &data[..n]);
+            let n = match self.frame.at(self.pos) {
+                Piece::Payload { offset, left } => {
+                    let payload = &data[..left.min(data.len() as u64) as usize];
+                    if self.content_ok {
+                        self.content_ok = is_payload(offset, payload);
+                    }
+                    if self.frame.evidence != Evidence::None {
+                        self.run.update(payload);
+                        #[cfg(test)]
+                        {
+                            self.hashed += payload.len() as u64;
+                        }
+                    }
+                    self.received += payload.len() as u64;
+                    payload.len()
                 }
-                r.chain.update(&data[..n]);
-                self.received += n as u64;
-                #[cfg(test)]
-                {
-                    self.hashed += n as u64;
+                Piece::Digest { block, k } => {
+                    let n = self.gather(k, data);
+                    if k + n == DIGEST_LEN {
+                        self.check_block(sessions, block);
+                    }
+                    n
                 }
-                if n as u64 == left {
-                    // Closes the stream's short final block; a no-op at
-                    // a full block's end.
-                    r.chain.finish_partial();
+                Piece::Trailer(k) => {
+                    let n = self.gather(k, data);
+                    if k + n == DIGEST_LEN && self.trailer_digest() != self.evidence {
+                        self.corrupt = true;
+                    }
+                    n
                 }
-                n
+                Piece::End => {
+                    self.corrupt = true;
+                    data.len()
+                }
             };
-            data = &data[taken..];
+            self.pos += n as u64;
+            data = &data[n..];
+        }
+    }
+
+    /// Copy evidence bytes from `k` on from the front of `data`; returns
+    /// how many were taken.
+    fn gather(&mut self, k: usize, data: &[u8]) -> usize {
+        let n = (DIGEST_LEN - k).min(data.len());
+        self.evidence[k..k + n].copy_from_slice(&data[..n]);
+        n
+    }
+
+    /// Block `block`'s digest arrived: a match certifies the block in
+    /// the session ledger (a duplicate another cascade delivered is
+    /// counted and discarded); a mismatch freezes certification for this
+    /// connection, and the next attempt is granted from the first block
+    /// still missing.
+    fn check_block(&mut self, sessions: &mut BTreeMap<SessionId, SessionProgress>, block: u64) {
+        let own = std::mem::take(&mut self.run).finalize();
+        self.list.push(own);
+        let session = self
+            .header
+            .as_ref()
+            .expect("a ranged attempt has a header")
+            .session;
+        let ledger = &mut sessions
+            .get_mut(&session)
+            .expect("a ranged attempt's session")
+            .ledger;
+        if self.corrupt || own != self.evidence {
+            self.corrupt = true;
+        } else if ledger.certify(block) {
+            self.certified += 1;
+        } else {
+            lsl_obs::counter_add("sink.stripe.dup_block", session.0 as u64, 1);
+        }
+    }
+
+    /// What the trailer must be: the hash list of a ranged attempt, the
+    /// payload's MD5 of a plain one.
+    fn trailer_digest(&mut self) -> [u8; DIGEST_LEN] {
+        match self.frame.evidence {
+            Evidence::Blocks => hash_list(&self.list),
+            _ => std::mem::take(&mut self.run).finalize(),
         }
     }
 
     /// The stream ended: judge the attempt — its status and whether its
-    /// evidence matched.
-    fn verdict(&mut self) -> (TransferStatus, Option<bool>) {
-        // The payload bytes this attempt owes: its granted range, or
-        // the rest of the stream (until-FIN streams owe nothing in
-        // particular — the FIN ends them).
-        let owed = match (&self.range, &self.header) {
-            (Some(r), _) => Some(block_offset(r.end_block, r.total) - self.offset),
-            (None, Some(h)) if h.length != u64::MAX => Some(h.length),
-            _ => None,
+    /// evidence matched. Most-specific failure first: a short payload
+    /// explains bad evidence, bad evidence trumps a content scan.
+    fn verdict(&self) -> (TransferStatus, Option<bool>) {
+        let owed = match &self.header {
+            // Payload until FIN, but a declared length is still owed.
+            Some(h) if !h.has_digest() && h.length != u64::MAX => h.length,
+            _ => self.frame.owed(),
         };
-        // A plain attempt's final 16 bytes are the digest; `feed` kept
-        // them out of the hasher.
-        let digest_ok = match &self.range {
-            Some(r) => Some(r.trailer_ok()),
-            None => self.has_digest().then(|| {
-                let d = std::mem::take(&mut self.md5).finalize();
-                self.tail.len() == DIGEST_LEN && d[..] == self.tail[..]
-            }),
-        };
-        // Most-specific failure first: a short stream explains a bad
-        // digest, a bad digest trumps a content scan.
-        let status = if owed.is_some_and(|o| self.received < o) {
+        // The evidence holds when the whole trailer arrived and nothing
+        // failed.
+        let whole = self.frame.at(self.pos) == Piece::End;
+        let digest_ok = (self.frame.evidence != Evidence::None).then_some(whole && !self.corrupt);
+        let status = if self.received < owed {
             TransferStatus::Failed(SessionError::TruncatedStream)
         } else if digest_ok == Some(false) {
             TransferStatus::Failed(SessionError::DigestMismatch)
@@ -935,7 +823,7 @@ impl Body {
 enum SinkConnState {
     /// LSL: accumulating header bytes.
     ReadingHeader(Vec<u8>),
-    /// Consuming payload (+ digest tail when flagged).
+    /// Walking the body's frame.
     Body(Body),
 }
 
@@ -1088,7 +976,7 @@ impl SinkServer {
                 let state = if self.expects_lsl {
                     SinkConnState::ReadingHeader(Vec::new())
                 } else {
-                    SinkConnState::Body(Body::new(None, 0, None))
+                    SinkConnState::Body(Body::new(None, Frame::UNTIL_FIN))
                 };
                 self.conns.insert(
                     *conn,
@@ -1125,15 +1013,11 @@ impl SinkServer {
     /// predecessor. Returns the session's contiguously verified block
     /// count (0 for a plain attempt).
     fn release_session_conn(&mut self, sock: SockId, state: &SinkConnState) -> u64 {
-        let SinkConnState::Body(Body {
-            header: Some(h),
-            range: Some(_),
-            ..
-        }) = state
-        else {
-            return 0;
+        let header = match state {
+            SinkConnState::Body(b) if b.frame.evidence == Evidence::Blocks => b.header.as_ref(),
+            _ => None,
         };
-        let Some(p) = self.sessions.get_mut(&h.session) else {
+        let Some(p) = header.and_then(|h| self.sessions.get_mut(&h.session)) else {
             return 0;
         };
         if p.active == Some(sock) {
@@ -1199,7 +1083,7 @@ impl SinkServer {
         let body = match &conn.state {
             SinkConnState::Body(body) => body,
             SinkConnState::ReadingHeader(_) => {
-                pre_header = Body::new(None, 0, None);
+                pre_header = Body::new(None, Frame::UNTIL_FIN);
                 &pre_header
             }
         };
@@ -1211,15 +1095,15 @@ impl SinkServer {
         self.outcomes.push(TransferOutcome {
             session,
             status,
-            bytes: body.offset + body.received,
+            bytes: body.frame.start + body.received,
             attempt_bytes: body.received,
-            blocks_certified: body.range.as_ref().map_or(0, |r| r.certified),
+            blocks_certified: body.certified,
             stripe: body.stripe(),
             session_verified: session.map_or(0, |sid| self.session_certified(sid)),
             digest_ok,
             content_ok: body.content_ok,
             verified_blocks,
-            resume_offset: body.offset,
+            resume_offset: body.frame.start,
             accepted_at: conn.accepted_at,
             completed_at: net.now(),
         });
@@ -1299,10 +1183,13 @@ impl SinkServer {
         header: LslHeader,
         leftover: &[u8],
     ) -> Result<(), WireError> {
+        // Evidence needs a declared length to be framed; a range needs
+        // evidence.
+        let ranged = header.resume.is_some() || header.stripe.is_some();
         let refusal = if !header.route.is_empty() {
             Some(WireError::ResidualRoute)
-        } else if (header.resume.is_some() || header.stripe.is_some())
-            && (header.length == u64::MAX || !header.has_digest())
+        } else if (header.has_digest() && header.length == u64::MAX)
+            || (ranged && !header.has_digest())
         {
             Some(WireError::UnframedRange)
         } else {
@@ -1312,16 +1199,24 @@ impl SinkServer {
             // Keep the decoded header so the failed outcome names its
             // session; with no granted range it opens no session state.
             if let Some(conn) = self.conns.get_mut(&sock) {
-                conn.state = SinkConnState::Body(Body::new(Some(header), 0, None));
+                conn.state = SinkConnState::Body(Body::new(Some(header), Frame::UNTIL_FIN));
             }
             return Err(e);
         }
-        let mut body = if header.resume.is_none() && header.stripe.is_none() {
+        let mut body = if !ranged {
             // Plain v1 confirmation — bit-identical to the pre-resume
             // handshake.
             let n = net.send(sock, &Bytes::from_static(&[SESSION_CONFIRM]));
             debug_assert_eq!(n, 1);
-            Body::new(Some(header), 0, None)
+            let frame = match header.has_digest() {
+                true => Frame::new(
+                    (0, stream_blocks(header.length)),
+                    header.length,
+                    Evidence::Trailer,
+                ),
+                false => Frame::UNTIL_FIN,
+            };
+            Body::new(Some(header), frame)
         } else {
             if header.resume.is_some() {
                 // A new attempt supersedes any lingering conn of the same
@@ -1361,7 +1256,7 @@ impl SinkServer {
                     granted_verified,
                 );
             }
-            let offset = block_offset(gstart, header.length);
+            let frame = Frame::new((gstart, gend), header.length, Evidence::Blocks);
             // Grant: confirm byte + the offset this attempt streams from
             // (v2), or + the granted block range (v3).
             let mut reply = vec![SESSION_CONFIRM];
@@ -1369,13 +1264,12 @@ impl SinkServer {
                 reply.extend_from_slice(&gstart.to_be_bytes());
                 reply.extend_from_slice(&gend.to_be_bytes());
             } else {
-                reply.extend_from_slice(&offset.to_be_bytes());
+                reply.extend_from_slice(&frame.start.to_be_bytes());
             }
             let len = reply.len();
             let n = net.send(sock, &Bytes::from(reply));
             debug_assert_eq!(n, len);
-            let range = RangeBody::new(gstart, gend, header.length);
-            Body::new(Some(header), offset, Some(range))
+            Body::new(Some(header), frame)
         };
         body.feed(&mut self.sessions, leftover);
         if let Some(conn) = self.conns.get_mut(&sock) {
@@ -1439,138 +1333,151 @@ mod tests {
             prop_assert!(!is_payload(offset, &data));
         }
 
-        /// The sink's trailer hold-back: however the stream is cut into
-        /// reads, exactly the payload reaches the pattern check and the
-        /// hasher, and the held 16 bytes are the trailer.
-        #[test]
-        fn trailer_hold_back_under_any_split(
-            len in 0usize..4096,
-            cuts in proptest::collection::vec(0usize..40, 0..64),
-        ) {
-            let payload = payload_chunk(0, len);
-            let trailer = md5(&payload);
-            let mut stream = payload.to_vec();
-            stream.extend_from_slice(&trailer);
-            let header = LslHeader {
-                session: SessionId(1),
-                flags: HEADER_FLAG_DIGEST,
-                length: len as u64,
-                resume: None,
-                stripe: None,
-                route: Vec::new(),
-            };
-            let mut body = Body::new(Some(header), 0, None);
-            let mut sessions = BTreeMap::new();
-            let mut rest = &stream[..];
-            for cut in cuts {
-                let (piece, after) = rest.split_at(cut.min(rest.len()));
-                body.feed(&mut sessions, piece);
-                rest = after;
-            }
-            body.feed(&mut sessions, rest);
-            let Body { md5: hasher, received, tail, content_ok, .. } = body;
-            prop_assert_eq!(received, len as u64);
-            prop_assert!(content_ok);
-            prop_assert_eq!(&tail[..], &trailer[..]);
-            prop_assert_eq!(hasher.finalize(), trailer);
-        }
     }
 
-    /// A ranged attempt's body as the sender frames it: each granted
-    /// block of a `total`-byte stream followed by its MD5, then the MD5
-    /// of those digests.
-    fn ranged_frame(start: u64, end: u64, total: u64) -> Vec<u8> {
-        let (mut frame, mut list) = (Vec::new(), Vec::new());
+    /// An attempt's body as the sender frames it, for blocks
+    /// `[start, end)` of a `total`-byte stream: ranged, each block
+    /// followed by its MD5, then the MD5 of those digests; plain, the
+    /// payload and its MD5.
+    fn framed(start: u64, end: u64, total: u64, ranged: bool) -> Vec<u8> {
+        let (lo, hi) = (block_offset(start, total), block_offset(end, total));
+        if !ranged {
+            let mut body = payload_chunk(lo, (hi - lo) as usize).to_vec();
+            body.extend_from_slice(&md5(&body));
+            return body;
+        }
+        let (mut body, mut list) = (Vec::new(), Vec::new());
         for b in start..end {
             let (lo, hi) = (block_offset(b, total), block_offset(b + 1, total));
             let payload = payload_chunk(lo, (hi - lo) as usize);
             let digest = md5(&payload);
-            frame.extend_from_slice(&payload);
-            frame.extend_from_slice(&digest);
+            body.extend_from_slice(&payload);
+            body.extend_from_slice(&digest);
             list.extend_from_slice(&digest);
         }
-        frame.extend_from_slice(&md5(&list));
-        frame
+        body.extend_from_slice(&md5(&list));
+        body
     }
 
-    /// Feed `frame` to a fresh sink body for blocks `[start, end)` of a
-    /// `total`-byte stream, cut at `cuts`; returns the verdict, the
-    /// blocks this body certified and the session ledger's blocks.
-    fn sink_ranged(
-        start: u64,
-        end: u64,
-        total: u64,
-        frame: &[u8],
+    /// Of the first `cut` bytes of a ranged body for blocks
+    /// `[start, end)`: the payload bytes, and the blocks whose payload
+    /// and digest both lie within them.
+    fn framed_before(start: u64, end: u64, total: u64, cut: usize) -> (u64, u64) {
+        let (mut at, mut payload, mut blocks) = (0, 0, 0);
+        for b in start..end {
+            let len = block_offset(b + 1, total) - block_offset(b, total);
+            payload += len.min((cut as u64).saturating_sub(at));
+            at += len + DIGEST_LEN as u64;
+            blocks += u64::from(at <= cut as u64);
+        }
+        (payload, blocks)
+    }
+
+    /// Feed `body` to a fresh sink body for blocks `[start, end)` of a
+    /// `total`-byte stream (ranged as a stripe, or a plain v1 attempt),
+    /// cut into reads at `cuts`; returns it and the session ledger's
+    /// verified blocks.
+    fn sink_body(
+        (start, end, total): (u64, u64, u64),
+        ranged: bool,
+        body: &[u8],
         cuts: &[usize],
-    ) -> (TransferStatus, u64, Vec<u64>) {
+    ) -> (Body, Vec<u64>) {
         let session = SessionId(1);
         let header = LslHeader {
             session,
             flags: HEADER_FLAG_DIGEST,
             length: total,
             resume: None,
-            stripe: Some(StripeReq {
+            stripe: ranged.then_some(StripeReq {
                 start_block: start,
                 end_block: end,
             }),
             route: Vec::new(),
         };
-        let offset = block_offset(start, total);
-        let range = RangeBody::new(start, end, total);
-        let mut body = Body::new(Some(header), offset, Some(range));
+        let evidence = if ranged {
+            Evidence::Blocks
+        } else {
+            Evidence::Trailer
+        };
+        let mut sink = Body::new(Some(header), Frame::new((start, end), total, evidence));
         let mut sessions = BTreeMap::new();
         sessions.insert(session, SessionProgress::default());
-        let mut rest = frame;
+        let mut rest = body;
         for &cut in cuts {
             let (piece, after) = rest.split_at(cut.min(rest.len()));
-            body.feed(&mut sessions, piece);
+            sink.feed(&mut sessions, piece);
             rest = after;
         }
-        body.feed(&mut sessions, rest);
-        let (status, _) = body.verdict();
+        sink.feed(&mut sessions, rest);
         let ledger = &sessions[&session].ledger;
-        let blocks = (0..stream_blocks(total)).filter(|&b| ledger.is_verified(b));
-        let certified = body.range.as_ref().map_or(0, |r| r.certified);
-        (status, certified, blocks.collect())
+        let verified = (0..stream_blocks(total)).filter(|&b| ledger.is_verified(b));
+        (sink, verified.collect())
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// The sink walks a ranged attempt's frame under any read split:
-        /// it certifies exactly the granted blocks. One flipped payload,
-        /// in-band digest or trailer byte fails the attempt's digest and
-        /// certifies only the blocks whose frame ends before the flip.
+        /// The sink walks an attempt's frame under any read split: a
+        /// ranged one certifies exactly the granted blocks, a plain v1
+        /// one (the whole stream) matches its digest. One flipped
+        /// payload, in-band digest or trailer byte fails the attempt's
+        /// digest and certifies only the blocks whose frame ends before
+        /// the flip, and a byte past the trailer fails it too. Cut
+        /// short, the attempt is truncated while payload is missing and
+        /// fails its digest once the payload is all in; either way only
+        /// the blocks framed before the cut certify.
         #[test]
         fn ranged_frame_certifies_exactly_the_grant(
             total in 0u64..4 * RESUME_BLOCK,
+            ranged in any::<bool>(),
             first in any::<proptest::sample::Index>(),
             last in any::<proptest::sample::Index>(),
             cuts in proptest::collection::vec(0usize..80_000, 0..12),
             at in any::<proptest::sample::Index>(),
+            cut in any::<proptest::sample::Index>(),
         ) {
-            let blocks = stream_blocks(total) as usize;
-            let (a, b) = (first.index(blocks + 1) as u64, last.index(blocks + 1) as u64);
-            let (start, end) = (a.min(b), a.max(b));
-            let frame = ranged_frame(start, end, total);
-            let (status, certified, verified) = sink_ranged(start, end, total, &frame, &cuts);
-            prop_assert_eq!(status, TransferStatus::Complete);
-            prop_assert_eq!(certified, end - start);
-            prop_assert_eq!(verified, (start..end).collect::<Vec<_>>());
+            let blocks = stream_blocks(total);
+            let (a, b) = (first.index(blocks as usize + 1) as u64, last.index(blocks as usize + 1) as u64);
+            let (start, end) = if ranged { (a.min(b), a.max(b)) } else { (0, blocks) };
+            let grant = (start, end, total);
+            let payload = block_offset(end, total) - block_offset(start, total);
+            let granted = if ranged { (start..end).collect() } else { Vec::new() };
+            let frame = framed(start, end, total, ranged);
+            let (body, verified) = sink_body(grant, ranged, &frame, &cuts);
+            prop_assert_eq!(body.verdict(), (TransferStatus::Complete, Some(true)));
+            prop_assert_eq!(body.received, payload);
+            prop_assert_eq!(body.certified, granted.len() as u64);
+            prop_assert_eq!(verified, granted);
 
             let mut flipped = frame.clone();
             let at = at.index(frame.len());
             flipped[at] ^= 0x01;
-            // Blocks whose payload and digest end at or before the flip.
-            let before = (start..end)
-                .take_while(|&b| {
-                    let framed = block_offset(b + 1, total) - block_offset(start, total);
-                    (framed + (b + 1 - start) * DIGEST_LEN as u64) as usize <= at
-                })
-                .count() as u64;
-            let (status, certified, verified) = sink_ranged(start, end, total, &flipped, &cuts);
-            prop_assert_eq!(status, TransferStatus::Failed(SessionError::DigestMismatch));
-            prop_assert_eq!(certified, before);
+            let before = if ranged { framed_before(start, end, total, at).1 } else { 0 };
+            let (body, verified) = sink_body(grant, ranged, &flipped, &cuts);
+            prop_assert_eq!(body.verdict().0, TransferStatus::Failed(SessionError::DigestMismatch));
+            prop_assert_eq!(body.certified, before);
+            prop_assert_eq!(verified, (start..start + before).collect::<Vec<_>>());
+
+            let mut longer = frame.clone();
+            longer.push(0);
+            let (body, _) = sink_body(grant, ranged, &longer, &cuts);
+            let mismatch = TransferStatus::Failed(SessionError::DigestMismatch);
+            prop_assert_eq!(body.verdict(), (mismatch, Some(false)));
+
+            let cut = cut.index(frame.len());
+            let (arrived, before) = match ranged {
+                true => framed_before(start, end, total, cut),
+                false => (payload.min(cut as u64), 0),
+            };
+            let (body, verified) = sink_body(grant, ranged, &frame[..cut], &cuts);
+            let want = match arrived < payload {
+                true => SessionError::TruncatedStream,
+                false => SessionError::DigestMismatch,
+            };
+            prop_assert_eq!(body.verdict().0, TransferStatus::Failed(want));
+            prop_assert_eq!(body.received, arrived);
+            prop_assert_eq!(body.certified, before);
             prop_assert_eq!(verified, (start..start + before).collect::<Vec<_>>());
         }
     }
@@ -1646,7 +1553,7 @@ mod tests {
         let outcomes = sink.take_outcomes();
         assert_eq!(outcomes.len(), 1);
         assert!(outcomes[0].ok() && outcomes[0].content_ok);
-        assert_eq!(outcomes[0].bytes, sender.limit);
+        assert_eq!(outcomes[0].bytes, sender.sent);
         (sender, sink, handled)
     }
 

@@ -28,9 +28,10 @@ pub enum WireError {
     TruncatedHeader,
     /// A header reached its sink with route hops still to go.
     ResidualRoute,
-    /// A resume or stripe request the sink cannot frame: the in-band
-    /// block digests need a declared length and the digest flag, so an
-    /// until-FIN or digestless ranged header is refused.
+    /// A header whose body the sink cannot frame: a digest needs a
+    /// declared length to find the trailer, and a resume or stripe
+    /// request needs the in-band block digests, so a digest-flagged
+    /// until-FIN header or a digestless ranged one is refused.
     UnframedRange,
 }
 
@@ -45,7 +46,7 @@ impl fmt::Display for WireError {
             WireError::UnframedRange => {
                 write!(
                     f,
-                    "resume or stripe request without a stream length or digest"
+                    "digest without a stream length, or range without a digest"
                 )
             }
         }

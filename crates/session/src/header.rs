@@ -8,7 +8,8 @@
 //! 4       1     version (1)
 //! 5       1     flags (bit 0: MD5 digest trails the payload)
 //! 6       16    session id
-//! 22      8     payload length in bytes (u64::MAX = until FIN)
+//! 22      8     payload length in bytes (u64::MAX = until FIN, only
+//!               without the digest flag)
 //! 30      1     remaining hop count n (the loose source route)
 //! 31      6n    hops: node id u32 + port u16, last hop = destination
 //! ```
@@ -56,9 +57,12 @@
 //! MD5(MD5(block s) ‖ … ‖ MD5(block e-1))      (the hash-list trailer)
 //! ```
 //!
-//! The grant and `length` fix where each block and digest begin, so a
-//! ranged header must declare its length and set the digest flag; the
-//! sink refuses one that does not ([`WireError::UnframedRange`]).
+//! The grant and `length` fix where each payload run, digest and the
+//! trailer begin. Both ends walk that layout through one private
+//! `Frame`, so a header whose body carries evidence must declare its
+//! length, and a ranged header must set the digest flag; the sink
+//! refuses one that does not ([`WireError::UnframedRange`]). A
+//! digestless body is payload until FIN.
 //!
 //! A depot reads the header, pops the first hop, opens the next sublink
 //! and forwards the header with the shortened route (resume fields
@@ -66,8 +70,10 @@
 //! The sink receives a header whose route is empty.
 
 use bytes::{BufMut, Bytes, BytesMut};
+use lsl_digest::DIGEST_LEN;
 use lsl_netsim::NodeId;
 
+use crate::endpoint::{block_offset, RESUME_BLOCK};
 use crate::error::WireError;
 use crate::id::SessionId;
 use crate::route::Hop;
@@ -303,6 +309,121 @@ impl LslHeader {
     }
 }
 
+/// What an attempt's body carries besides its payload.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Evidence {
+    /// Nothing: direct TCP, or a digestless header.
+    None,
+    /// One MD5 over the whole payload: the paper's v1 stream.
+    Trailer,
+    /// Each block's MD5 after the block, then the MD5 of those digests
+    /// (the hash list): a v2 or v3 ranged attempt.
+    Blocks,
+}
+
+/// The layout of one attempt's body, drawn in the module doc: the
+/// payload `[start, end)` of the stream, cut into runs that each end
+/// where evidence is due, then the trailer. Sender and sink walk the
+/// same frame, asking [`Frame::at`] what each body byte is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Frame {
+    /// Stream offset of the first payload byte.
+    pub start: u64,
+    /// One past the last payload byte (`u64::MAX`: until FIN).
+    pub end: u64,
+    pub evidence: Evidence,
+}
+
+/// What one body byte of a [`Frame`] is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Piece {
+    /// Payload at stream offset `offset`, `left` bytes before the end
+    /// of its run.
+    Payload { offset: u64, left: u64 },
+    /// Byte `k` of stream block `block`'s digest.
+    Digest { block: u64, k: usize },
+    /// Byte `k` of the trailer.
+    Trailer(usize),
+    /// Past the end of the body.
+    End,
+}
+
+impl Frame {
+    /// A body that is payload until FIN (raw TCP, a digestless header).
+    pub const UNTIL_FIN: Frame = Frame {
+        start: 0,
+        end: u64::MAX,
+        evidence: Evidence::None,
+    };
+
+    /// The frame of granted blocks `[first, last)` of a `total`-byte
+    /// stream.
+    pub fn new((first, last): (u64, u64), total: u64, evidence: Evidence) -> Frame {
+        Frame {
+            start: block_offset(first, total),
+            end: block_offset(last, total),
+            evidence,
+        }
+    }
+
+    /// Payload bytes the frame owes (none until FIN: the FIN ends it).
+    pub fn owed(&self) -> u64 {
+        match self.end {
+            u64::MAX => 0,
+            end => end - self.start,
+        }
+    }
+
+    /// Granted block range `[first, last)`: both ends are block
+    /// boundaries or the end of the stream.
+    pub fn blocks(&self) -> (u64, u64) {
+        (
+            self.start.div_ceil(RESUME_BLOCK),
+            self.end.div_ceil(RESUME_BLOCK),
+        )
+    }
+
+    /// What body byte `pos` is.
+    pub fn at(&self, pos: u64) -> Piece {
+        const DIGEST: u64 = DIGEST_LEN as u64;
+        let payload = self.end - self.start;
+        let digests = match self.evidence {
+            Evidence::Blocks => payload.div_ceil(RESUME_BLOCK),
+            _ => 0,
+        };
+        // Saturating: a hostile `length` near `u64::MAX` must not
+        // overflow; no real body reaches that far.
+        let trailer = payload.saturating_add(digests * DIGEST);
+        if pos >= trailer {
+            return match pos - trailer {
+                k if k < DIGEST && self.evidence != Evidence::None => Piece::Trailer(k as usize),
+                _ => Piece::End,
+            };
+        }
+        if self.evidence != Evidence::Blocks {
+            return Piece::Payload {
+                offset: self.start + pos,
+                left: payload - pos,
+            };
+        }
+        // Every run but the last is a full block and its digest.
+        let (run, r) = (pos / (RESUME_BLOCK + DIGEST), pos % (RESUME_BLOCK + DIGEST));
+        let lo = self.start + run * RESUME_BLOCK;
+        let len = RESUME_BLOCK.min(self.end - lo);
+        if r < len {
+            Piece::Payload {
+                offset: lo + r,
+                left: len - r,
+            }
+        } else {
+            Piece::Digest {
+                block: lo / RESUME_BLOCK,
+                k: (r - len) as usize,
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,6 +603,21 @@ mod tests {
         assert_eq!(dec.length, u64::MAX);
         assert_eq!(dec.resume.unwrap().offset, 7 << 20);
         assert_eq!(dec.resume.unwrap().verified_block, 6);
+    }
+
+    #[test]
+    fn a_ranged_frame_of_any_length_places_its_first_block() {
+        for length in [RESUME_BLOCK + 10, u64::MAX - 1] {
+            let blocks = length.div_ceil(RESUME_BLOCK);
+            let frame = Frame::new((0, blocks), length, Evidence::Blocks);
+            let first = Piece::Payload {
+                offset: 0,
+                left: RESUME_BLOCK,
+            };
+            assert_eq!(frame.at(0), first, "length {length}");
+            let digest = Piece::Digest { block: 0, k: 3 };
+            assert_eq!(frame.at(RESUME_BLOCK + 3), digest, "length {length}");
+        }
     }
 
     #[test]

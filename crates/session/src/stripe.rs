@@ -7,10 +7,11 @@
 //! version-3 headers ([`crate::StripeReq`]): it offers a block range,
 //! the sink grants the sub-range it still needs (advancing past blocks
 //! some other cascade already certified), and the cascade streams
-//! exactly the granted range, trailed by an MD5 over those bytes only.
-//! The sink certifies blocks out of order through its
-//! [`lsl_digest::BlockLedger`], so stripe arrival order is irrelevant
-//! to end-to-end verification.
+//! exactly the granted range, each block followed by its MD5 and the
+//! range trailed by the MD5 of those block digests (a hash list). The
+//! sink certifies each block against its in-band digest, out of order,
+//! through its [`lsl_digest::BlockLedger`], so stripe arrival order is
+//! irrelevant to end-to-end verification.
 //!
 //! Scheduling is work-stealing over per-lane chunk queues: the stream is
 //! first partitioned into contiguous macro-stripes sized by the

@@ -4,9 +4,9 @@
 use lsl_netsim::{Dur, LinkSpec, LossModel, NodeId, Topology, TopologyBuilder};
 use lsl_session::endpoint::{payload_chunk, SendMode, SenderState};
 use lsl_session::{
-    BulkSender, Depot, DepotConfig, Handled, Hop, LslHeader, LslPath, Request, Resume,
-    SessionError, SessionId, SinkServer, StripeReq, TransferStatus, WireError, HEADER_FLAG_DIGEST,
-    RESUME_BLOCK,
+    BulkSender, ClientState, Depot, DepotConfig, Handled, Hop, LslHeader, LslPath, RecoveryConfig,
+    Request, Resume, RoutePlan, SessionClient, SessionError, SessionEvent, SessionId, SinkServer,
+    StripeReq, TransferStatus, WireError, HEADER_FLAG_DIGEST, RESUME_BLOCK,
 };
 use lsl_tcp::{AppEvent, Net, SockEvent, TcpConfig};
 
@@ -668,29 +668,36 @@ fn sink_rejects_a_stripe_request_without_a_length() {
     assert_eq!(sink.session_certified(session), 0);
 }
 
-/// A resume request the sink cannot frame — an until-FIN stream has no
-/// block lengths, a digestless one no in-band digests — is rejected
-/// with a typed wire error before any grant, naming its session.
+/// A request the sink cannot frame — an until-FIN stream has no block
+/// lengths or trailer position, a digestless resume no in-band digests
+/// — is rejected with a typed wire error before any reply, naming its
+/// session. That holds for a plain v1 header with the digest flag too.
 #[test]
 fn sink_rejects_a_resume_request_it_cannot_frame() {
     let (topo, nodes) = chain_topology(0, 50_000_000, Dur::from_millis(5), 0.0);
     let mut net = Net::new(topo.into_sim(23));
     let (src, dst) = (nodes[0], *nodes.last().unwrap());
     let mut sink = SinkServer::new(&mut net, dst, SINK_PORT, true, TcpConfig::default());
-    for (session, flags, length) in [
-        (SessionId(0x33), HEADER_FLAG_DIGEST, u64::MAX),
-        (SessionId(0x34), 0, 2 * RESUME_BLOCK),
+    for (session, flags, length, resume) in [
+        (
+            SessionId(0x33),
+            HEADER_FLAG_DIGEST,
+            u64::MAX,
+            Some(Resume::fresh()),
+        ),
+        (SessionId(0x34), 0, 2 * RESUME_BLOCK, Some(Resume::fresh())),
+        (SessionId(0x35), HEADER_FLAG_DIGEST, u64::MAX, None),
     ] {
         let header = LslHeader {
             session,
             flags,
             length,
-            resume: Some(Resume::fresh()),
+            resume,
             stripe: None,
             route: Vec::new(),
         };
         let reply = hand_attempt(&mut net, &mut sink, src, dst, header.encode().unwrap());
-        assert!(reply.is_empty(), "no grant for a rejected header");
+        assert!(reply.is_empty(), "no confirmation for a rejected header");
         let done = sink.take_outcomes();
         assert_eq!(done.len(), 1);
         assert_eq!(
@@ -808,4 +815,92 @@ fn sender_rejects_a_malformed_grant() {
     );
     assert!(reset, "the sender must abort its sublink");
     assert!(net.state(sender.sock()).is_none_or(|s| s.is_closed()));
+}
+
+/// A one-lane [`SessionClient`] through one depot whose first `rewrite`
+/// completed sink outcomes reach it as `Failed(DigestMismatch)`, as if
+/// the delivery check had failed. Returns the client's end state and
+/// its retransfer and terminal events.
+fn session_with_failed_checks(rewrite: usize) -> (ClientState, Vec<SessionEvent>) {
+    let (topo, nodes) = chain_topology(1, 50_000_000, Dur::from_millis(5), 0.0);
+    let mut net = Net::new(topo.into_sim(31));
+    let tcp = TcpConfig {
+        time_wait: Dur::from_millis(10),
+        ..TcpConfig::default()
+    };
+    let config = DepotConfig {
+        port: DEPOT_PORT,
+        tcp: tcp.clone(),
+        ..DepotConfig::default()
+    };
+    let mut depot = Depot::new(&mut net, nodes[1], config);
+    let mut sink = SinkServer::new(&mut net, nodes[2], SINK_PORT, true, tcp.clone());
+    let path = LslPath::via(
+        vec![Hop::new(nodes[1], DEPOT_PORT)],
+        Hop::new(nodes[2], SINK_PORT),
+    );
+    let plan = RoutePlan::builder().path(path).build().unwrap();
+    let mut client = SessionClient::start(
+        &mut net,
+        nodes[0],
+        plan,
+        SessionId(0x51),
+        3 * RESUME_BLOCK,
+        SendMode::lsl(),
+        tcp,
+        RecoveryConfig::default(),
+        None,
+    );
+    let mut left = rewrite;
+    while let Some(ev) = net.poll() {
+        if !client.handle(&mut net, &ev).consumed() && !sink.handle(&mut net, &ev).consumed() {
+            let _ = depot.handle(&mut net, &ev);
+        }
+        for mut outcome in sink.take_outcomes() {
+            if outcome.ok() && left > 0 {
+                left -= 1;
+                outcome.status = TransferStatus::Failed(SessionError::DigestMismatch);
+            }
+            client.on_outcome(&mut net, &outcome);
+        }
+        if client.is_done() {
+            break;
+        }
+    }
+    let events = client.take_events().into_iter().map(|(_, e)| e);
+    let ends = events.filter(|e| {
+        matches!(
+            e,
+            SessionEvent::Retransfer { .. } | SessionEvent::Completed | SessionEvent::Failed(_)
+        )
+    });
+    (client.state(), ends.collect())
+}
+
+/// A failed delivery check burns one of the lane's retransfers; with
+/// every check failing, the default budget of two runs out.
+#[test]
+fn failed_delivery_checks_retransfer_until_the_budget_runs_out() {
+    let exhausted = SessionError::RetransfersExhausted;
+    assert_eq!(
+        session_with_failed_checks(usize::MAX),
+        (
+            ClientState::Failed(exhausted),
+            vec![
+                SessionEvent::Retransfer { attempt: 1 },
+                SessionEvent::Retransfer { attempt: 2 },
+                SessionEvent::Failed(exhausted),
+            ]
+        )
+    );
+    assert_eq!(
+        session_with_failed_checks(1),
+        (
+            ClientState::Done,
+            vec![
+                SessionEvent::Retransfer { attempt: 1 },
+                SessionEvent::Completed
+            ]
+        )
+    );
 }
