@@ -59,6 +59,7 @@ pub const SINK_NAMES: &[&str] = &[
     "record_obs_link_metrics",
     "fingerprint",
     "trailer_digest",
+    "certify_staged",
     "schedule",
     "enqueue",
 ];

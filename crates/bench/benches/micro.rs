@@ -11,10 +11,11 @@
 //!
 //! Either way the run emits `BENCH_netsim.json` at the workspace root:
 //! a machine-readable perf trajectory (simulator events/sec, 1 MiB and
-//! 16 MiB case 1 transfer wall time, MD5 throughput for one input and
-//! for eight 64 KiB inputs at a time, 16 MiB loopback relay rate,
-//! campaign wall time at 1 and N jobs, and the ns/iter of the segment
-//! and LSL header codecs and of the NWS mixture update)
+//! 16 MiB case 1 transfer wall time, the 16 MiB one also as a ranged
+//! attempt that both ends certify block by block, MD5 throughput for
+//! one input and for eight 64 KiB inputs at a time, 16 MiB loopback
+//! relay rate, campaign wall time at 1 and N jobs, and the ns/iter of
+//! the segment and LSL header codecs and of the NWS mixture update)
 //! that CI checks for shape and future PRs diff against. The
 //! `BASELINE_*` constants pin each row's figure from before the work
 //! that moved it, so the change stays visible in the artifact itself.
@@ -26,8 +27,12 @@ use std::time::Instant;
 use bytes::Bytes;
 use lsl_netsim::{Dur, LinkSpec, LossModel, NodeId, Packet, TopologyBuilder};
 use lsl_nws::AdaptiveMixture;
-use lsl_session::{Hop, LslHeader, SessionId};
-use lsl_tcp::Segment;
+use lsl_session::endpoint::SendMode;
+use lsl_session::{
+    stream_blocks, BulkSender, Depot, DepotConfig, Hop, LslHeader, LslPath, Request, Resume,
+    SenderState, SessionId, SinkServer,
+};
+use lsl_tcp::{Net, Segment};
 use lsl_workloads::{case1, default_jobs, run_campaign, run_transfer, Mode, RunConfig};
 
 /// Wall time per measured pass; three passes are taken per benchmark.
@@ -53,6 +58,11 @@ const BASELINE_TIMER_EVENTS_PER_SEC: f64 = 6_076_908.0;
 /// 0.0100 s.
 const BASELINE_RUN_WALL_S_16MB_DIRECT: f64 = 1.003680;
 const BASELINE_RUN_WALL_S_16MB_DEPOT: f64 = 1.111879;
+/// The ranged 16 MiB case 1 transfer recorded immediately before the
+/// sink hashed landed blocks eight at a time (it hashed each block
+/// alone as it landed), on the same 2-core KVM VM: median of four runs
+/// alternated with the change.
+const BASELINE_RUN_WALL_S_16MB_RANGED: f64 = 0.082450;
 /// 1 MiB MD5 throughput and the 16 MiB loopback relay rate recorded
 /// immediately before the streaming sink verify and the shortened MD5
 /// step chain (the sink read a whole session before hashing any of
@@ -304,6 +314,66 @@ fn bench_tcp_transfer(b: &Bench, mib: u64) -> (f64, f64) {
     )
 }
 
+/// One 16 MiB case 1 transfer via the depot that asks for a fresh
+/// resume, so the attempt is ranged: each 64 KiB block carries its MD5
+/// in band, and both ends hash the blocks up to eight at a time. The
+/// same configuration as the `via_depot` row but for the request, built
+/// from the public sender, depot and sink. Returns wall seconds per run.
+fn bench_ranged_transfer(b: &Bench) -> f64 {
+    let size = 16 << 20;
+    let ns = b.run("sim_transfer_16MB/ranged", Some(size), || {
+        ranged_transfer(size)
+    });
+    ns / 1e9
+}
+
+/// Run one ranged `size`-byte case 1 transfer via the depot; returns
+/// the payload bytes the sink certified.
+fn ranged_transfer(size: u64) -> u64 {
+    let case = case1();
+    let cfg = RunConfig::builder(size, Mode::ViaDepot).seed(1).build();
+    let mut net = Net::new(case.topo.into_sim(cfg.seed));
+    let mut depot = Depot::new(
+        &mut net,
+        case.depot,
+        DepotConfig {
+            port: cfg.depot_port,
+            relay_buf: cfg.relay_buf,
+            tcp: cfg.tcp.clone(),
+            setup_delay: cfg.depot_setup_delay,
+            trace_downstream: None,
+        },
+    );
+    let mut sink = SinkServer::new(&mut net, case.dst, cfg.sink_port, true, cfg.tcp.clone());
+    let path = LslPath::via(
+        vec![Hop::new(case.depot, cfg.depot_port)],
+        Hop::new(case.dst, cfg.sink_port),
+    );
+    let session = SessionId(cfg.seed as u128 + 1);
+    let mut sender = BulkSender::start(
+        &mut net,
+        case.src,
+        &path,
+        session,
+        size,
+        SendMode::lsl(),
+        cfg.tcp.clone(),
+        None,
+        Some(Request::Resume(Resume::fresh())),
+    );
+    while let Some(ev) = net.poll() {
+        if !sender.handle(&mut net, &ev).consumed() && !sink.handle(&mut net, &ev).consumed() {
+            let _ = depot.handle(&mut net, &ev);
+        }
+    }
+    assert_eq!(sender.state(), SenderState::Done);
+    let outcomes = sink.take_outcomes();
+    assert!(outcomes.len() == 1 && outcomes[0].ok() && outcomes[0].bytes == size);
+    let certified = sink.session_certified(session);
+    assert_eq!(certified, stream_blocks(size));
+    outcomes[0].bytes
+}
+
 /// 100 adaptive-mixture updates and a prediction; returns ns.
 fn bench_forecasting(b: &Bench) -> f64 {
     b.run("nws_mixture_update_x100", None, || {
@@ -426,6 +496,7 @@ fn write_json(smoke: bool, rows: &[(&str, f64, usize)]) {
         ("run_wall_s_1mb_direct", BASELINE_RUN_WALL_S_1MB_DIRECT, 6),
         ("run_wall_s_16mb_direct", BASELINE_RUN_WALL_S_16MB_DIRECT, 6),
         ("run_wall_s_16mb_depot", BASELINE_RUN_WALL_S_16MB_DEPOT, 6),
+        ("run_wall_s_16mb_ranged", BASELINE_RUN_WALL_S_16MB_RANGED, 6),
         ("md5_mb_per_s", BASELINE_MD5_MB_PER_S, 1),
         ("realnet_relay_mb_per_s", BASELINE_REALNET_RELAY_MB_PER_S, 1),
     ];
@@ -455,6 +526,7 @@ fn main() {
     let timer_events_per_sec = bench_simulator_timer_events(&b);
     let (direct_s, depot_s) = bench_tcp_transfer(&b, 1);
     let (direct16_s, depot16_s) = bench_tcp_transfer(&b, 16);
+    let ranged16_s = bench_ranged_transfer(&b);
     let nws_ns = bench_forecasting(&b);
     let realnet_relay_mb_per_s = bench_realnet_relay(&b);
     let (jobs_n, w1, wn) = bench_campaign(&b);
@@ -467,6 +539,7 @@ fn main() {
             ("run_wall_s_1mb_depot", depot_s, 6),
             ("run_wall_s_16mb_direct", direct16_s, 6),
             ("run_wall_s_16mb_depot", depot16_s, 6),
+            ("run_wall_s_16mb_ranged", ranged16_s, 6),
             ("md5_mb_per_s", md5_mb_per_s, 1),
             ("md5_lanes_mb_per_s", md5_lanes_mb_per_s, 1),
             ("realnet_relay_mb_per_s", realnet_relay_mb_per_s, 1),

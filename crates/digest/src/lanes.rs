@@ -10,6 +10,8 @@
 //! holds word `k` of every lane's chunk. The lanes stop after the last
 //! whole chunk, and each lane's tail and padding are finished by the
 //! scalar [`Md5`](crate::Md5), resumed from that lane's chaining state.
+//! Lanes must be of one length, so each group of inputs is first split
+//! by length.
 
 use crate::md5::DIGEST_LEN;
 
@@ -19,32 +21,51 @@ pub const LANES: usize = 8;
 /// The MD5 of each input, in order, equal byte for byte to
 /// [`crate::md5`] of each.
 ///
-/// Inputs are taken [`LANES`] at a time. A group of two or more inputs
-/// of one length runs in AVX2 lanes when the CPU has AVX2 (detected at
-/// run time). Any other group (one input, unequal lengths, or no AVX2)
-/// hashes each input with the scalar [`Md5`](crate::Md5).
+/// Inputs are taken [`LANES`] at a time, and each group is split by
+/// length. Two or more inputs of one length run in AVX2 lanes
+/// when the CPU has AVX2 (detected at run time); an input whose length
+/// no other in its group shares, or any input without AVX2, is hashed
+/// alone with the scalar [`Md5`](crate::Md5). So a stream's short last
+/// block costs a scalar pass for itself alone, not for its group.
 pub fn md5_many(inputs: &[&[u8]]) -> Vec<[u8; DIGEST_LEN]> {
-    let mut out = Vec::with_capacity(inputs.len());
-    for group in inputs.chunks(LANES) {
+    let lens: Vec<usize> = inputs.iter().map(|d| d.len()).collect();
+    let mut out = vec![[0; DIGEST_LEN]; inputs.len()];
+    for pass in plan(&lens) {
+        let group: Vec<&[u8]> = pass.iter().map(|&i| inputs[i]).collect();
         #[cfg(target_arch = "x86_64")]
-        if group.len() > 1
-            && group.iter().all(|d| d.len() == group[0].len())
-            && is_x86_feature_detected!("avx2")
-        {
+        if group.len() > 1 && is_x86_feature_detected!("avx2") {
             // SAFETY: `is_x86_feature_detected!("avx2")` just found AVX2
             // on this CPU, the one requirement of `avx2::lanes`.
-            let states = unsafe { avx2::lanes(group) };
-            out.extend(
-                group
-                    .iter()
-                    .zip(states)
-                    .map(|(data, state)| avx2::finish(data, state)),
-            );
+            let states = unsafe { avx2::lanes(&group) };
+            for ((&i, data), state) in pass.iter().zip(&group).zip(states) {
+                out[i] = avx2::finish(data, state);
+            }
             continue;
         }
-        out.extend(md5_each(group));
+        for (&i, digest) in pass.iter().zip(md5_each(&group)) {
+            out[i] = digest;
+        }
     }
     out
+}
+
+/// The passes [`md5_many`] makes over inputs of lengths `lens`: the
+/// indices of each [`LANES`]-sized group, split into classes of one
+/// length, in order of each class's first input. A class of two or more
+/// is one multi-lane pass; a class of one is hashed alone.
+pub(crate) fn plan(lens: &[usize]) -> Vec<Vec<usize>> {
+    let mut passes: Vec<Vec<usize>> = Vec::new();
+    for (g, group) in lens.chunks(LANES).enumerate() {
+        let first = passes.len();
+        for (i, &len) in group.iter().enumerate() {
+            let i = g * LANES + i;
+            match passes[first..].iter_mut().find(|p| lens[p[0]] == len) {
+                Some(pass) => pass.push(i),
+                None => passes.push(vec![i]),
+            }
+        }
+    }
+    passes
 }
 
 /// The scalar path: each input through its own [`Md5`](crate::Md5).
@@ -278,7 +299,7 @@ mod tests {
         }
     }
 
-    /// Unequal lengths take the scalar fallback, and more than `LANES`
+    /// Unequal lengths split a group by length, and more than `LANES`
     /// inputs are taken a group at a time.
     #[test]
     fn unequal_lengths_and_more_than_a_group() {
@@ -290,6 +311,34 @@ mod tests {
         let inputs: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
         assert_eq!(md5_many(&inputs), reference(&inputs));
         assert_eq!(md5_many(&inputs[..3]), reference(&inputs[..3]));
+    }
+
+    /// Each group of `LANES` splits by length: equal lengths share a
+    /// multi-lane pass, and an odd one out is hashed alone. Seven full
+    /// blocks and a short last one are a pass of seven and one scalar
+    /// input, not eight scalar inputs.
+    #[test]
+    fn plan_groups_equal_lengths_and_hashes_the_odd_one_alone() {
+        const B: usize = 65_536;
+        assert_eq!(plan(&[]), Vec::<Vec<usize>>::new());
+        assert_eq!(plan(&[B; 8]), vec![(0..8).collect::<Vec<_>>()]);
+        let tail = [B, B, B, B, B, B, B, 1000];
+        assert_eq!(plan(&tail), vec![(0..7).collect(), vec![7]]);
+        // Classes keep input order, in order of their first input.
+        assert_eq!(
+            plan(&[5, B, 5, 7, B]),
+            vec![vec![0, 2], vec![1, 4], vec![3]]
+        );
+        // Groups never mix: the ninth input starts a group of its own,
+        // though its length matches the first eight.
+        assert_eq!(plan(&[B; 10]), vec![(0..8).collect::<Vec<_>>(), vec![8, 9]]);
+        let owned: Vec<Vec<u8>> = tail
+            .iter()
+            .enumerate()
+            .map(|(s, &len)| data(len, s as u8))
+            .collect();
+        let inputs: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
+        assert_eq!(md5_many(&inputs), reference(&inputs));
     }
 
     /// The scalar path, reached directly whatever the CPU has.

@@ -11,8 +11,9 @@
 //! a receiver learns *which* blocks are good, not only whether the whole
 //! range is. [`BlockLedger`] records which blocks of a session have
 //! certified, in any order. [`md5_many`] hashes up to [`LANES`]
-//! independent inputs (a sender's next blocks) side by side in AVX2
-//! lanes when the CPU has them, with results equal to [`md5`] of each.
+//! independent inputs (a sender's next blocks, a sink's landed ones)
+//! side by side in AVX2 lanes when the CPU has them, with results equal
+//! to [`md5`] of each.
 
 mod lanes;
 mod ledger;

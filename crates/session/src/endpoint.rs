@@ -15,14 +15,21 @@
 //! carries its evidence in band: each block is followed by its MD5, and
 //! the trailer is the MD5 of those block digests (a hash list), so each
 //! payload byte is hashed once at each end. Both ends walk the body
-//! through the one frame the grant fixes (see [`crate::header`]). The
-//! sender hashes a ranged attempt's blocks ahead of sending them, up to
-//! eight side by side ([`lsl_digest::md5_many`]). The sink's `Body`
-//! pattern-checks and hashes each payload run as it lands, checks each
-//! block digest against its own (a match certifies the block into the
-//! session's [`BlockLedger`]) and the trailer against the run's MD5 or
-//! the hash list, and records every way an attempt ends as one
-//! [`TransferOutcome`].
+//! through the one frame the grant fixes (see [`crate::header`]). Both
+//! ends hash a ranged attempt's blocks up to eight side by side
+//! ([`lsl_digest::md5_many`]): the sender ahead of sending them, the
+//! sink once they have landed. The sink's `Body` pattern-checks each
+//! payload run as it lands. A plain attempt's run streams into one MD5.
+//! A ranged attempt's block is copied aside and, once its in-band
+//! digest is in, staged sink-wide. The sink hashes the staged blocks
+//! together and certifies them in the order their digests landed: a
+//! match certifies the block into the session's [`BlockLedger`]. It does
+//! so whenever [`LANES`] blocks are staged, and before anything reads a
+//! ledger or a hash list: a grant, an outcome, a trailer check, or
+//! [`SinkServer::session_certified`] and
+//! [`SinkServer::duplicate_blocks`]. So every such read sees what
+//! certifying each block as its digest lands would show. Every way an
+//! attempt ends is recorded as one [`TransferOutcome`].
 
 use std::collections::BTreeMap;
 use std::sync::LazyLock;
@@ -652,11 +659,14 @@ impl TransferOutcome {
 
 /// The body of one attempt at the sink: everything after the header (a
 /// raw TCP conn is all body), walked through its frame. Each payload
-/// run is pattern-checked and, when evidence follows, hashed into one
-/// MD5. A ranged attempt checks each block digest against its own as
-/// it lands: a match certifies the block into the session's
-/// [`BlockLedger`], so attempts and cascades certify independently of
-/// one another's arrival order.
+/// run is pattern-checked. A plain attempt's payload is hashed into one
+/// MD5 as it lands. A ranged attempt copies each block's payload into a
+/// buffer and stages it with its in-band digest once that is in (see
+/// [`Staged`]). The staged blocks are hashed and checked later, in the
+/// order their digests landed, but always before a ledger or this
+/// body's hash list is read: a match certifies the block into the
+/// session's [`BlockLedger`], so attempts and cascades certify
+/// independently of one another's arrival order.
 struct Body {
     /// None for raw TCP. Boxed so the conn state stays small.
     header: Option<Box<LslHeader>>,
@@ -665,11 +675,15 @@ struct Body {
     pos: u64,
     /// Payload bytes consumed by *this* attempt.
     received: u64,
-    /// Hasher over the current payload run.
+    /// Hasher over a plain attempt's payload.
     run: Md5,
+    /// The payload of the ranged block landing now, in a buffer from
+    /// [`Staged::buffer`].
+    block: Option<Vec<u8>>,
     /// The digest or trailer being gathered.
     evidence: [u8; DIGEST_LEN],
-    /// The sink's own digest of each block so far: the hash list.
+    /// The sink's own digest of each block checked so far: the hash
+    /// list.
     list: Vec<[u8; DIGEST_LEN]>,
     /// Blocks this connection newly certified in the session ledger.
     certified: u64,
@@ -691,6 +705,7 @@ impl Body {
             pos: 0,
             received: 0,
             run: Md5::new(),
+            block: None,
             evidence: [0; DIGEST_LEN],
             list: Vec::new(),
             certified: 0,
@@ -708,21 +723,32 @@ impl Body {
         h.stripe.map(|_| self.frame.blocks())
     }
 
-    /// Take in one read, walking the frame.
-    fn feed(&mut self, sessions: &mut BTreeMap<SessionId, SessionProgress>, mut data: &[u8]) {
-        while !data.is_empty() {
+    /// Take in the front of one read, walking the frame; returns the
+    /// bytes taken. It stops early once a landed block fills `staged`,
+    /// so the caller can certify the group before reading on.
+    fn feed(&mut self, staged: &mut Staged, sock: SockId, data: &[u8]) -> usize {
+        let mut taken = 0;
+        while taken < data.len() && !staged.is_full() {
+            let data = &data[taken..];
             let n = match self.frame.at(self.pos) {
                 Piece::Payload { offset, left } => {
                     let payload = &data[..left.min(data.len() as u64) as usize];
                     if self.content_ok {
                         self.content_ok = is_payload(offset, payload);
                     }
-                    if self.frame.evidence != Evidence::None {
-                        self.run.update(payload);
-                        #[cfg(test)]
-                        {
-                            self.hashed += payload.len() as u64;
+                    match self.frame.evidence {
+                        Evidence::Trailer => {
+                            self.run.update(payload);
+                            #[cfg(test)]
+                            {
+                                self.hashed += payload.len() as u64;
+                            }
                         }
+                        Evidence::Blocks => self
+                            .block
+                            .get_or_insert_with(|| staged.buffer())
+                            .extend_from_slice(payload),
+                        Evidence::None => {}
                     }
                     self.received += payload.len() as u64;
                     payload.len()
@@ -730,25 +756,29 @@ impl Body {
                 Piece::Digest { block, k } => {
                     let n = self.gather(k, data);
                     if k + n == DIGEST_LEN {
-                        self.check_block(sessions, block);
+                        let payload = self
+                            .block
+                            .take()
+                            .expect("a block's payload precedes its digest");
+                        staged.push(Landed {
+                            sock,
+                            block,
+                            payload,
+                            digest: self.evidence,
+                        });
                     }
                     n
                 }
-                Piece::Trailer(k) => {
-                    let n = self.gather(k, data);
-                    if k + n == DIGEST_LEN && self.trailer_digest() != self.evidence {
-                        self.corrupt = true;
-                    }
-                    n
-                }
+                Piece::Trailer(k) => self.gather(k, data),
                 Piece::End => {
                     self.corrupt = true;
                     data.len()
                 }
             };
             self.pos += n as u64;
-            data = &data[n..];
+            taken += n;
         }
+        taken
     }
 
     /// Copy evidence bytes from `k` on from the front of `data`; returns
@@ -759,14 +789,23 @@ impl Body {
         n
     }
 
-    /// Block `block`'s digest arrived: a match certifies the block in
-    /// the session ledger (a duplicate another cascade delivered is
-    /// counted and discarded); a mismatch freezes certification for this
-    /// connection, and the next attempt is granted from the first block
-    /// still missing.
-    fn check_block(&mut self, sessions: &mut BTreeMap<SessionId, SessionProgress>, block: u64) {
-        let own = std::mem::take(&mut self.run).finalize();
+    /// A staged block of this attempt hashed to `own`, checked in the
+    /// order block digests landed at the sink: a match certifies the
+    /// block in the session ledger (a duplicate another cascade
+    /// delivered is counted and discarded); a mismatch freezes
+    /// certification for this connection, and the next attempt is
+    /// granted from the first block still missing.
+    fn certify(
+        &mut self,
+        sessions: &mut BTreeMap<SessionId, SessionProgress>,
+        landed: &Landed,
+        own: [u8; DIGEST_LEN],
+    ) {
         self.list.push(own);
+        #[cfg(test)]
+        {
+            self.hashed += landed.payload.len() as u64;
+        }
         let session = self
             .header
             .as_ref()
@@ -776,26 +815,28 @@ impl Body {
             .get_mut(&session)
             .expect("a ranged attempt's session")
             .ledger;
-        if self.corrupt || own != self.evidence {
+        if self.corrupt || own != landed.digest {
             self.corrupt = true;
-        } else if ledger.certify(block) {
+        } else if ledger.certify(landed.block) {
             self.certified += 1;
         } else {
             lsl_obs::counter_add("sink.stripe.dup_block", session.0 as u64, 1);
         }
     }
 
-    /// What the trailer must be: the hash list of a ranged attempt, the
-    /// payload's MD5 of a plain one.
-    fn trailer_digest(&mut self) -> [u8; DIGEST_LEN] {
+    /// What the trailer must be: the hash list of a ranged attempt (read
+    /// only once its staged blocks are certified), the payload's MD5 of
+    /// a plain one.
+    fn trailer_digest(&self) -> [u8; DIGEST_LEN] {
         match self.frame.evidence {
             Evidence::Blocks => hash_list(&self.list),
-            _ => std::mem::take(&mut self.run).finalize(),
+            _ => self.run.clone().finalize(),
         }
     }
 
     /// The stream ended: judge the attempt — its status and whether its
-    /// evidence matched. Most-specific failure first: a short payload
+    /// evidence matched (every staged block certified first, so its
+    /// hash list is whole). Most-specific failure first: a short payload
     /// explains bad evidence, bad evidence trumps a content scan.
     fn verdict(&self) -> (TransferStatus, Option<bool>) {
         let owed = match &self.header {
@@ -803,10 +844,11 @@ impl Body {
             Some(h) if !h.has_digest() && h.length != u64::MAX => h.length,
             _ => self.frame.owed(),
         };
-        // The evidence holds when the whole trailer arrived and nothing
-        // failed.
+        // The evidence holds when the whole trailer arrived, matches,
+        // and nothing failed.
         let whole = self.frame.at(self.pos) == Piece::End;
-        let digest_ok = (self.frame.evidence != Evidence::None).then_some(whole && !self.corrupt);
+        let digest_ok = (self.frame.evidence != Evidence::None)
+            .then(|| whole && !self.corrupt && self.trailer_digest() == self.evidence);
         let status = if self.received < owed {
             TransferStatus::Failed(SessionError::TruncatedStream)
         } else if digest_ok == Some(false) {
@@ -820,11 +862,80 @@ impl Body {
     }
 }
 
+/// A ranged block whose payload and in-band digest have landed at the
+/// sink, not yet hashed.
+struct Landed {
+    sock: SockId,
+    block: u64,
+    payload: Vec<u8>,
+    /// The digest the block carried in band.
+    digest: [u8; DIGEST_LEN],
+}
+
+/// The sink's landed blocks, across all its conns, waiting to be hashed
+/// together: at most [`LANES`] of them (512 KiB), in the order their
+/// digests landed. [`Staged::certify`] empties it; the buffers go back
+/// to a free list that later blocks are copied into.
+#[derive(Default)]
+struct Staged {
+    landed: Vec<Landed>,
+    free: Vec<Vec<u8>>,
+    /// Most blocks and payload bytes ever staged at once.
+    #[cfg(test)]
+    high_water: (usize, usize),
+    /// How many blocks each [`Staged::certify`] hashed.
+    #[cfg(test)]
+    groups: Vec<usize>,
+}
+
+impl Staged {
+    fn is_full(&self) -> bool {
+        self.landed.len() == LANES
+    }
+
+    /// An empty buffer for a landing block's payload.
+    fn buffer(&mut self) -> Vec<u8> {
+        self.free
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(RESUME_BLOCK as usize))
+    }
+
+    fn push(&mut self, landed: Landed) {
+        debug_assert!(!self.is_full(), "a full stage is certified first");
+        self.landed.push(landed);
+        #[cfg(test)]
+        {
+            let bytes = self.landed.iter().map(|l| l.payload.len()).sum();
+            self.high_water.0 = self.high_water.0.max(self.landed.len());
+            self.high_water.1 = self.high_water.1.max(bytes);
+        }
+    }
+
+    /// Hash every staged block in one [`md5_many`] call, then hand each
+    /// with its digest to `check`, in the order the digests landed.
+    fn certify(&mut self, mut check: impl FnMut(&Landed, [u8; DIGEST_LEN])) {
+        if self.landed.is_empty() {
+            return;
+        }
+        #[cfg(test)]
+        self.groups.push(self.landed.len());
+        let views: Vec<&[u8]> = self.landed.iter().map(|l| &l.payload[..]).collect();
+        let digests = md5_many(&views);
+        for (landed, own) in self.landed.drain(..).zip(digests) {
+            check(&landed, own);
+            let mut buf = landed.payload;
+            buf.clear();
+            self.free.push(buf);
+        }
+    }
+}
+
 enum SinkConnState {
     /// LSL: accumulating header bytes.
     ReadingHeader(Vec<u8>),
-    /// Walking the body's frame.
-    Body(Body),
+    /// Walking the body's frame. Boxed: a body is ten times the size of
+    /// a header buffer.
+    Body(Box<Body>),
 }
 
 struct SinkConn {
@@ -883,6 +994,8 @@ pub struct SinkServer {
     /// count means a verified block was re-sent (the striped chaos
     /// contract machine-checks this).
     stripe_regrants: u64,
+    /// Ranged blocks landed on any conn and not yet certified.
+    staged: Staged,
     /// Payload bytes the recorded attempts fed to an MD5.
     #[cfg(test)]
     hashed: u64,
@@ -908,6 +1021,7 @@ impl SinkServer {
             idle: None,
             timer_armed: false,
             stripe_regrants: 0,
+            staged: Staged::default(),
             #[cfg(test)]
             hashed: 0,
         }
@@ -930,8 +1044,11 @@ impl SinkServer {
     }
 
     /// Session-wide verified block count, in any order (0 when the
-    /// session is unknown or never requested a range).
-    pub fn session_certified(&self, session: SessionId) -> u64 {
+    /// session is unknown or never requested a range). Certifies the
+    /// staged blocks first, so the count includes every block whose
+    /// digest has landed.
+    pub fn session_certified(&mut self, session: SessionId) -> u64 {
+        self.certify_staged();
         self.sessions
             .get(&session)
             .map_or(0, |p| p.ledger.verified_count())
@@ -939,8 +1056,10 @@ impl SinkServer {
 
     /// Duplicate block deliveries discarded for `session` — the cost of
     /// redundant (k-of-n) tail dispatch, which the striped campaign
-    /// accounts for explicitly.
-    pub fn duplicate_blocks(&self, session: SessionId) -> u64 {
+    /// accounts for explicitly. Certifies the staged blocks first, like
+    /// [`SinkServer::session_certified`].
+    pub fn duplicate_blocks(&mut self, session: SessionId) -> u64 {
+        self.certify_staged();
         self.sessions
             .get(&session)
             .map_or(0, |p| p.ledger.duplicates())
@@ -976,7 +1095,7 @@ impl SinkServer {
                 let state = if self.expects_lsl {
                     SinkConnState::ReadingHeader(Vec::new())
                 } else {
-                    SinkConnState::Body(Body::new(None, Frame::UNTIL_FIN))
+                    SinkConnState::Body(Box::new(Body::new(None, Frame::UNTIL_FIN)))
                 };
                 self.conns.insert(
                     *conn,
@@ -999,7 +1118,7 @@ impl SinkServer {
             SockEvent::Error(e) => self.fail_conn(net, *sock, SessionError::Tcp(*e)),
             SockEvent::Closed => {
                 net.release(*sock);
-                if let Some(conn) = self.conns.remove(sock) {
+                if let Some(conn) = self.remove_conn(*sock) {
                     self.release_session_conn(*sock, &conn.state);
                 }
             }
@@ -1060,16 +1179,63 @@ impl SinkServer {
         }
     }
 
+    /// Hash and check every staged block (see [`Staged::certify`]), each
+    /// against its conn, which is still in `conns`.
+    fn certify_staged(&mut self) {
+        let (conns, sessions) = (&mut self.conns, &mut self.sessions);
+        self.staged.certify(|landed, own| {
+            let Some(SinkConn {
+                state: SinkConnState::Body(body),
+                ..
+            }) = conns.get_mut(&landed.sock)
+            else {
+                unreachable!("a conn leaves only after its staged blocks are certified");
+            };
+            body.certify(sessions, landed, own);
+        });
+    }
+
+    /// Take `sock`'s conn out of the table, certifying the staged blocks
+    /// first: its outcome and its session's ledger must count them.
+    fn remove_conn(&mut self, sock: SockId) -> Option<SinkConn> {
+        self.certify_staged();
+        self.conns.remove(&sock)
+    }
+
+    /// Feed body bytes to `sock`'s conn, certifying the staged blocks
+    /// whenever [`LANES`] of them have landed (the stage may be full on
+    /// entry, when the caller fed the front of a read itself).
+    fn feed(&mut self, sock: SockId, mut data: &[u8]) {
+        loop {
+            if self.staged.is_full() {
+                self.certify_staged();
+            }
+            if data.is_empty() {
+                return;
+            }
+            let Some(SinkConn {
+                state: SinkConnState::Body(body),
+                ..
+            }) = self.conns.get_mut(&sock)
+            else {
+                return;
+            };
+            data = &data[body.feed(&mut self.staged, sock, data)..];
+        }
+    }
+
     /// Record a failed attempt as a typed outcome and drop the
     /// connection state.
     fn fail_conn(&mut self, net: &mut Net, sock: SockId, err: SessionError) {
-        if let Some(conn) = self.conns.remove(&sock) {
+        if let Some(conn) = self.remove_conn(sock) {
             self.record(net, sock, &conn, TransferStatus::Failed(err), None);
         }
     }
 
     /// Record how the attempt on `sock` ended — the one place an outcome
-    /// is built — and detach the conn from its session.
+    /// is built — and detach the conn from its session. The conn has
+    /// left `conns` through [`SinkServer::remove_conn`], so every block
+    /// it landed is certified.
     fn record(
         &mut self,
         net: &Net,
@@ -1081,7 +1247,7 @@ impl SinkServer {
         let verified_blocks = self.release_session_conn(sock, &conn.state);
         let pre_header;
         let body = match &conn.state {
-            SinkConnState::Body(body) => body,
+            SinkConnState::Body(body) => body.as_ref(),
             SinkConnState::ReadingHeader(_) => {
                 pre_header = Body::new(None, Frame::UNTIL_FIN);
                 &pre_header
@@ -1092,6 +1258,7 @@ impl SinkServer {
         {
             self.hashed += body.hashed;
         }
+        let session_verified = session.map_or(0, |sid| self.session_certified(sid));
         self.outcomes.push(TransferOutcome {
             session,
             status,
@@ -1099,7 +1266,7 @@ impl SinkServer {
             attempt_bytes: body.received,
             blocks_certified: body.certified,
             stripe: body.stripe(),
-            session_verified: session.map_or(0, |sid| self.session_certified(sid)),
+            session_verified,
             digest_ok,
             content_ok: body.content_ok,
             verified_blocks,
@@ -1116,9 +1283,6 @@ impl SinkServer {
             if chunk.is_empty() {
                 break;
             }
-            // Split-borrow the conn table and the session map: body
-            // bytes certify into the per-session ledger.
-            let sessions = &mut self.sessions;
             let Some(conn) = self.conns.get_mut(&sock) else {
                 return;
             };
@@ -1129,7 +1293,10 @@ impl SinkServer {
                     LslHeader::decode(buf).map(|h| h.map(|(h, used)| (h, buf.split_off(used))))
                 }
                 SinkConnState::Body(body) => {
-                    body.feed(sessions, &chunk);
+                    // The conn is at hand, so feed it here; `feed`
+                    // certifies a full stage and takes the rest.
+                    let taken = body.feed(&mut self.staged, sock, &chunk);
+                    self.feed(sock, &chunk[taken..]);
                     Ok(None)
                 }
             };
@@ -1145,9 +1312,9 @@ impl SinkServer {
         }
         // EOF: finalize.
         if net.at_eof(sock) {
-            let mut conn = self.conns.remove(&sock).expect("present");
+            let conn = self.remove_conn(sock).expect("present");
             net.close(sock);
-            let SinkConnState::Body(body) = &mut conn.state else {
+            let SinkConnState::Body(body) = &conn.state else {
                 let eof = TransferStatus::Failed(SessionError::Wire(WireError::TruncatedHeader));
                 self.record(net, sock, &conn, eof, None);
                 return;
@@ -1199,11 +1366,12 @@ impl SinkServer {
             // Keep the decoded header so the failed outcome names its
             // session; with no granted range it opens no session state.
             if let Some(conn) = self.conns.get_mut(&sock) {
-                conn.state = SinkConnState::Body(Body::new(Some(header), Frame::UNTIL_FIN));
+                let body = Body::new(Some(header), Frame::UNTIL_FIN);
+                conn.state = SinkConnState::Body(Box::new(body));
             }
             return Err(e);
         }
-        let mut body = if !ranged {
+        let body = if !ranged {
             // Plain v1 confirmation — bit-identical to the pre-resume
             // handshake.
             let n = net.send(sock, &Bytes::from_static(&[SESSION_CONFIRM]));
@@ -1218,6 +1386,8 @@ impl SinkServer {
             };
             Body::new(Some(header), frame)
         } else {
+            // The grant reads the ledger.
+            self.certify_staged();
             if header.resume.is_some() {
                 // A new attempt supersedes any lingering conn of the same
                 // session (e.g. one whose death the sink has not noticed).
@@ -1271,10 +1441,10 @@ impl SinkServer {
             debug_assert_eq!(n, len);
             Body::new(Some(header), frame)
         };
-        body.feed(&mut self.sessions, leftover);
         if let Some(conn) = self.conns.get_mut(&sock) {
-            conn.state = SinkConnState::Body(body);
+            conn.state = SinkConnState::Body(Box::new(body));
         }
+        self.feed(sock, leftover);
         Ok(())
     }
 }
@@ -1375,8 +1545,8 @@ mod tests {
 
     /// Feed `body` to a fresh sink body for blocks `[start, end)` of a
     /// `total`-byte stream (ranged as a stripe, or a plain v1 attempt),
-    /// cut into reads at `cuts`; returns it and the session ledger's
-    /// verified blocks.
+    /// cut into reads at `cuts`, certifying staged blocks as the sink
+    /// does; returns it and the session ledger's verified blocks.
     fn sink_body(
         (start, end, total): (u64, u64, u64),
         ranged: bool,
@@ -1403,13 +1573,26 @@ mod tests {
         let mut sink = Body::new(Some(header), Frame::new((start, end), total, evidence));
         let mut sessions = BTreeMap::new();
         sessions.insert(session, SessionProgress::default());
+        let mut staged = Staged::default();
+        let sock = SockId {
+            node: NodeId(0),
+            idx: 0,
+        };
+        let mut certify = |sink: &mut Body, staged: &mut Staged| {
+            staged.certify(|landed, own| sink.certify(&mut sessions, landed, own));
+        };
         let mut rest = body;
-        for &cut in cuts {
-            let (piece, after) = rest.split_at(cut.min(rest.len()));
-            sink.feed(&mut sessions, piece);
+        for cut in cuts.iter().copied().chain([body.len()]) {
+            let (mut piece, after) = rest.split_at(cut.min(rest.len()));
+            while !piece.is_empty() {
+                piece = &piece[sink.feed(&mut staged, sock, piece)..];
+                if staged.is_full() {
+                    certify(&mut sink, &mut staged);
+                }
+            }
             rest = after;
         }
-        sink.feed(&mut sessions, rest);
+        certify(&mut sink, &mut staged);
         let ledger = &sessions[&session].ledger;
         let verified = (0..stream_blocks(total)).filter(|&b| ledger.is_verified(b));
         (sink, verified.collect())
@@ -1644,8 +1827,9 @@ mod tests {
     /// bytes per payload byte are exactly 1.0 at the sender and at the
     /// sink, for a plain v1 attempt, a resume and a stripe. (The hash
     /// list adds 16 bytes of hashing per block on top.) The 20-block
-    /// resume ending in a short block hashes ahead in groups of 8, 8
-    /// and 4, the last one unequal and so through the scalar fallback.
+    /// resume ending in a short block is hashed in groups of 8, 8 and
+    /// 4 at both ends; in the last, three full blocks share the lanes
+    /// and the short one is hashed alone.
     #[test]
     fn each_certifying_byte_is_hashed_once_at_each_end() {
         const SHORT: u64 = 4 * RESUME_BLOCK + 1000;
@@ -1670,6 +1854,248 @@ mod tests {
             assert_eq!(sender.hashed, payload, "sender, {request:?}");
             assert_eq!(sink.hashed, payload, "sink, {request:?}");
         }
+    }
+
+    /// A sink on a two-node LAN, fed by raw conns that a test drives
+    /// byte for byte: each [`HandSink::send`] runs the network until it
+    /// is quiet, so what lands at the sink, and in what order, is the
+    /// test's choice.
+    struct HandSink {
+        net: Net,
+        sink: SinkServer,
+        src: NodeId,
+        dst: NodeId,
+    }
+
+    impl HandSink {
+        fn new(idle: Option<Dur>) -> HandSink {
+            let mut b = TopologyBuilder::new();
+            let (src, dst) = (b.node("src"), b.node("sink"));
+            b.duplex(
+                src,
+                dst,
+                LinkSpec::new(1_000_000_000, Dur::from_micros(100)),
+            );
+            let mut net = Net::new(b.build().into_sim(1));
+            let mut sink = SinkServer::new(&mut net, dst, 5000, true, TcpConfig::default());
+            if let Some(d) = idle {
+                sink = sink.with_idle_timeout(d);
+            }
+            HandSink {
+                net,
+                sink,
+                src,
+                dst,
+            }
+        }
+
+        /// Open a conn whose first bytes are `header`, and any more
+        /// bytes in `body`.
+        fn open(&mut self, header: &LslHeader, body: &[u8]) -> SockId {
+            let sock = self
+                .net
+                .connect(self.src, self.dst, 5000, TcpConfig::default());
+            let mut first = header.encode().expect("no route").to_vec();
+            first.extend_from_slice(body);
+            self.send(sock, &first);
+            sock
+        }
+
+        fn send(&mut self, sock: SockId, data: &[u8]) {
+            assert_eq!(
+                self.net.send(sock, &Bytes::copy_from_slice(data)),
+                data.len()
+            );
+            self.run();
+        }
+
+        /// Half-close `sock`: the sink judges the attempt at EOF.
+        fn finish(&mut self, sock: SockId) {
+            self.net.close(sock);
+            self.run();
+        }
+
+        /// The sink's grant on `sock`, after the confirm byte.
+        fn grant(&mut self, sock: SockId) -> Vec<u8> {
+            let reply = self.net.recv(sock, 64);
+            assert_eq!(reply.first(), Some(&SESSION_CONFIRM));
+            reply[1..].to_vec()
+        }
+
+        fn run(&mut self) {
+            while let Some(ev) = self.net.poll() {
+                let _ = self.sink.handle(&mut self.net, &ev);
+            }
+        }
+
+        /// Staging held at most `LANES` blocks (512 KiB) at once.
+        fn assert_staging_bounded(&self) {
+            let (blocks, bytes) = self.sink.staged.high_water;
+            assert!(blocks <= LANES, "{blocks} blocks staged");
+            assert!(
+                bytes as u64 <= LANES as u64 * RESUME_BLOCK,
+                "{bytes} bytes staged"
+            );
+        }
+    }
+
+    /// A ranged header for `session`: a stripe of `stripe`, or a fresh
+    /// resume.
+    fn ranged(session: u128, total: u64, stripe: Option<(u64, u64)>) -> LslHeader {
+        LslHeader {
+            session: SessionId(session),
+            flags: HEADER_FLAG_DIGEST,
+            length: total,
+            resume: stripe.is_none().then(Resume::fresh),
+            stripe: stripe.map(|(start_block, end_block)| StripeReq {
+                start_block,
+                end_block,
+            }),
+            route: Vec::new(),
+        }
+    }
+
+    /// Framed bytes per full block: its payload and its digest.
+    const FRAMED: usize = RESUME_BLOCK as usize + DIGEST_LEN;
+
+    /// Two striped conns carry block 1. Conn A's copy lands first, but
+    /// conn B's digest completes first, so B certifies the block and A's
+    /// copy is the duplicate: certification follows the order in which
+    /// digests land, as if each block certified on its digest's arrival.
+    /// The three blocks staged meanwhile are hashed as one group when A
+    /// ends.
+    #[test]
+    fn staged_blocks_certify_in_digest_landing_order() {
+        let total = 3 * RESUME_BLOCK;
+        let mut h = HandSink::new(None);
+        let a_frame = framed(0, 2, total, true);
+        let b_frame = framed(1, 3, total, true);
+        // Both are granted what they ask: no block is certified yet.
+        let a = h.open(&ranged(1, total, Some((0, 2))), &[]);
+        let b = h.open(&ranged(1, total, Some((1, 3))), &[]);
+        assert_eq!(
+            h.grant(a),
+            [0u64.to_be_bytes(), 2u64.to_be_bytes()].concat()
+        );
+        assert_eq!(
+            h.grant(b),
+            [1u64.to_be_bytes(), 3u64.to_be_bytes()].concat()
+        );
+        h.send(a, &a_frame[..FRAMED + RESUME_BLOCK as usize]);
+        h.send(b, &b_frame[..FRAMED]);
+        assert_eq!(h.sink.staged.landed.len(), 2, "A's block 0, B's block 1");
+        h.send(a, &a_frame[FRAMED + RESUME_BLOCK as usize..]);
+        h.finish(a);
+        h.send(b, &b_frame[FRAMED..]);
+        h.finish(b);
+        let outcomes = h.sink.take_outcomes();
+        let summary: Vec<_> = outcomes
+            .iter()
+            .map(|o| (o.ok(), o.blocks_certified, o.session_verified))
+            .collect();
+        assert_eq!(summary, [(true, 1, 2), (true, 2, 3)]);
+        assert_eq!(h.sink.duplicate_blocks(SessionId(1)), 1);
+        assert_eq!(h.sink.session_certified(SessionId(1)), 3);
+        assert_eq!(h.sink.staged.groups, [3, 1]);
+        h.assert_staging_bounded();
+    }
+
+    /// A flipped in-band digest in the middle of a staged group fails
+    /// only its own conn: its later blocks in the same group do not
+    /// certify, and the other session's blocks staged between them do.
+    #[test]
+    fn a_bad_digest_in_a_staged_group_fails_only_its_own_conn() {
+        let mut h = HandSink::new(None);
+        let mut a_frame = framed(0, 5, 5 * RESUME_BLOCK, true);
+        a_frame[FRAMED + RESUME_BLOCK as usize + 3] ^= 0x01;
+        let b_frame = framed(0, 3, 3 * RESUME_BLOCK, true);
+        let a = h.open(&ranged(1, 5 * RESUME_BLOCK, None), &[]);
+        let b = h.open(&ranged(2, 3 * RESUME_BLOCK, None), &[]);
+        h.send(a, &a_frame[..3 * FRAMED]);
+        h.send(b, &b_frame);
+        h.send(a, &a_frame[3 * FRAMED..]);
+        assert_eq!(h.sink.staged.groups, [LANES], "A 0-2, B 0-2, A 3-4");
+        h.finish(a);
+        h.finish(b);
+        let outcomes = h.sink.take_outcomes();
+        assert_eq!(
+            outcomes[0].status,
+            TransferStatus::Failed(SessionError::DigestMismatch)
+        );
+        assert_eq!(
+            (outcomes[0].blocks_certified, outcomes[0].verified_blocks),
+            (1, 1)
+        );
+        assert!(outcomes[1].ok());
+        assert_eq!(outcomes[1].blocks_certified, 3);
+        assert_eq!(h.sink.session_certified(SessionId(1)), 1);
+        assert_eq!(h.sink.session_certified(SessionId(2)), 3);
+        h.assert_staging_bounded();
+    }
+
+    /// A conn ended with blocks still staged, by a resume that
+    /// supersedes it or by the idle watchdog, has them certified before
+    /// its outcome is built: the outcome, and the superseding attempt's
+    /// grant, count them.
+    #[test]
+    fn a_superseded_or_stalled_conn_counts_its_staged_blocks() {
+        let total = 5 * RESUME_BLOCK;
+        let body = framed(0, 5, total, true);
+        for watchdog in [false, true] {
+            let mut h = HandSink::new(watchdog.then(|| Dur::from_millis(50)));
+            let a = h.open(&ranged(1, total, None), &body[..3 * FRAMED]);
+            if !watchdog {
+                let b = h.open(&ranged(1, total, None), &[]);
+                assert_eq!(h.grant(a), 0u64.to_be_bytes());
+                assert_eq!(h.grant(b), (3 * RESUME_BLOCK).to_be_bytes());
+            }
+            let o = &h.sink.outcomes()[0];
+            assert_eq!(o.status, TransferStatus::Failed(SessionError::Stalled));
+            assert_eq!(
+                (o.blocks_certified, o.verified_blocks, o.session_verified),
+                (3, 3, 3),
+                "watchdog {watchdog}"
+            );
+            assert_eq!(h.sink.staged.groups, [3], "watchdog {watchdog}");
+            h.assert_staging_bounded();
+        }
+    }
+
+    /// A grant and the public ledger reads count staged blocks: a
+    /// stripe opened while a resume's first three blocks are staged is
+    /// granted from block 3, and `session_certified` then counts a
+    /// fourth block that is still staged.
+    #[test]
+    fn grants_and_ledger_reads_count_staged_blocks() {
+        let total = 5 * RESUME_BLOCK;
+        let body = framed(0, 5, total, true);
+        let mut h = HandSink::new(None);
+        let a = h.open(&ranged(1, total, None), &body[..3 * FRAMED]);
+        assert_eq!(h.sink.staged.landed.len(), 3);
+        let b = h.open(&ranged(1, total, Some((0, 5))), &[]);
+        assert_eq!(
+            h.grant(b),
+            [3u64.to_be_bytes(), 5u64.to_be_bytes()].concat()
+        );
+        h.send(a, &body[3 * FRAMED..4 * FRAMED]);
+        assert_eq!(h.sink.session_certified(SessionId(1)), 4);
+        assert_eq!(h.sink.duplicate_blocks(SessionId(1)), 0);
+        assert_eq!(h.sink.staged.groups, [3, 1]);
+        assert!(h.sink.outcomes().is_empty(), "both conns still open");
+        assert_eq!(h.sink.stripe_regrants(), 0);
+    }
+
+    /// A 16-block resume is hashed at the sink in two groups of eight,
+    /// with never more than `LANES` blocks staged.
+    #[test]
+    fn a_sixteen_block_resume_is_certified_in_two_groups_of_eight() {
+        let request = Some(Request::Resume(Resume::fresh()));
+        let (_, sink, _) = case1_transfer(16 * RESUME_BLOCK, true, request);
+        assert_eq!(sink.staged.groups, [LANES, LANES]);
+        assert_eq!(
+            sink.staged.high_water,
+            (LANES, LANES * RESUME_BLOCK as usize)
+        );
     }
 
     /// A ranged attempt hashes ahead no further than the end of its
