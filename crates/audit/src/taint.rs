@@ -60,6 +60,7 @@ pub const SINK_NAMES: &[&str] = &[
     "fingerprint",
     "trailer_digest",
     "certify_staged",
+    "block_digest",
     "schedule",
     "enqueue",
 ];

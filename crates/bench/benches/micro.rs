@@ -12,7 +12,8 @@
 //! Either way the run emits `BENCH_netsim.json` at the workspace root:
 //! a machine-readable perf trajectory (simulator events/sec, 1 MiB and
 //! 16 MiB case 1 transfer wall time, the 16 MiB one also as a ranged
-//! attempt that both ends certify block by block, MD5 throughput for
+//! attempt that both ends certify block by block, a calm 1 MiB session
+//! striped over three cascades, MD5 throughput for
 //! one input and for eight 64 KiB inputs at a time, 16 MiB loopback
 //! relay rate, campaign wall time at 1 and N jobs, and the ns/iter of
 //! the segment and LSL header codecs and of the NWS mixture update)
@@ -25,7 +26,7 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use bytes::Bytes;
-use lsl_netsim::{Dur, LinkSpec, LossModel, NodeId, Packet, TopologyBuilder};
+use lsl_netsim::{Dur, LinkSpec, LossModel, NodeId, Packet, StormPlan, TopologyBuilder};
 use lsl_nws::AdaptiveMixture;
 use lsl_session::endpoint::SendMode;
 use lsl_session::{
@@ -33,7 +34,10 @@ use lsl_session::{
     SenderState, SessionId, SinkServer,
 };
 use lsl_tcp::{Net, Segment};
-use lsl_workloads::{case1, default_jobs, run_campaign, run_transfer, Mode, RunConfig};
+use lsl_workloads::{
+    case1, default_jobs, run_campaign, run_transfer, Campaign, CampaignConfig, ClientKind, Mode,
+    RunConfig, Scenario,
+};
 
 /// Wall time per measured pass; three passes are taken per benchmark.
 const TARGET_MEASURE_S: f64 = 0.25;
@@ -63,6 +67,11 @@ const BASELINE_RUN_WALL_S_16MB_DEPOT: f64 = 1.111879;
 /// alone as it landed), on the same 2-core KVM VM: median of four runs
 /// alternated with the change.
 const BASELINE_RUN_WALL_S_16MB_RANGED: f64 = 0.082450;
+/// The striped 1 MiB session recorded immediately before a session's
+/// lanes shared one table of block digests (each attempt hashed its own
+/// two-block grant), on a 2-core x86-64 KVM VM: median of 25
+/// measurements over five runs alternated with the change.
+const BASELINE_RUN_WALL_S_1MB_STRIPED: f64 = 0.006955;
 /// 1 MiB MD5 throughput and the 16 MiB loopback relay rate recorded
 /// immediately before the streaming sink verify and the shortened MD5
 /// step chain (the sink read a whole session before hashing any of
@@ -356,7 +365,7 @@ fn ranged_transfer(size: u64) -> u64 {
         &path,
         session,
         size,
-        SendMode::lsl(),
+        SendMode::Lsl,
         cfg.tcp.clone(),
         None,
         Some(Request::Resume(Resume::fresh())),
@@ -372,6 +381,34 @@ fn ranged_transfer(size: u64) -> u64 {
     let certified = sink.session_certified(session);
     assert_eq!(certified, stream_blocks(size));
     outcomes[0].bytes
+}
+
+/// One calm 1 MiB session striped over the three cascades of the
+/// `striped_case()` topology, with the striped campaign's defaults
+/// (two-block chunks, a two-attempt redundant tail, telemetry
+/// recorded), driven until the sink's block ledger has certified every
+/// block. Returns wall seconds per run.
+fn bench_striped_session(b: &Bench) -> f64 {
+    let ns = b.run("striped_session_1MB/3_cascades", Some(1 << 20), || {
+        let r = Scenario {
+            campaign: Campaign::Striped,
+            client: ClientKind::Striped,
+            storm: StormPlan {
+                seed: 1,
+                atoms: Vec::new(),
+            },
+            cfg: CampaignConfig::default(),
+        }
+        .run();
+        assert!(
+            r.completed() && r.cascades == 3,
+            "calm striped run: {:?}",
+            r.state
+        );
+        assert_eq!(r.certified, r.expected_blocks);
+        r.certified
+    });
+    ns / 1e9
 }
 
 /// 100 adaptive-mixture updates and a prediction; returns ns.
@@ -497,6 +534,7 @@ fn write_json(smoke: bool, rows: &[(&str, f64, usize)]) {
         ("run_wall_s_16mb_direct", BASELINE_RUN_WALL_S_16MB_DIRECT, 6),
         ("run_wall_s_16mb_depot", BASELINE_RUN_WALL_S_16MB_DEPOT, 6),
         ("run_wall_s_16mb_ranged", BASELINE_RUN_WALL_S_16MB_RANGED, 6),
+        ("run_wall_s_1mb_striped", BASELINE_RUN_WALL_S_1MB_STRIPED, 6),
         ("md5_mb_per_s", BASELINE_MD5_MB_PER_S, 1),
         ("realnet_relay_mb_per_s", BASELINE_REALNET_RELAY_MB_PER_S, 1),
     ];
@@ -527,6 +565,7 @@ fn main() {
     let (direct_s, depot_s) = bench_tcp_transfer(&b, 1);
     let (direct16_s, depot16_s) = bench_tcp_transfer(&b, 16);
     let ranged16_s = bench_ranged_transfer(&b);
+    let striped_s = bench_striped_session(&b);
     let nws_ns = bench_forecasting(&b);
     let realnet_relay_mb_per_s = bench_realnet_relay(&b);
     let (jobs_n, w1, wn) = bench_campaign(&b);
@@ -540,6 +579,7 @@ fn main() {
             ("run_wall_s_16mb_direct", direct16_s, 6),
             ("run_wall_s_16mb_depot", depot16_s, 6),
             ("run_wall_s_16mb_ranged", ranged16_s, 6),
+            ("run_wall_s_1mb_striped", striped_s, 6),
             ("md5_mb_per_s", md5_mb_per_s, 1),
             ("md5_lanes_mb_per_s", md5_lanes_mb_per_s, 1),
             ("realnet_relay_mb_per_s", realnet_relay_mb_per_s, 1),

@@ -26,7 +26,9 @@
 //! carries block-range chunks with [`StripeReq`] requests (v3 header),
 //! and only the dispatch policy — macro-stripes, work stealing, k-of-n
 //! tail, re-striping a dead lane's blocks — is multi-lane. The ladder,
-//! watchdog, timers, events and teardown are the same code for both.
+//! watchdog, timers, events and teardown are the same code for both,
+//! and so is the one table of block digests every ranged attempt
+//! reads, which hashes each block once per session.
 //!
 //! Verified delivery failures (digest/content mismatch, truncation)
 //! reported by the sink trigger a bounded **retransfer** on the lane
@@ -40,12 +42,14 @@
 //! no byte moves for a full timeout window.
 
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 use lsl_netsim::{Dur, NodeId, Time};
 use lsl_tcp::{AppEvent, Net};
 
 use crate::endpoint::{
-    stream_blocks, BulkSender, Request, SendMode, SenderState, TransferOutcome, RESUME_BLOCK,
+    stream_blocks, BlockDigests, BulkSender, Request, SendMode, SenderState, TransferOutcome,
+    RESUME_BLOCK,
 };
 use crate::error::{Handled, SessionError, SessionEvent};
 use crate::header::{Resume, StripeReq};
@@ -203,6 +207,9 @@ pub struct SessionClient {
     dead: Vec<bool>,
     cfg: RecoveryConfig,
     lanes: Vec<Lane>,
+    /// The stream's block digests, read by every ranged attempt on
+    /// every lane, so each block is hashed once per session.
+    digests: Rc<BlockDigests>,
     /// k-of-n tail attempts left (striped sessions only).
     redundant_left: u32,
     /// `Running` until terminal; [`SessionClient::state`] derives
@@ -332,6 +339,7 @@ impl SessionClient {
             plan,
             cfg: cfg.recovery,
             lanes,
+            digests: Rc::new(BlockDigests::new(total, (0, total_blocks))),
             redundant_left: cfg.redundant_tail,
             state: ClientState::Running,
             events: Vec::new(),
@@ -590,7 +598,8 @@ impl SessionClient {
             self.tcp.clone(),
             label,
             request,
-        );
+        )
+        .sharing(&self.digests);
         lane.last_progress = sender.progress();
         lane.sender = Some(sender);
         lane.state = LaneState::Running;
@@ -919,6 +928,183 @@ impl SessionClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::depot::{Depot, DepotConfig};
+    use crate::endpoint::SinkServer;
+    use crate::route::Hop;
+    use crate::stripe::StripedSession;
+    use lsl_netsim::{FaultPlan, LinkSpec, TopologyBuilder};
+    use lsl_tcp::TcpConfig;
+
+    const DEPOT_PORT: u16 = 7000;
+    const SINK_PORT: u16 = 5000;
+
+    /// A lossless star: `src — pop — dst`, with three depot spurs off
+    /// the POP. Returns the net (with `faults` installed; the closure
+    /// gets the depot nodes), the depots, the sink, the source and the
+    /// plan of one single-depot cascade per spur.
+    fn star(
+        faults: impl FnOnce(&[NodeId]) -> FaultPlan,
+    ) -> (Net, Vec<Depot>, SinkServer, NodeId, RoutePlan) {
+        let mut b = TopologyBuilder::new();
+        let (src, pop, dst) = (b.node("src"), b.node("pop"), b.node("dst"));
+        let nodes: Vec<NodeId> = ["a", "b", "c"].iter().map(|n| b.node(n)).collect();
+        b.duplex(src, pop, LinkSpec::new(100_000_000, Dur::from_millis(1)));
+        b.duplex(pop, dst, LinkSpec::new(622_000_000, Dur::from_millis(13)));
+        for &d in &nodes {
+            b.duplex(pop, d, LinkSpec::new(1_000_000_000, Dur::from_micros(1500)));
+        }
+        let mut sim = b.build().into_sim(1);
+        sim.install_faults(faults(&nodes));
+        let mut net = Net::new(sim);
+        let tcp = TcpConfig::default();
+        let depot_cfg = DepotConfig::builder()
+            .port(DEPOT_PORT)
+            .tcp(tcp.clone())
+            .setup_delay(Dur::from_millis(5))
+            .build();
+        let depots = nodes
+            .iter()
+            .map(|&d| Depot::new(&mut net, d, depot_cfg.clone()))
+            .collect();
+        let sink = SinkServer::new(&mut net, dst, SINK_PORT, true, tcp);
+        let plan = nodes
+            .iter()
+            .fold(RoutePlan::builder(), |b, &d| {
+                b.path(LslPath::via(
+                    vec![Hop::new(d, DEPOT_PORT)],
+                    Hop::new(dst, SINK_PORT),
+                ))
+            })
+            .build()
+            .expect("single-depot cascades");
+        (net, depots, sink, src, plan)
+    }
+
+    /// Run `client` to its end: events go to the client, the sink, then
+    /// the depots, and each sink outcome goes back to the client.
+    fn drive(
+        net: &mut Net,
+        depots: &mut [Depot],
+        sink: &mut SinkServer,
+        client: &mut SessionClient,
+    ) {
+        while let Some(ev) = net.poll() {
+            if !client.handle(net, &ev).consumed() && !sink.handle(net, &ev).consumed() {
+                for d in depots.iter_mut() {
+                    if d.handle(net, &ev).consumed() {
+                        break;
+                    }
+                }
+            }
+            for o in sink.take_outcomes() {
+                client.on_outcome(net, &o);
+            }
+            if client.is_done() {
+                break;
+            }
+        }
+        assert_eq!(client.state(), ClientState::Done);
+    }
+
+    /// Sixteen blocks (1 MiB): two groups of eight.
+    const SIXTEEN: u64 = 16 * RESUME_BLOCK;
+
+    /// A striped session over the star in two-block chunks with a
+    /// two-attempt redundant tail; `faults` as for [`star`]. Lane death
+    /// is immediate (no reconnects, no direct fallback), so a crashed
+    /// depot re-stripes its lane's chunks at once.
+    fn striped(faults: impl FnOnce(&[NodeId]) -> FaultPlan) -> SessionClient {
+        let (mut net, mut depots, mut sink, src, plan) = star(faults);
+        let cfg = StripeConfig {
+            max_cascades: 3,
+            chunk_blocks: 2,
+            redundant_tail: 2,
+            recovery: RecoveryConfig {
+                max_reconnects: 0,
+                progress_timeout: Some(Dur::from_millis(100)),
+                direct_fallback: false,
+                ..RecoveryConfig::default()
+            },
+        };
+        let tcp = TcpConfig::default();
+        let session = SessionId(7);
+        let mut client: SessionClient =
+            StripedSession::start(&mut net, src, plan, session, SIXTEEN, tcp, cfg, None).into();
+        drive(&mut net, &mut depots, &mut sink, &mut client);
+        assert_eq!(sink.session_certified(session), 16);
+        client
+    }
+
+    /// The session hashed each of its sixteen blocks exactly once at
+    /// the sender, in one `md5_many` call per group of eight.
+    fn assert_hashed_once(client: &SessionClient) {
+        let table = &client.digests;
+        assert_eq!(table.bytes.get(), SIXTEEN, "bytes hashed");
+        assert_eq!(table.calls.get(), 16u64.div_ceil(8), "md5_many calls");
+    }
+
+    /// A calm three-lane striped session: every lane carries chunks,
+    /// the redundant tail doubles up on some, and still each block is
+    /// hashed once, eight at a time.
+    #[test]
+    fn a_striped_session_hashes_each_block_once_across_its_lanes() {
+        let client = striped(|_| FaultPlan::new());
+        let stats = client.lane_stats();
+        assert_eq!(stats.len(), 3);
+        assert!(stats.iter().all(|l| l.blocks_dispatched > 0), "{stats:?}");
+        assert_hashed_once(&client);
+    }
+
+    /// One lane's depot crashes with the lane's second chunk in flight
+    /// and stays down: the lane dies, its chunks are re-striped onto the
+    /// survivors, and they send those blocks with digests from the
+    /// session's table, hashing nothing again.
+    #[test]
+    fn a_restriped_chunk_is_not_hashed_again() {
+        let client =
+            striped(|d| FaultPlan::new().node_down(Time::ZERO + Dur::from_millis(330), d[0]));
+        let events: Vec<&SessionEvent> = client.events().iter().map(|(_, e)| e).collect();
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e, SessionEvent::StripeLost { blocks, .. } if *blocks > 0)),
+            "{events:?}"
+        );
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e, SessionEvent::StripeRebalanced { .. })),
+            "{events:?}"
+        );
+        assert_hashed_once(&client);
+    }
+
+    /// A one-lane session's first attempt is cut by a reset at its
+    /// depot; the resumed attempt starts past the verified prefix and
+    /// hashes no block its predecessor hashed.
+    #[test]
+    fn a_resumed_attempt_reads_its_predecessors_digests() {
+        let (mut net, mut depots, mut sink, src, plan) =
+            star(|d| FaultPlan::new().sublink_rst(Time::ZERO + Dur::from_millis(320), d[0]));
+        let mut client = SessionClient::start(
+            &mut net,
+            src,
+            plan,
+            SessionId(8),
+            SIXTEEN,
+            SendMode::Lsl,
+            TcpConfig::default(),
+            RecoveryConfig::default(),
+            None,
+        );
+        drive(&mut net, &mut depots, &mut sink, &mut client);
+        let resumed = client.events().iter().find_map(|(_, e)| match e {
+            SessionEvent::Resumed { from_block, .. } => Some(*from_block),
+            _ => None,
+        });
+        assert!(resumed.is_some_and(|b| b > 0), "{:?}", client.events());
+        assert_hashed_once(&client);
+    }
 
     #[test]
     fn backoff_doubles_and_caps() {

@@ -17,10 +17,13 @@
 //! payload byte is hashed once at each end. Both ends walk the body
 //! through the one frame the grant fixes (see [`crate::header`]). Both
 //! ends hash a ranged attempt's blocks up to eight side by side
-//! ([`lsl_digest::md5_many`]): the sender ahead of sending them, the
-//! sink once they have landed. The sink's `Body` pattern-checks each
-//! payload run as it lands. A plain attempt's run streams into one MD5.
-//! A ranged attempt's block is copied aside and, once its in-band
+//! ([`lsl_digest::md5_many`]). The sender hashes each block once per
+//! session: a session's attempts, on every lane, read one table of
+//! block digests (`BlockDigests`), filled an aligned group of eight at
+//! a time the first time any attempt needs a digest in the group. The
+//! sink hashes blocks once they have landed. Its `Body` pattern-checks
+//! each payload run as it lands. A plain attempt's run streams into one
+//! MD5. A ranged attempt's block is copied aside and, once its in-band
 //! digest is in, staged sink-wide. The sink hashes the staged blocks
 //! together and certifies them in the order their digests landed: a
 //! match certifies the block into the session's [`BlockLedger`]. It does
@@ -31,7 +34,11 @@
 //! certifying each block as its digest lands would show. Every way an
 //! attempt ends is recorded as one [`TransferOutcome`].
 
+#[cfg(test)]
+use std::cell::Cell;
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use std::sync::LazyLock;
 
 use bytes::Bytes;
@@ -127,7 +134,9 @@ pub enum SendMode {
 }
 
 impl SendMode {
-    /// The paper's LSL configuration.
+    /// The paper's LSL configuration: [`SendMode::Lsl`]. Kept only
+    /// for the benchmark harness (`perfbench/`), its one caller; use
+    /// the variant.
     pub fn lsl() -> SendMode {
         SendMode::Lsl
     }
@@ -189,19 +198,95 @@ enum Hasher {
     /// A plain (v1) attempt: one MD5 over the whole stream, sent as the
     /// trailer.
     Whole(Md5),
-    /// A ranged (v2/v3) attempt: the MD5 of each granted block, from
-    /// the grant's first block on, each sent after its block; the
-    /// trailer is the hash list. Blocks are hashed ahead of sending, up
-    /// to [`LANES`] at a time.
-    Blocks(Vec<[u8; DIGEST_LEN]>),
+    /// A ranged (v2/v3) attempt: each granted block's MD5, read from
+    /// the stream's table and sent after its block; the trailer is the
+    /// hash list of those digests.
+    Blocks(Rc<BlockDigests>),
 }
 
-impl Hasher {
-    fn trailer(&self) -> [u8; DIGEST_LEN] {
-        match self {
-            Hasher::Whole(md5) => md5.clone().finalize(),
-            Hasher::Blocks(digests) => hash_list(digests),
+/// The sender's block digests for one stream, shared by every attempt
+/// that sends its blocks. The blocks `[lo, hi)` it covers are split into
+/// aligned groups of [`LANES`], `[8g, 8g + 8) ∩ [lo, hi)`. A group is
+/// written once: the first lookup of any block in it hashes the whole
+/// group in one [`md5_many`] call, from the sender's own payload
+/// ([`payload_chunk`] views, not the bytes a socket took), and every
+/// later lookup, from any attempt, is a read. A session's table covers
+/// the whole stream; a lone attempt's covers only its grant.
+pub(crate) struct BlockDigests {
+    total: u64,
+    lo: u64,
+    hi: u64,
+    /// Group `lo / LANES + i` at index `i`; block `b`'s digest at
+    /// position `b % LANES`.
+    groups: Box<[OnceCell<[[u8; DIGEST_LEN]; LANES]>]>,
+    /// `md5_many` calls made and payload bytes hashed.
+    #[cfg(test)]
+    pub(crate) calls: Cell<u64>,
+    #[cfg(test)]
+    pub(crate) bytes: Cell<u64>,
+}
+
+impl BlockDigests {
+    /// A table over blocks `[lo, hi)` of a `total`-byte stream.
+    pub(crate) fn new(total: u64, (lo, hi): (u64, u64)) -> BlockDigests {
+        let lanes = LANES as u64;
+        let groups = hi.div_ceil(lanes).saturating_sub(lo / lanes);
+        BlockDigests {
+            total,
+            lo,
+            hi,
+            groups: (0..groups).map(|_| OnceCell::new()).collect(),
+            #[cfg(test)]
+            calls: Cell::new(0),
+            #[cfg(test)]
+            bytes: Cell::new(0),
         }
+    }
+
+    /// The MD5 of block `block`, hashing its group first if no attempt
+    /// has yet. This digest goes on the wire as the block's evidence.
+    pub(crate) fn block_digest(&self, block: u64) -> [u8; DIGEST_LEN] {
+        debug_assert!(
+            (self.lo..self.hi).contains(&block),
+            "block {block} outside the table's [{}, {})",
+            self.lo,
+            self.hi
+        );
+        let lanes = LANES as u64;
+        let group = &self.groups[(block / lanes - self.lo / lanes) as usize];
+        group.get_or_init(|| self.hash_group(block / lanes))[(block % lanes) as usize]
+    }
+
+    /// The hash list of blocks `[start, end)`: the trailer of an
+    /// attempt granted that range.
+    fn trailer(&self, (start, end): (u64, u64)) -> [u8; DIGEST_LEN] {
+        let digests: Vec<_> = (start..end).map(|b| self.block_digest(b)).collect();
+        hash_list(&digests)
+    }
+
+    /// Hash group `g`'s blocks in one [`md5_many`] call.
+    fn hash_group(&self, g: u64) -> [[u8; DIGEST_LEN]; LANES] {
+        let lanes = LANES as u64;
+        let blocks = (g * lanes).max(self.lo)..((g + 1) * lanes).min(self.hi);
+        let payload: Vec<Bytes> = blocks
+            .clone()
+            .map(|b| {
+                let lo = block_offset(b, self.total);
+                payload_chunk(lo, (block_offset(b + 1, self.total) - lo) as usize)
+            })
+            .collect();
+        #[cfg(test)]
+        {
+            self.calls.set(self.calls.get() + 1);
+            let bytes: u64 = payload.iter().map(|p| p.len() as u64).sum();
+            self.bytes.set(self.bytes.get() + bytes);
+        }
+        let views: Vec<&[u8]> = payload.iter().map(|p| &p[..]).collect();
+        let mut group = [[0; DIGEST_LEN]; LANES];
+        for (b, digest) in blocks.zip(md5_many(&views)) {
+            group[(b % lanes) as usize] = digest;
+        }
+        group
     }
 }
 
@@ -347,10 +432,12 @@ impl BulkSender {
             .encode()
             .expect("route length asserted against MAX_HOPS above"),
         };
+        // A ranged attempt's table arrives with `sharing`, or is made
+        // for its grant alone when the grant arrives.
         let (evidence, hasher) = match (mode, request) {
             (SendMode::DirectTcp, _) => (Evidence::None, None),
             (SendMode::Lsl, None) => (Evidence::Trailer, Some(Hasher::Whole(Md5::new()))),
-            (SendMode::Lsl, Some(_)) => (Evidence::Blocks, Some(Hasher::Blocks(Vec::new()))),
+            (SendMode::Lsl, Some(_)) => (Evidence::Blocks, None),
         };
         BulkSender {
             sock,
@@ -373,6 +460,15 @@ impl BulkSender {
             #[cfg(test)]
             hashed: 0,
         }
+    }
+
+    /// Read this ranged attempt's block digests from `table`, the
+    /// session's, instead of a table of its own grant.
+    pub(crate) fn sharing(mut self, table: &Rc<BlockDigests>) -> BulkSender {
+        if self.frame.evidence == Evidence::Blocks {
+            self.hasher = Some(Hasher::Blocks(Rc::clone(table)));
+        }
+        self
     }
 
     pub fn sock(&self) -> SockId {
@@ -499,6 +595,10 @@ impl BulkSender {
         };
         self.grant = Some((start, end));
         self.frame = Frame::new((start, end), self.total, self.frame.evidence);
+        if self.frame.evidence == Evidence::Blocks && self.hasher.is_none() {
+            let table = BlockDigests::new(self.total, (start, end));
+            self.hasher = Some(Hasher::Blocks(Rc::new(table)));
+        }
         self.sent = self.frame.start;
         self.state = SenderState::Streaming;
         self.pump(net);
@@ -544,10 +644,7 @@ impl BulkSender {
                     continue;
                 }
                 Piece::Digest { block, k } => self.block_digest(block)[k..].to_vec(),
-                Piece::Trailer(k) => {
-                    let hasher = self.hasher.as_ref().expect("a trailer has a hasher");
-                    hasher.trailer()[k..].to_vec()
-                }
+                Piece::Trailer(k) => self.trailer()[k..].to_vec(),
                 Piece::End => break,
             };
             let n = net.send(self.sock, &Bytes::from(evidence));
@@ -560,30 +657,31 @@ impl BulkSender {
         net.close(self.sock);
     }
 
-    /// The digest of granted block `block`. The first time a block's
-    /// digest is needed, it and the granted blocks after it are hashed,
-    /// up to [`LANES`] side by side, from the sender's own payload.
+    /// The digest of granted block `block`, from the stream's table.
     fn block_digest(&mut self, block: u64) -> [u8; DIGEST_LEN] {
-        let Some(Hasher::Blocks(digests)) = &mut self.hasher else {
+        let Some(Hasher::Blocks(table)) = &self.hasher else {
             unreachable!("only a ranged frame has block digests");
         };
-        let (start, end) = self.grant.expect("a ranged attempt streams its grant");
-        let i = (block - start) as usize;
-        if i == digests.len() {
-            let blocks: Vec<Bytes> = (block..end.min(block + LANES as u64))
-                .map(|b| {
-                    let lo = block_offset(b, self.total);
-                    payload_chunk(lo, (block_offset(b + 1, self.total) - lo) as usize)
-                })
-                .collect();
-            #[cfg(test)]
-            {
-                self.hashed += blocks.iter().map(|b| b.len() as u64).sum::<u64>();
-            }
-            let views: Vec<&[u8]> = blocks.iter().map(|b| &b[..]).collect();
-            digests.extend(md5_many(&views));
+        #[cfg(test)]
+        let before = table.bytes.get();
+        let digest = table.block_digest(block);
+        #[cfg(test)]
+        {
+            self.hashed += table.bytes.get() - before;
         }
-        digests[i]
+        digest
+    }
+
+    /// The attempt's trailer: the MD5 of the payload for a plain
+    /// attempt, the hash list of its grant's block digests for a ranged
+    /// one.
+    fn trailer(&self) -> [u8; DIGEST_LEN] {
+        match self.hasher.as_ref().expect("a trailer has a hasher") {
+            Hasher::Whole(md5) => md5.clone().finalize(),
+            Hasher::Blocks(table) => {
+                table.trailer(self.grant.expect("a ranged attempt streams its grant"))
+            }
+        }
     }
 }
 
@@ -1692,6 +1790,56 @@ mod tests {
         assert_eq!(PATTERN.len() as u64, SEND_CHUNK + period - 1);
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Whether or not the stream's last block is short, and in
+        /// whatever order attempts look blocks up, every digest a table
+        /// returns is that block's MD5, and the trailer of any grant
+        /// inside the table is the hash list of those MD5s. Each group
+        /// is hashed in one call, the first time one of its blocks is
+        /// looked up.
+        #[test]
+        fn table_digests_are_the_blocks_md5s(
+            blocks in 1u64..14,
+            short in any::<bool>(),
+            cut in 1u64..RESUME_BLOCK,
+            bounds in (any::<proptest::sample::Index>(), any::<proptest::sample::Index>()),
+            lookups in proptest::collection::vec(any::<proptest::sample::Index>(), 1..24),
+            grants in proptest::collection::vec(
+                (any::<proptest::sample::Index>(), any::<proptest::sample::Index>()),
+                1..4,
+            ),
+        ) {
+            let total = (blocks - 1) * RESUME_BLOCK + if short { cut } else { RESUME_BLOCK };
+            let md5_of = |b: u64| {
+                let lo = block_offset(b, total);
+                md5(&payload_chunk(lo, (block_offset(b + 1, total) - lo) as usize))
+            };
+            let (x, y) = (bounds.0.index(blocks as usize + 1), bounds.1.index(blocks as usize + 1));
+            let (lo, hi) = (x.min(y) as u64, x.max(y) as u64);
+            let table = BlockDigests::new(total, (lo, hi));
+            let mut touched = std::collections::BTreeSet::new();
+            if hi > lo {
+                for i in &lookups {
+                    let b = lo + i.index((hi - lo) as usize) as u64;
+                    prop_assert_eq!(table.block_digest(b), md5_of(b), "block {}", b);
+                    touched.insert(b / LANES as u64);
+                }
+            }
+            prop_assert_eq!(table.calls.get(), touched.len() as u64);
+            for (a, b) in &grants {
+                let (a, b) = (a.index((hi - lo) as usize + 1), b.index((hi - lo) as usize + 1));
+                let grant = (lo + a.min(b) as u64, lo + a.max(b) as u64);
+                let want: Vec<_> = (grant.0..grant.1).map(md5_of).collect();
+                prop_assert_eq!(table.trailer(grant), hash_list(&want), "grant {:?}", grant);
+            }
+            let groups = (lo..hi).map(|b| b / LANES as u64).collect::<std::collections::BTreeSet<_>>();
+            prop_assert!(table.calls.get() <= groups.len() as u64);
+            prop_assert!(table.bytes.get() <= block_offset(hi, total) - block_offset(lo, total));
+        }
+    }
+
     /// The paper's case 1 path, as `lsl_workloads::case1` builds it:
     /// campus access link, two lossy Abilene legs, and a depot one LAN
     /// hop off the Denver POP. Returns the topology, source, sink and
@@ -1775,7 +1923,7 @@ mod tests {
         let sink_hop = Hop::new(dst, SINK_PORT);
         let (path, mode) = if via_depot {
             let depots = vec![Hop::new(depot_node, DEPOT_PORT)];
-            (LslPath::via(depots, sink_hop), SendMode::lsl())
+            (LslPath::via(depots, sink_hop), SendMode::Lsl)
         } else {
             (LslPath::direct(sink_hop), SendMode::DirectTcp)
         };

@@ -8,7 +8,10 @@
 //! the sink grants the sub-range it still needs (advancing past blocks
 //! some other cascade already certified), and the cascade streams
 //! exactly the granted range, each block followed by its MD5 and the
-//! range trailed by the MD5 of those block digests (a hash list). The
+//! range trailed by the MD5 of those block digests (a hash list). Every
+//! lane reads those digests from the session's one table, filled eight
+//! aligned blocks at a time, so a block is hashed once at the sender
+//! however many chunks, lanes and re-attempts carry it. The
 //! sink certifies each block against its in-band digest, out of order,
 //! through its [`lsl_digest::BlockLedger`], so stripe arrival order is
 //! irrelevant to end-to-end verification.
@@ -133,7 +136,7 @@ impl StripedSession {
             plan,
             session,
             total,
-            SendMode::lsl(),
+            SendMode::Lsl,
             tcp,
             cfg,
             trace_label,

@@ -106,7 +106,7 @@ fn run_cascade(
         &path,
         SessionId(42),
         total,
-        SendMode::lsl(),
+        SendMode::Lsl,
         tcp,
         None,
         None,
@@ -238,7 +238,7 @@ fn depot_buffer_stays_bounded() {
         &path,
         SessionId(1),
         2 << 20,
-        SendMode::lsl(),
+        SendMode::Lsl,
         tcp,
         None,
         None,
@@ -308,7 +308,7 @@ fn lsl_beats_direct_on_split_lossy_path_and_loses_when_tiny() {
         let (path, mode) = if via_depot {
             (
                 LslPath::via(vec![Hop::new(pop, DEPOT_PORT)], Hop::new(dst, SINK_PORT)),
-                SendMode::lsl(),
+                SendMode::Lsl,
             )
         } else {
             (
@@ -392,7 +392,7 @@ fn concurrent_sessions_through_one_depot() {
                 &path,
                 SessionId(1000 + i),
                 200_000,
-                SendMode::lsl(),
+                SendMode::Lsl,
                 tcp.clone(),
                 None,
                 None,
@@ -752,7 +752,7 @@ fn against_fake_grant(request: Request, grant: &[u8]) -> (Net, BulkSender, bool)
         &LslPath::direct(Hop::new(dst, SINK_PORT)),
         SessionId(0x34),
         4 * RESUME_BLOCK + RESUME_BLOCK / 2,
-        SendMode::lsl(),
+        SendMode::Lsl,
         TcpConfig::default(),
         None,
         Some(request),
@@ -846,7 +846,7 @@ fn session_with_failed_checks(rewrite: usize) -> (ClientState, Vec<SessionEvent>
         plan,
         SessionId(0x51),
         3 * RESUME_BLOCK,
-        SendMode::lsl(),
+        SendMode::Lsl,
         tcp,
         RecoveryConfig::default(),
         None,

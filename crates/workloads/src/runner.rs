@@ -149,7 +149,7 @@ pub fn run_transfer(case: &PathCase, cfg: &RunConfig) -> RunResult {
                 vec![Hop::new(case.depot, cfg.depot_port)],
                 Hop::new(case.dst, cfg.sink_port),
             ),
-            SendMode::lsl(),
+            SendMode::Lsl,
             "sublink1",
         ),
     };

@@ -529,7 +529,7 @@ impl Scenario {
                 plan,
                 session,
                 size,
-                SendMode::lsl(),
+                SendMode::Lsl,
                 posture.tcp,
                 recovery,
                 None,

@@ -83,7 +83,7 @@ fn run(n_depots: usize, seed: u64) -> f64 {
                     .collect(),
                 Hop::new(dst, SINK_PORT),
             ),
-            SendMode::lsl(),
+            SendMode::Lsl,
         )
     };
     let size = 8u64 << 20;

@@ -124,6 +124,7 @@ BENCH_SMOKE=1 BENCH_OUT="$smoke_json" cargo bench -q -p lsl-bench --bench micro
 for key in netsim_events_per_sec netsim_timer_events_per_sec \
            run_wall_s_1mb_direct run_wall_s_1mb_depot \
            run_wall_s_16mb_direct run_wall_s_16mb_depot run_wall_s_16mb_ranged \
+           run_wall_s_1mb_striped \
            md5_mb_per_s md5_lanes_mb_per_s \
            realnet_relay_mb_per_s campaign_jobs campaign_wall_s_jobs1 campaign_wall_s_jobsN \
            segment_encode_decode_ns lsl_header_encode_decode_ns nws_mixture_update_x100_ns \
@@ -146,9 +147,10 @@ echo "==> bench regression gate (smoke rate vs committed BENCH_netsim.json)"
 # arrives) and the eight-lane MD5 rate (a lost AVX2 path reads about
 # 15% of committed) are held to the same 50% rule. The
 # 16 MiB case 1 wall times (direct, via the depot, and the ranged
-# attempt both ends certify block by block) get the same rule the other
-# way up: a smoke run may take at most 2x the committed time (the
-# per-byte path; one run each, no warm-up).
+# attempt both ends certify block by block) and the calm 1 MiB session
+# striped over three cascades get the same rule the other way up: a
+# smoke run may take at most 2x the committed time (the per-byte path;
+# one run each, no warm-up).
 if command -v python3 >/dev/null 2>&1; then
   python3 - "$smoke_json" BENCH_netsim.json <<'PY'
 import json, sys
@@ -162,7 +164,8 @@ for key in ("netsim_events_per_sec", "netsim_timer_events_per_sec",
         ok = False
     else:
         print(f"  {key}: smoke {got:.0f} vs committed {want:.0f} (ok)")
-for key in ("run_wall_s_16mb_direct", "run_wall_s_16mb_depot", "run_wall_s_16mb_ranged"):
+for key in ("run_wall_s_16mb_direct", "run_wall_s_16mb_depot", "run_wall_s_16mb_ranged",
+            "run_wall_s_1mb_striped"):
     got, want = smoke[key], committed[key]
     if got > 2 * want:
         print(f"regression: smoke {key} = {got:.3f} s > 2x committed {want:.3f} s")
