@@ -147,10 +147,12 @@ fn send_session_packet(sim: &mut Simulator, a: NodeId, z: NodeId, _session: u64)
 
 /// End-to-end striped sessions per wall second: `n` calm striped
 /// transfers on the three-depot topology driven to verified completion
-/// through the full stack (client, depots, sink, block ledger). The
-/// `max_cascades = 1` run is the single-cascade baseline — same
-/// harness, plain [`SessionClient`](lsl_session::SessionClient) — so
-/// the pair prices the dispatcher itself, not the topology.
+/// through the full stack (client, depots, sink, block ledger), timed
+/// as one pass; the figure is the median of three passes (one in smoke
+/// mode), as for the curves. The `max_cascades = 1` run is the
+/// single-cascade baseline — same harness, plain
+/// [`SessionClient`](lsl_session::SessionClient) — so the pair prices
+/// the dispatcher itself, not the topology.
 fn striped_sessions_per_sec(smoke: bool, max_cascades: usize) -> f64 {
     let n: u64 = if smoke { 2 } else { 16 };
     let mut cfg = CampaignConfig {
@@ -158,26 +160,28 @@ fn striped_sessions_per_sec(smoke: bool, max_cascades: usize) -> f64 {
         ..CampaignConfig::default()
     };
     cfg.stripe.max_cascades = max_cascades;
-    let t0 = Instant::now();
-    for seed in 0..n {
-        let r = Scenario {
-            campaign: Campaign::Striped,
-            client: ClientKind::Striped,
-            storm: StormPlan {
-                seed,
-                atoms: Vec::new(),
-            },
-            cfg: cfg.clone(),
+    median_eps(smoke, || {
+        let t0 = Instant::now();
+        for seed in 0..n {
+            let r = Scenario {
+                campaign: Campaign::Striped,
+                client: ClientKind::Striped,
+                storm: StormPlan {
+                    seed,
+                    atoms: Vec::new(),
+                },
+                cfg: cfg.clone(),
+            }
+            .run();
+            assert!(r.completed(), "calm striped run failed: {:?}", r.state);
+            black_box(r.certified);
         }
-        .run();
-        assert!(r.completed(), "calm striped run failed: {:?}", r.state);
-        black_box(r.certified);
-    }
-    n as f64 / t0.elapsed().as_secs_f64().max(1e-9)
+        (n, t0.elapsed().as_secs_f64())
+    })
 }
 
-/// Median-of-3 events/sec for one measurement closure (single pass in
-/// smoke mode).
+/// Median-of-3 rate for one measurement closure returning (events,
+/// wall seconds) — single pass in smoke mode.
 fn median_eps(smoke: bool, mut f: impl FnMut() -> (u64, f64)) -> f64 {
     let passes = if smoke { 1 } else { 3 };
     let mut rates: Vec<f64> = (0..passes)

@@ -33,7 +33,9 @@ impl LslListener {
     }
 
     /// Block for the next session; reads its header and sends the
-    /// synchronous session confirmation.
+    /// synchronous session confirmation. This sink speaks v1 only: a
+    /// header with residual route hops or a ranged request (v2 resume,
+    /// v3 stripe) fails with `InvalidData` before anything is sent.
     pub fn accept(&self) -> io::Result<IncomingSession> {
         let (mut stream, _) = self.listener.accept()?;
         stream.set_nodelay(true)?;
@@ -42,6 +44,12 @@ impl LslListener {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "sink received a header with residual route hops",
+            ));
+        }
+        if header.resume.is_some() || header.stripe.is_some() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "sink speaks v1 only: refusing a ranged (resume or stripe) request",
             ));
         }
         stream.write_all(&[SESSION_CONFIRM])?;
@@ -168,6 +176,50 @@ mod tests {
         assert_eq!(got, payload);
         assert_eq!(digest_ok, Some(true));
         t.join().unwrap();
+    }
+
+    /// A v2 resume or v3 stripe header is refused with a typed error,
+    /// and the peer gets no confirmation byte: the connection just ends.
+    #[test]
+    fn ranged_headers_are_refused_before_the_confirm() {
+        use lsl_session::{Resume, StripeReq, HEADER_FLAG_DIGEST};
+        use std::io::Write;
+        use std::net::TcpStream;
+
+        let ranged = [
+            (Some(Resume::fresh()), None),
+            (
+                None,
+                Some(StripeReq {
+                    start_block: 0,
+                    end_block: 2,
+                }),
+            ),
+        ];
+        for (resume, stripe) in ranged {
+            let listener = LslListener::bind((Ipv4Addr::LOCALHOST, 0).into()).unwrap();
+            let addr = listener.local_addr().unwrap();
+            let header = LslHeader {
+                session: SessionId(9),
+                flags: HEADER_FLAG_DIGEST,
+                length: 1 << 20,
+                resume,
+                stripe,
+                route: vec![],
+            };
+            let t = std::thread::spawn(move || {
+                let mut s = TcpStream::connect(addr).unwrap();
+                s.write_all(&header.encode().unwrap()).unwrap();
+                let mut reply = Vec::new();
+                // EOF, or a reset if the close raced the read: either
+                // way no byte arrives.
+                let _ = s.read_to_end(&mut reply);
+                reply
+            });
+            let err = listener.accept().err().expect("ranged header accepted");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(t.join().unwrap().is_empty(), "a confirm byte was sent");
+        }
     }
 
     #[test]

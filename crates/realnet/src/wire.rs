@@ -30,10 +30,17 @@ pub fn require_v4(addr: SocketAddr) -> io::Result<SocketAddrV4> {
     }
 }
 
-/// Read a complete LSL header from a blocking stream.
+/// Most bytes one `read` asks for while a header is incomplete. Headers
+/// are at most 143 B (the 47-byte v2 fixed part plus `MAX_HOPS` 6-byte
+/// hops), so one read usually holds the whole header.
+const HEADER_READ: usize = 1024;
+
+/// Read a complete LSL header from a blocking stream. Reads take what
+/// the socket has, so they may run past the header: the bytes after it
+/// come back as the leftover, which the caller must forward or consume
+/// before reading the stream again.
 pub fn read_header(stream: &mut impl Read) -> io::Result<(LslHeader, Vec<u8>)> {
-    let mut buf = Vec::with_capacity(64);
-    let mut byte = [0u8; 1];
+    let mut buf = Vec::with_capacity(HEADER_READ);
     loop {
         match LslHeader::decode(&buf) {
             Ok(Some((header, used))) => {
@@ -45,17 +52,16 @@ pub fn read_header(stream: &mut impl Read) -> io::Result<(LslHeader, Vec<u8>)> {
                 return Err(io::Error::new(io::ErrorKind::InvalidData, e));
             }
         }
-        // Byte-at-a-time keeps us from over-reading past the header into
-        // payload we would then have to hand back; headers are ≤ 143 B
-        // (the 47-byte v2 fixed part plus MAX_HOPS 6-byte hops).
-        let n = stream.read(&mut byte)?;
+        let at = buf.len();
+        buf.resize(at + HEADER_READ, 0);
+        let n = stream.read(&mut buf[at..])?;
+        buf.truncate(at + n);
         if n == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "EOF before complete LSL header",
             ));
         }
-        buf.push(byte[0]);
     }
 }
 
@@ -72,6 +78,21 @@ mod tests {
         assert_eq!(addr_from_hop(hop_from_addr(b)), b);
     }
 
+    /// Hands out at most `max` bytes per `read`.
+    struct Trickle<R> {
+        inner: R,
+        max: usize,
+    }
+
+    impl<R: Read> Read for Trickle<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.max);
+            self.inner.read(&mut buf[..n])
+        }
+    }
+
+    /// However the reads split the stream, the header, the leftover and
+    /// the unread rest put back together are the stream itself.
     #[test]
     fn read_header_from_cursor() {
         let h = LslHeader {
@@ -82,16 +103,21 @@ mod tests {
             stripe: None,
             route: vec![hop_from_addr(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 9))],
         };
-        let mut data = h.encode().unwrap().to_vec();
+        let encoded = h.encode().unwrap().to_vec();
+        let mut data = encoded.clone();
         data.extend_from_slice(b"payload-bytes");
-        let mut cur = std::io::Cursor::new(data);
-        let (got, leftover) = read_header(&mut cur).unwrap();
-        assert_eq!(got, h);
-        // Byte-at-a-time reading never consumes payload.
-        assert!(leftover.is_empty());
-        let mut rest = Vec::new();
-        cur.read_to_end(&mut rest).unwrap();
-        assert_eq!(rest, b"payload-bytes");
+        for max in [1, 7, encoded.len(), 4096] {
+            let mut src = Trickle {
+                inner: std::io::Cursor::new(data.clone()),
+                max,
+            };
+            let (got, leftover) = read_header(&mut src).unwrap();
+            assert_eq!(got, h, "reads of {max}");
+            let mut rest = Vec::new();
+            src.inner.read_to_end(&mut rest).unwrap();
+            let rebuilt = [got.encode().unwrap().to_vec(), leftover, rest].concat();
+            assert_eq!(rebuilt, data, "reads of {max}");
+        }
     }
 
     #[test]

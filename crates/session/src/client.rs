@@ -15,6 +15,11 @@
 //! 4. retire the lane; the last lane's death gives up with
 //!    [`SessionError::RoutesExhausted`].
 //!
+//! Every session runs one recovery posture. Only the reconnect budget
+//! and the first backoff delay are settable ([`RecoveryConfig`]); the
+//! 2 s backoff cap, the 500 ms progress watchdog, the budget of two
+//! retransfers per lane and the direct fallback are fixed.
+//!
 //! Every attempt is one [`BulkSender::start`] with one [`Request`]. A
 //! one-lane session is the single cascade: its lane carries the whole
 //! stream with a fresh [`Resume`] request (v2 header) and streams from
@@ -24,10 +29,10 @@
 //! keeps no verified floor of its own. An N-lane session
 //! ([`crate::StripedSession`]) is RAIL's striped array: each lane
 //! carries block-range chunks with [`StripeReq`] requests (v3 header),
-//! and only the dispatch policy — macro-stripes, work stealing, k-of-n
-//! tail, re-striping a dead lane's blocks — is multi-lane. The ladder,
-//! watchdog, timers, events and teardown are the same code for both,
-//! and so is the one table of block digests every ranged attempt
+//! and only the dispatch policy — even macro-stripes, work stealing,
+//! k-of-n tail, re-striping a dead lane's blocks — is multi-lane. The
+//! ladder, watchdog, timers, events and teardown are the same code for
+//! both, and so is the one table of block digests every ranged attempt
 //! reads, which hashes each block once per session.
 //!
 //! Verified delivery failures (digest/content mismatch, truncation)
@@ -57,7 +62,7 @@ use crate::id::SessionId;
 use crate::plan::RoutePlan;
 use crate::route::LslPath;
 use crate::score::rank_candidates;
-use crate::stripe::{chop, lane_weights, partition, Chunk, LaneStat, StripeConfig};
+use crate::stripe::{chop, partition, Chunk, LaneStat, REDUNDANT_TAIL};
 
 /// App-timer tokens with this bit belong to a [`SessionClient`], not to
 /// a depot that happens to share the node. (Bit 63 is the net-layer
@@ -77,46 +82,45 @@ const TOKEN_GEN_MASK: u64 = 0x0fff_ffff;
 /// cascade setup, so a marginal forecast edge must not cause flapping.
 const REROUTE_HYSTERESIS: u64 = 2;
 
-/// Recovery policy knobs, applied per lane.
+/// Reconnect delays double per attempt up to this ceiling.
+const BACKOFF_CAP: Dur = Dur::from_secs(2);
+
+/// Progress watchdog: a lane's attempt is declared
+/// [`SessionError::Stalled`] when the socket accepts no byte for this
+/// long, so an idle-dead sublink is noticed in well under a second.
+const PROGRESS_TIMEOUT: Dur = Dur::from_millis(500);
+
+/// Retransfers allowed per lane after failed delivery checks. Each
+/// retransfer resumes past whatever the sink already verified.
+const MAX_RETRANSFERS: u32 = 2;
+
+/// The reconnect ladder, applied per lane: the only settable part of
+/// recovery (the module docs list the fixed rest). The default is
+/// impatient, so a dead depot costs sim-seconds, not minutes: one
+/// reconnect per route after 200 ms.
 #[derive(Clone, Debug)]
 pub struct RecoveryConfig {
     /// Reconnection attempts per route before failing over.
     pub max_reconnects: u32,
-    /// First reconnect delay; doubles per attempt.
+    /// First reconnect delay; doubles per attempt up to the 2 s cap.
     pub backoff_base: Dur,
-    /// Ceiling for the backoff doubling.
-    pub backoff_cap: Dur,
-    /// Progress watchdog: declare the attempt stalled when no byte is
-    /// accepted by the socket for this long. `None` disables it (then
-    /// only TCP errors trigger recovery).
-    pub progress_timeout: Option<Dur>,
-    /// Retransfers allowed per lane after failed delivery checks. Each
-    /// retransfer resumes past whatever the sink already verified.
-    pub max_retransfers: u32,
-    /// Append a direct (depot-free) path as the route of last resort
-    /// when the candidate list has none.
-    pub direct_fallback: bool,
 }
 
 impl Default for RecoveryConfig {
     fn default() -> Self {
         RecoveryConfig {
-            max_reconnects: 2,
-            backoff_base: Dur::from_millis(100),
-            backoff_cap: Dur::from_secs(5),
-            progress_timeout: Some(Dur::from_secs(3)),
-            max_retransfers: 2,
-            direct_fallback: true,
+            max_reconnects: 1,
+            backoff_base: Dur::from_millis(200),
         }
     }
 }
 
 impl RecoveryConfig {
     /// Delay before reconnect attempt `attempt` (1-based):
-    /// `backoff_base` doubling per attempt, capped at `backoff_cap`.
+    /// `backoff_base` doubling per attempt, capped at `BACKOFF_CAP`.
     fn backoff(&self, attempt: u32) -> Dur {
         let exp = attempt.saturating_sub(1).min(16);
-        (self.backoff_base * 2u64.pow(exp)).min(self.backoff_cap)
+        (self.backoff_base * 2u64.pow(exp)).min(BACKOFF_CAP)
     }
 }
 
@@ -233,11 +237,10 @@ impl SessionClient {
     ///
     /// `plan` is the validated candidate set (see [`RoutePlan`]); the
     /// client starts on the best-ranked candidate — forecast score
-    /// ascending when scores are present, plan order otherwise. With
-    /// [`RecoveryConfig::direct_fallback`] set and no depot-free
-    /// candidate present, a direct path is appended as the last resort.
-    /// Resume is negotiated whenever `mode` is [`SendMode::Lsl`], the
-    /// only mode that can certify blocks.
+    /// ascending when scores are present, plan order otherwise. When no
+    /// depot-free candidate is present, a direct path is appended as the
+    /// last resort. Resume is negotiated whenever `mode` is
+    /// [`SendMode::Lsl`], the only mode that can certify blocks.
     #[allow(clippy::too_many_arguments)] // one-shot constructor mirroring BulkSender::start
     pub fn start(
         net: &mut Net,
@@ -250,12 +253,6 @@ impl SessionClient {
         recovery: RecoveryConfig,
         trace_label: Option<&str>,
     ) -> SessionClient {
-        let single = StripeConfig {
-            max_cascades: 1,
-            chunk_blocks: 1,
-            redundant_tail: 0,
-            recovery,
-        };
         Self::open(
             net,
             node,
@@ -264,13 +261,14 @@ impl SessionClient {
             total,
             mode,
             tcp,
-            single,
+            1,
+            recovery,
             trace_label,
         )
     }
 
-    /// Begin a session over `min(cfg.max_cascades, plan.len())` lanes on
-    /// the top-ranked candidates (one lane for a sub-2-block stream).
+    /// Begin a session over `min(max_lanes, plan.len())` lanes on the
+    /// top-ranked candidates (one lane for a sub-2-block stream).
     #[allow(clippy::too_many_arguments)] // shared body of both public constructors
     pub(crate) fn open(
         net: &mut Net,
@@ -280,32 +278,30 @@ impl SessionClient {
         total: u64,
         mode: SendMode,
         tcp: lsl_tcp::TcpConfig,
-        cfg: StripeConfig,
+        max_lanes: usize,
+        recovery: RecoveryConfig,
         trace_label: Option<&str>,
     ) -> SessionClient {
         let total_blocks = stream_blocks(total);
         let n = if total_blocks < 2 {
             1
         } else {
-            cfg.max_cascades.min(plan.len())
+            max_lanes.min(plan.len())
         };
-        if cfg.recovery.direct_fallback && !plan.has_depot_free() {
+        if !plan.has_depot_free() {
             // A direct path to the plan's own destination always
             // validates, so the Result carries no information here.
             let _ = plan.push_failover(LslPath::direct(plan.dst()));
         }
         // Lanes ride the top-ranked candidates (forecast score ascending
-        // when scored, plan order otherwise). Striped lanes get
-        // contiguous macro-stripes sized by those scores; a lone lane
-        // carries the whole stream and queues nothing.
+        // when scored, plan order otherwise). Striped lanes get even
+        // contiguous macro-stripes; a lone lane carries the whole stream
+        // and queues nothing.
         let scores: Vec<Option<u64>> = plan.candidates().iter().map(|c| c.score).collect();
         let routes = rank_candidates(&scores)[..n].to_vec();
         let stripes = match n {
             1 => vec![(0, 0)],
-            _ => partition(
-                total_blocks,
-                &lane_weights(&routes.iter().map(|&i| scores[i]).collect::<Vec<_>>()),
-            ),
+            _ => partition(total_blocks, n),
         };
         let lanes = routes
             .iter()
@@ -315,7 +311,7 @@ impl SessionClient {
                 state: LaneState::Idle,
                 sender: None,
                 chunk: None,
-                queue: chop(a, b, cfg.chunk_blocks),
+                queue: chop(a, b),
                 reconnects: 0,
                 retransfers: 0,
                 last_progress: 0,
@@ -337,10 +333,10 @@ impl SessionClient {
             trace_label: trace_label.map(str::to_owned),
             dead: vec![false; plan.len()],
             plan,
-            cfg: cfg.recovery,
+            cfg: recovery,
             lanes,
             digests: Rc::new(BlockDigests::new(total, (0, total_blocks))),
-            redundant_left: cfg.redundant_tail,
+            redundant_left: REDUNDANT_TAIL,
             state: ClientState::Running,
             events: Vec::new(),
             attempt_seq: 0,
@@ -603,9 +599,7 @@ impl SessionClient {
         lane.last_progress = sender.progress();
         lane.sender = Some(sender);
         lane.state = LaneState::Running;
-        if let Some(d) = self.cfg.progress_timeout {
-            self.arm_timer(net, i, d);
-        }
+        self.arm_timer(net, i, PROGRESS_TIMEOUT);
     }
 
     /// Drop lane `i`'s attempt (failed, finished or torn down).
@@ -862,9 +856,7 @@ impl SessionClient {
                     self.on_attempt_failed(net, i, SessionError::Stalled);
                 } else {
                     self.lanes[i].last_progress = progress;
-                    if let Some(d) = self.cfg.progress_timeout {
-                        self.arm_timer(net, i, d);
-                    }
+                    self.arm_timer(net, i, PROGRESS_TIMEOUT);
                 }
             }
             LaneState::Idle | LaneState::Dead => {}
@@ -913,7 +905,7 @@ impl SessionClient {
             lane.reconnects = 0;
             lane.state = LaneState::Idle;
             self.dispatch(net, i);
-        } else if self.lanes[i].retransfers < self.cfg.max_retransfers {
+        } else if self.lanes[i].retransfers < MAX_RETRANSFERS {
             self.lanes[i].retransfers += 1;
             let attempt = self.lanes[i].retransfers;
             self.push_event(net, i, SessionEvent::Retransfer { attempt });
@@ -931,7 +923,7 @@ mod tests {
     use crate::depot::{Depot, DepotConfig};
     use crate::endpoint::SinkServer;
     use crate::route::Hop;
-    use crate::stripe::StripedSession;
+    use crate::stripe::{StripeConfig, StripedSession};
     use lsl_netsim::{FaultPlan, LinkSpec, TopologyBuilder};
     use lsl_tcp::TcpConfig;
 
@@ -1009,20 +1001,16 @@ mod tests {
     /// Sixteen blocks (1 MiB): two groups of eight.
     const SIXTEEN: u64 = 16 * RESUME_BLOCK;
 
-    /// A striped session over the star in two-block chunks with a
-    /// two-attempt redundant tail; `faults` as for [`star`]. Lane death
-    /// is immediate (no reconnects, no direct fallback), so a crashed
-    /// depot re-stripes its lane's chunks at once.
+    /// A striped session over the star's three depot cascades (plus the
+    /// direct fallback); `faults` as for [`star`]. Lane death is
+    /// immediate (no reconnects), so a lane whose depot crashes moves to
+    /// the next free route at once, and dies when none is left.
     fn striped(faults: impl FnOnce(&[NodeId]) -> FaultPlan) -> SessionClient {
         let (mut net, mut depots, mut sink, src, plan) = star(faults);
         let cfg = StripeConfig {
             max_cascades: 3,
-            chunk_blocks: 2,
-            redundant_tail: 2,
             recovery: RecoveryConfig {
                 max_reconnects: 0,
-                progress_timeout: Some(Dur::from_millis(100)),
-                direct_fallback: false,
                 ..RecoveryConfig::default()
             },
         };
@@ -1055,15 +1043,22 @@ mod tests {
         assert_hashed_once(&client);
     }
 
-    /// One lane's depot crashes with the lane's second chunk in flight
-    /// and stays down: the lane dies, its chunks are re-striped onto the
+    /// Depots a and b crash for good mid-transfer. The first lane to
+    /// notice degrades to the direct path; the second finds every route
+    /// spent or held and dies, its chunks are re-striped onto the
     /// survivors, and they send those blocks with digests from the
     /// session's table, hashing nothing again.
     #[test]
     fn a_restriped_chunk_is_not_hashed_again() {
-        let client =
-            striped(|d| FaultPlan::new().node_down(Time::ZERO + Dur::from_millis(330), d[0]));
+        let client = striped(|d| {
+            let at = Time::ZERO + Dur::from_millis(330);
+            FaultPlan::new().node_down(at, d[0]).node_down(at, d[1])
+        });
         let events: Vec<&SessionEvent> = client.events().iter().map(|(_, e)| e).collect();
+        assert!(
+            events.iter().any(|e| matches!(e, SessionEvent::Degraded)),
+            "{events:?}"
+        );
         assert!(
             events
                 .iter()
@@ -1110,13 +1105,20 @@ mod tests {
     fn backoff_doubles_and_caps() {
         let cfg = RecoveryConfig::default();
         let delays: Vec<Dur> = (1u32..=8).map(|n| cfg.backoff(n)).collect();
-        assert_eq!(delays[0], Dur::from_millis(100));
-        assert_eq!(delays[1], Dur::from_millis(200));
-        assert_eq!(delays[2], Dur::from_millis(400));
-        assert_eq!(*delays.last().unwrap(), Dur::from_secs(5));
+        assert_eq!(delays[0], Dur::from_millis(200));
+        assert_eq!(delays[1], Dur::from_millis(400));
+        assert_eq!(delays[2], Dur::from_millis(800));
+        assert_eq!(*delays.last().unwrap(), BACKOFF_CAP);
         assert!(delays.windows(2).all(|w| w[0] <= w[1]));
+        // The drill's slower ladder reaches the same cap.
+        let slow = RecoveryConfig {
+            max_reconnects: 3,
+            backoff_base: Dur::from_millis(300),
+        };
+        assert_eq!(slow.backoff(3), Dur::from_millis(1200));
+        assert_eq!(slow.backoff(4), BACKOFF_CAP);
         // The exponent saturates instead of overflowing.
-        assert_eq!(cfg.backoff(u32::MAX), Dur::from_secs(5));
+        assert_eq!(cfg.backoff(u32::MAX), BACKOFF_CAP);
     }
 
     #[test]

@@ -102,12 +102,10 @@ impl DepotConfigBuilder {
 #[derive(Clone, Debug, Default)]
 pub struct DepotStats {
     pub sessions_accepted: u64,
-    pub sessions_completed: u64,
     pub bytes_relayed: u64,
     /// High-water mark of a single relay direction's buffer.
     pub max_buffered: usize,
     pub header_errors: u64,
-    pub aborted: u64,
 }
 
 /// One direction of a relay: `from`'s receive stream feeds `to`'s send
@@ -266,7 +264,7 @@ impl Depot {
             SockEvent::Connected => self.on_down_connected(net, idx),
             SockEvent::Readable | SockEvent::Writable | SockEvent::PeerFin => self.pump(net, idx),
             SockEvent::Closed => self.on_closed(net, idx, *sock),
-            SockEvent::Error(_) => self.on_error(net, idx),
+            SockEvent::Error(_) => self.teardown(net, idx),
             SockEvent::Accepted { .. } => unreachable!("relay socket cannot accept"),
         }
         Handled::Consumed
@@ -279,7 +277,6 @@ impl Depot {
                 // The host crashed: every socket (listener and relays)
                 // vanished with the TCP stack. Drop the volatile relay
                 // state; peers discover via their own timers/RSTs.
-                self.stats.aborted += self.relays.iter().flatten().count() as u64;
                 for relay in self.relays.iter().flatten() {
                     lsl_obs::span_end(net.now().0, "depot.relay", relay.gen);
                 }
@@ -555,11 +552,6 @@ impl Depot {
         self.by_sock.insert(down, idx);
     }
 
-    fn on_error(&mut self, net: &mut Net, idx: usize) {
-        self.stats.aborted += 1;
-        self.teardown(net, idx);
-    }
-
     fn teardown(&mut self, net: &mut Net, idx: usize) {
         let relay = self.relay_mut(idx);
         relay.state = RelayState::Dead;
@@ -600,9 +592,6 @@ impl Depot {
                     self.finished_traces.push(trace);
                 }
                 net.release(d);
-            }
-            if !matches!(relay.state, RelayState::Dead) {
-                self.stats.sessions_completed += 1;
             }
             lsl_obs::span_end(net.now().0, "depot.relay", relay.gen);
         }

@@ -17,15 +17,14 @@
 //! irrelevant to end-to-end verification.
 //!
 //! Scheduling is work-stealing over per-lane chunk queues: the stream is
-//! first partitioned into contiguous macro-stripes sized by the
-//! candidates' forecast scores (a faster forecast gets more blocks),
-//! each split into [`StripeConfig::chunk_blocks`]-sized chunks. A lane
-//! that drains its own queue steals from the back of the longest
-//! surviving queue, so observed throughput — not the forecast — decides
-//! the final distribution. When every queue is dry, an idle lane may
-//! *redundantly* re-request a chunk still in flight on a slower lane
-//! (k-of-n tail dispatch, budgeted by [`StripeConfig::redundant_tail`]);
-//! the sink discards duplicate certifications, counting them.
+//! first partitioned into even contiguous macro-stripes, one per lane,
+//! each split into `CHUNK_BLOCKS`-block chunks. A lane that drains its
+//! own queue steals from the back of the longest surviving queue, so
+//! observed throughput decides the final distribution. When every queue
+//! is dry, an idle lane may *redundantly* re-request a chunk still in
+//! flight on a slower lane (k-of-n tail dispatch, at most
+//! `REDUNDANT_TAIL` per session); the sink discards duplicate
+//! certifications, counting them.
 //!
 //! Cascade death re-stripes: a lane runs the engine's ordinary ladder
 //! (reconnect backoff, failover to an unused candidate route), and when
@@ -51,34 +50,25 @@ use crate::endpoint::SendMode;
 use crate::id::SessionId;
 use crate::plan::RoutePlan;
 
-/// Striping policy knobs. Recovery (backoff ladder, watchdog,
-/// retransfer budget) is per *lane*, the engine's [`RecoveryConfig`].
+/// Dispatch quantum: blocks per chunk a striped lane requests at a
+/// time. Two blocks are 128 KiB, so a 1 MiB stream is eight chunks:
+/// every lane sees several dispatch rounds and work stealing has
+/// something to steal.
+pub(crate) const CHUNK_BLOCKS: u64 = 2;
+
+/// Redundant tail attempts per striped session (k-of-n dispatch of
+/// chunks already in flight elsewhere).
+pub(crate) const REDUNDANT_TAIL: u32 = 2;
+
+/// Striping policy: how many cascades, and the per-lane recovery ladder
+/// ([`RecoveryConfig`]), exactly as for the single client.
 #[derive(Clone, Debug)]
 pub struct StripeConfig {
     /// Cascades opened concurrently (clamped to the plan's candidate
     /// count). 1 is the plain single-cascade [`SessionClient`].
     pub max_cascades: usize,
-    /// Dispatch quantum: blocks per chunk a lane requests at a time.
-    pub chunk_blocks: u64,
-    /// Redundant tail attempts allowed per session (k-of-n dispatch of
-    /// chunks already in flight elsewhere). 0 disables redundancy.
-    pub redundant_tail: u32,
-    /// Per-lane recovery policy (reconnect backoff, progress watchdog,
-    /// retransfer budget). `direct_fallback` appends a depot-free
-    /// candidate lanes may fail over to, exactly as for the single
-    /// client.
+    /// Per-lane reconnect ladder.
     pub recovery: RecoveryConfig,
-}
-
-impl Default for StripeConfig {
-    fn default() -> StripeConfig {
-        StripeConfig {
-            max_cascades: 2,
-            chunk_blocks: 16,
-            redundant_tail: 2,
-            recovery: RecoveryConfig::default(),
-        }
-    }
 }
 
 /// Per-lane dispatch statistics, for experiment reporting.
@@ -108,8 +98,8 @@ impl StripedSession {
     ///
     /// # Panics
     ///
-    /// On a zero `max_cascades` or `chunk_blocks`, or more than 15
-    /// cascades (the lane field of the timer token is 4 bits).
+    /// On a zero `max_cascades`, or more than 15 cascades (the lane
+    /// field of the timer token is 4 bits).
     #[allow(clippy::too_many_arguments)] // one-shot constructor mirroring SessionClient::start
     pub fn start(
         net: &mut Net,
@@ -129,7 +119,6 @@ impl StripedSession {
             cfg.max_cascades <= 15,
             "timer tokens carry a 4-bit lane index"
         );
-        assert!(cfg.chunk_blocks >= 1, "chunks must hold at least one block");
         StripedSession(SessionClient::open(
             net,
             node,
@@ -138,7 +127,8 @@ impl StripedSession {
             total,
             SendMode::Lsl,
             tcp,
-            cfg,
+            cfg.max_cascades,
+            cfg.recovery,
             trace_label,
         ))
     }
@@ -186,47 +176,22 @@ impl Chunk {
     }
 }
 
-/// Relative lane weights from forecast scores (predicted transfer time,
-/// lower = faster = more blocks). Any unscored candidate makes the
-/// split even — a static plan has no basis for asymmetry.
-pub(crate) fn lane_weights(scores: &[Option<u64>]) -> Vec<u64> {
-    let Some(all) = scores.iter().copied().collect::<Option<Vec<u64>>>() else {
-        return vec![1; scores.len()];
-    };
-    let max = all.iter().copied().max().unwrap_or(1).max(1);
-    all.iter()
-        .map(|&s| ((max as u128 * 16 / s.max(1) as u128).min(1 << 20) as u64).max(1))
+/// Even contiguous macro-stripes over `[0, total_blocks)`, one per lane:
+/// in order, non-overlapping, sizes differing by at most one block
+/// (some are empty when the stream is shorter than `lanes`).
+pub(crate) fn partition(total_blocks: u64, lanes: usize) -> Vec<(u64, u64)> {
+    let n = lanes as u64;
+    (0..n)
+        .map(|i| (total_blocks * i / n, total_blocks * (i + 1) / n))
         .collect()
 }
 
-/// Contiguous macro-stripes over `[0, total_blocks)` proportional to
-/// `weights` (remainders land on earlier lanes; every range is kept in
-/// bounds and non-overlapping; later lanes may be empty when the stream
-/// is short).
-pub(crate) fn partition(total_blocks: u64, weights: &[u64]) -> Vec<(u64, u64)> {
-    let sum: u128 = weights.iter().map(|&w| w as u128).sum::<u128>().max(1);
-    let mut out = Vec::with_capacity(weights.len());
-    let mut at = 0u64;
-    let mut acc = 0u128;
-    for (i, &w) in weights.iter().enumerate() {
-        acc += w as u128;
-        let end = if i == weights.len() - 1 {
-            total_blocks
-        } else {
-            ((total_blocks as u128 * acc / sum) as u64).clamp(at, total_blocks)
-        };
-        out.push((at, end));
-        at = end;
-    }
-    out
-}
-
-/// Split macro-stripe `[a, b)` into dispatch chunks of `chunk_blocks`.
-pub(crate) fn chop(a: u64, b: u64, chunk_blocks: u64) -> VecDeque<Chunk> {
+/// Split macro-stripe `[a, b)` into `CHUNK_BLOCKS`-block chunks.
+pub(crate) fn chop(a: u64, b: u64) -> VecDeque<Chunk> {
     let mut q = VecDeque::new();
     let mut at = a;
     while at < b {
-        let end = (at + chunk_blocks).min(b);
+        let end = (at + CHUNK_BLOCKS).min(b);
         q.push_back(Chunk {
             start: at,
             end,
@@ -243,46 +208,26 @@ mod tests {
 
     #[test]
     fn partition_covers_stream_in_order() {
-        for (total, weights) in [
-            (100u64, vec![1u64, 1]),
-            (7, vec![3, 1]),
-            (1000, vec![16, 8, 1]),
-            (2, vec![1, 1, 1, 1]),
-        ] {
-            let p = partition(total, &weights);
-            assert_eq!(p.len(), weights.len());
+        for (total, lanes) in [(100u64, 2usize), (7, 2), (1000, 3), (16, 3), (2, 4)] {
+            let p = partition(total, lanes);
+            assert_eq!(p.len(), lanes);
             assert_eq!(p[0].0, 0);
             assert_eq!(p.last().unwrap().1, total);
             for w in p.windows(2) {
                 assert_eq!(w[0].1, w[1].0, "contiguous, non-overlapping");
             }
-            for &(a, b) in &p {
-                assert!(a <= b);
-            }
+            let sizes: Vec<u64> = p.iter().map(|&(a, b)| b - a).collect();
+            let (min, max) = (sizes.iter().min(), sizes.iter().max());
+            assert!(max.unwrap() - min.unwrap() <= 1, "even split: {p:?}");
         }
-    }
-
-    #[test]
-    fn partition_is_weight_proportional() {
-        let p = partition(100, &[3, 1]);
-        assert_eq!(p, vec![(0, 75), (75, 100)]);
-    }
-
-    #[test]
-    fn lane_weights_prefer_fast_forecasts() {
-        // Lower score = faster route = heavier weight.
-        let w = lane_weights(&[Some(100), Some(400)]);
-        assert!(w[0] > w[1], "faster lane gets more blocks: {w:?}");
-        // Any unscored candidate forces an even split.
-        assert_eq!(lane_weights(&[Some(100), None]), vec![1, 1]);
-        assert_eq!(lane_weights(&[None, None, None]), vec![1, 1, 1]);
+        assert_eq!(partition(16, 3), vec![(0, 5), (5, 10), (10, 16)]);
     }
 
     #[test]
     fn chop_produces_chunk_quanta() {
-        let q = chop(10, 45, 16);
+        let q = chop(10, 15);
         let ranges: Vec<(u64, u64)> = q.iter().map(|c| (c.start, c.end)).collect();
-        assert_eq!(ranges, vec![(10, 26), (26, 42), (42, 45)]);
-        assert!(chop(5, 5, 16).is_empty());
+        assert_eq!(ranges, vec![(10, 12), (12, 14), (14, 15)]);
+        assert!(chop(5, 5).is_empty());
     }
 }

@@ -223,8 +223,8 @@ pub struct FailoverCase {
 
 impl FailoverCase {
     /// The typed candidate plan: primary depot, then backup. The direct
-    /// path is *not* listed — `RecoveryConfig::direct_fallback` appends
-    /// it as the route of last resort.
+    /// path is *not* listed — the session client appends it to any plan
+    /// without one, as the route of last resort.
     pub fn plan(&self) -> RoutePlan {
         star_plan(self.dst, &[self.depot_a, self.depot_b])
     }
@@ -272,9 +272,8 @@ pub struct StripedCase {
 }
 
 impl StripedCase {
-    /// One single-depot cascade per spur, in spur order; the direct path
-    /// is appended by `RecoveryConfig::direct_fallback`, as for the
-    /// failover case.
+    /// One single-depot cascade per spur, in spur order; the session
+    /// client appends the direct path, as for the failover case.
     pub fn plan(&self) -> RoutePlan {
         star_plan(self.dst, &self.depots)
     }

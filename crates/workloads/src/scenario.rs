@@ -183,9 +183,8 @@ pub struct CampaignConfig {
     /// is one period plus one score pass, so this bounds how proactive
     /// the proactive re-route can be.
     pub probe_period: Dur,
-    /// Striping policy (cascade count, chunk quantum, redundancy
-    /// budget). Its `recovery` is the recovery ladder of every client
-    /// kind — per lane when striped.
+    /// Striping policy (cascade count). Its `recovery` is the recovery
+    /// ladder of every client kind — per lane when striped.
     pub stripe: StripeConfig,
 }
 
@@ -206,28 +205,9 @@ impl Default for CampaignConfig {
             probe_period: Dur::from_millis(100),
             stripe: StripeConfig {
                 max_cascades: 3,
-                // 2-block (128 KiB) chunks: a 1 MiB stream holds 16
-                // blocks, so every lane sees several dispatch rounds and
-                // work stealing has something to steal.
-                chunk_blocks: 2,
-                redundant_tail: 2,
-                recovery: drill_recovery(),
+                recovery: RecoveryConfig::default(),
             },
         }
-    }
-}
-
-/// The fault-drill recovery posture: impatient ladders, so a dead depot
-/// costs sim-seconds, not minutes, and a snappy watchdog so idle-dead
-/// sublinks are declared stalled fast.
-fn drill_recovery() -> RecoveryConfig {
-    RecoveryConfig {
-        max_reconnects: 1,
-        backoff_base: Dur::from_millis(200),
-        backoff_cap: Dur::from_secs(2),
-        progress_timeout: Some(Dur::from_millis(500)),
-        max_retransfers: 2,
-        direct_fallback: true,
     }
 }
 
@@ -250,13 +230,13 @@ pub struct FaultRunConfig {
 impl FaultRunConfig {
     /// Defaults tuned for fault drills: an impatient TCP (a dead depot
     /// should cost seconds, not Linux's minutes of SYN retries) and the
-    /// drill recovery posture.
+    /// default recovery ladder.
     pub fn new(size: u64, seed: u64, plan: FaultPlan) -> FaultRunConfig {
         FaultRunConfig {
             size,
             seed,
             plan,
-            recovery: drill_recovery(),
+            recovery: RecoveryConfig::default(),
             tcp: TcpConfig {
                 time_wait: Dur::from_millis(1),
                 max_syn_retries: 2,

@@ -59,6 +59,20 @@ echo "==> perfbench build (the benchmark is its own workspace)"
 # change could break the benchmark unnoticed; build it here.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench workloads (one second each, outputs checked)"
+# perfbench exits 0 even when a session's output is wrong; its verdict
+# is the last line of stdout, one JSON object. Run each workload briefly
+# and require every session correct and none failed.
+for run in paper_bulk:401 fault_storm:402 realnet_relay:403; do
+  workload=${run%:*} seed=${run#*:}
+  last=$(perfbench/target/release/lsl-perfbench --workload "$workload" --seed "$seed" \
+    --seconds 1 --trace 0 | tail -n 1)
+  case "$last" in
+    *'"correct": true'*'"failed": 0,'*) echo "  $workload: correct, 0 failed" ;;
+    *) echo "perfbench $workload (seed $seed): outputs not correct: $last"; exit 1 ;;
+  esac
+done
+
 echo "==> fault campaign smokes (drills, chaos, striped, routing)"
 # One release build of the campaign binary, then each campaign's CI
 # gate. Every run must satisfy the contract — terminate, end in verified
