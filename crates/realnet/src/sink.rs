@@ -3,9 +3,9 @@
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 
-use lsl_digest::{Md5, DIGEST_LEN};
-use lsl_session::endpoint::SESSION_CONFIRM;
-use lsl_session::{LslHeader, SessionId};
+use lsl_digest::{DIGEST_LEN, LANES};
+use lsl_session::endpoint::{HashList, SESSION_CONFIRM};
+use lsl_session::{LslHeader, SessionId, RESUME_BLOCK};
 
 use crate::wire::read_header;
 
@@ -74,9 +74,9 @@ impl IncomingSession {
     /// was sent, whether it verified.
     ///
     /// The announced length is authoritative: payload is exactly
-    /// `length` bytes, followed by the 16-byte digest when flagged.
-    /// The digest is computed as the bytes arrive, so the hashing
-    /// overlaps the peer's sending.
+    /// `length` bytes, followed by the 16-byte digest when flagged: the
+    /// hash list of the payload's 64 KiB blocks. The blocks are hashed
+    /// as they arrive, so the hashing overlaps the peer's sending.
     pub fn read_all(self) -> io::Result<(Vec<u8>, Option<bool>)> {
         let IncomingSession {
             stream,
@@ -95,9 +95,14 @@ impl IncomingSession {
 /// Most bytes one step of [`read_body`] reads before it hashes them.
 const READ_STEP: u64 = 256 << 10;
 
+/// Payload bytes the sink hashes at once: [`LANES`] whole blocks.
+const HASH_GROUP: usize = LANES * RESUME_BLOCK as usize;
+
 /// Read a session body to EOF: `length` payload bytes, then the 16-byte
 /// trailer when `digest`. After each read of at most `step` bytes, the
-/// newly arrived bytes among the first `length` go into the MD5; the
+/// whole groups of [`LANES`] blocks that have arrived among the first
+/// `length` bytes are hashed, straight from the payload buffer, and the
+/// rest once all `length` bytes are in (or the stream ends). The
 /// announced length tells payload from trailer, so nothing is held back.
 fn read_body(
     mut src: impl Read,
@@ -110,14 +115,19 @@ fn read_body(
     // claim). The kernel copies straight into it.
     let trailer = if digest { DIGEST_LEN } else { 0 };
     let mut payload = Vec::with_capacity(length.min(1 << 26) as usize + trailer);
-    let mut md5 = digest.then(Md5::new);
+    let mut list = digest.then(HashList::default);
     let hash_limit = usize::try_from(length).unwrap_or(usize::MAX);
     let mut hashed = 0;
     loop {
         let n = (&mut src).take(step).read_to_end(&mut payload)?;
-        if let Some(md5) = &mut md5 {
-            let upto = payload.len().min(hash_limit);
-            md5.update(&payload[hashed..upto]);
+        if let Some(list) = &mut list {
+            let arrived = payload.len().min(hash_limit);
+            let upto = if n == 0 || arrived == hash_limit {
+                arrived
+            } else {
+                hashed + (arrived - hashed) / HASH_GROUP * HASH_GROUP
+            };
+            list.blocks(&payload[hashed..upto]);
             hashed = upto;
         }
         if n == 0 {
@@ -125,13 +135,13 @@ fn read_body(
         }
     }
     let received = payload.len() as u64;
-    let digest_ok = match md5 {
-        Some(md5) => {
+    let digest_ok = match list {
+        Some(list) => {
             if length.checked_add(DIGEST_LEN as u64) != Some(received) {
                 Some(false)
             } else {
                 let trailer = payload.split_off(hashed);
-                Some(md5.finalize()[..] == trailer[..])
+                Some(list.trailer()[..] == trailer[..])
             }
         }
         None => {
@@ -294,9 +304,19 @@ mod tests {
         }
     }
 
+    /// The hash list of `payload`: the MD5 of its 64 KiB blocks' MD5s,
+    /// each hashed alone.
+    fn hash_list(payload: &[u8]) -> [u8; 16] {
+        let list: Vec<u8> = payload
+            .chunks(RESUME_BLOCK as usize)
+            .flat_map(lsl_digest::md5)
+            .collect();
+        lsl_digest::md5(&list)
+    }
+
     /// The one-shot rule the streaming verify must match: the digest
-    /// verifies iff exactly `length + 16` bytes arrived and the MD5 of
-    /// the first `length` equals the last 16.
+    /// verifies iff exactly `length + 16` bytes arrived and the hash
+    /// list of the first `length` equals the last 16.
     fn one_shot(stream: &[u8], length: u64, digest: bool) -> Option<(Vec<u8>, Option<bool>)> {
         if !digest {
             return (stream.len() as u64 == length).then(|| (stream.to_vec(), None));
@@ -307,7 +327,7 @@ mod tests {
         let (payload, trailer) = stream.split_at(length as usize);
         Some((
             payload.to_vec(),
-            Some(lsl_digest::md5(payload)[..] == trailer[..]),
+            Some(hash_list(payload)[..] == trailer[..]),
         ))
     }
 
@@ -332,10 +352,10 @@ mod tests {
         }
     }
 
-    /// `payload` followed by its MD5 trailer.
+    /// `payload` followed by its hash-list trailer.
     fn framed(payload: &[u8]) -> Vec<u8> {
         let mut v = payload.to_vec();
-        v.extend_from_slice(&lsl_digest::md5(payload));
+        v.extend_from_slice(&hash_list(payload));
         v
     }
 
@@ -365,6 +385,42 @@ mod tests {
                 (&[7usize, 3][..], 10),
                 (&[1][..], 1),
                 (&[4096][..], 1 << 20),
+            ] {
+                let got = streamed(stream, length, true, sizes, step).unwrap();
+                assert_eq!(got.1, want, "stream of {} bytes", stream.len());
+                assert_eq!(Some(got), one_shot(stream, length, true));
+            }
+        }
+    }
+
+    /// A payload over more than one group of eight blocks: the
+    /// streaming verify hashes it group by group, and still matches the
+    /// one-shot rule when a byte in the ninth block or the trailer is
+    /// flipped, the stream is cut short, or two blocks swap places.
+    #[test]
+    fn streaming_verify_spans_hash_groups() {
+        const B: usize = RESUME_BLOCK as usize;
+        let payload: Vec<u8> = (0..9 * B + 1000).map(|i| (i * 131 % 251) as u8).collect();
+        let good = framed(&payload);
+        let mut flipped_block = good.clone();
+        flipped_block[8 * B + 5] ^= 1;
+        let mut flipped_trailer = good.clone();
+        *flipped_trailer.last_mut().unwrap() ^= 1;
+        let mut swapped = good.clone();
+        swapped[..2 * B].rotate_left(B);
+        let length = payload.len() as u64;
+        let cases: [(&[u8], Option<bool>); 5] = [
+            (&good, Some(true)),
+            (&flipped_block, Some(false)),
+            (&flipped_trailer, Some(false)),
+            (&good[..good.len() - 1], Some(false)),
+            (&swapped, Some(false)),
+        ];
+        for (stream, want) in cases {
+            for (sizes, step) in [
+                (&[4096usize][..], READ_STEP),
+                (&[3 * B + 7][..], 1 << 20),
+                (&[100_000][..], 70_000),
             ] {
                 let got = streamed(stream, length, true, sizes, step).unwrap();
                 assert_eq!(got.1, want, "stream of {} bytes", stream.len());

@@ -3,18 +3,24 @@
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 
-use lsl_digest::Md5;
-use lsl_session::endpoint::SESSION_CONFIRM;
-use lsl_session::{LslHeader, SessionId, HEADER_FLAG_DIGEST};
+use lsl_digest::LANES;
+use lsl_session::endpoint::{HashList, SESSION_CONFIRM};
+use lsl_session::{LslHeader, SessionId, HEADER_FLAG_DIGEST, RESUME_BLOCK};
 
 use crate::wire::{hop_from_addr, require_v4};
 
+/// Stream bytes per block of the hash list.
+const BLOCK: usize = RESUME_BLOCK as usize;
+
 /// An outbound LSL session: connects to the first hop, sends the header,
 /// (optionally) waits for the sink's confirmation, then streams writes;
-/// [`LslStream::finish`] appends the MD5 digest and half-closes.
+/// [`LslStream::finish`] appends the digest trailer, the hash list of
+/// the stream's 64 KiB blocks, and half-closes.
 pub struct LslStream {
     stream: TcpStream,
-    md5: Option<Md5>,
+    /// The hash list of the whole blocks written, and the written bytes
+    /// of the block after them. None without a digest.
+    digest: Option<(HashList, Vec<u8>)>,
     length: u64,
     written: u64,
 }
@@ -69,7 +75,7 @@ impl LslStream {
         }
         Ok(LslStream {
             stream,
-            md5: digest.then(Md5::new),
+            digest: digest.then(Default::default),
             length,
             written: 0,
         })
@@ -92,8 +98,9 @@ impl LslStream {
                 ),
             ));
         }
-        if let Some(md5) = self.md5.take() {
-            self.stream.write_all(&md5.finalize())?;
+        if let Some((mut list, partial)) = self.digest.take() {
+            list.blocks(&partial);
+            self.stream.write_all(&list.trailer())?;
         }
         self.stream.flush()?;
         self.stream.shutdown(Shutdown::Write)?;
@@ -105,10 +112,25 @@ impl LslStream {
 }
 
 impl Write for LslStream {
+    /// Sends at most [`LANES`] blocks per call, then hashes the whole
+    /// blocks among them straight from `buf`; only a block cut across
+    /// calls is copied aside.
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.stream.write(buf)?;
-        if let Some(md5) = &mut self.md5 {
-            md5.update(&buf[..n]);
+        let n = self.stream.write(&buf[..buf.len().min(LANES * BLOCK)])?;
+        if let Some((list, partial)) = &mut self.digest {
+            let mut data = &buf[..n];
+            if !partial.is_empty() {
+                let fill = (BLOCK - partial.len()).min(data.len());
+                partial.extend_from_slice(&data[..fill]);
+                data = &data[fill..];
+                if partial.len() == BLOCK {
+                    list.blocks(partial);
+                    partial.clear();
+                }
+            }
+            let whole = data.len() - data.len() % BLOCK;
+            list.blocks(&data[..whole]);
+            partial.extend_from_slice(&data[whole..]);
         }
         self.written += n as u64;
         Ok(n)

@@ -10,29 +10,29 @@
 //! block range `[start_block, end_block)` the sink grants: a v2 resume
 //! is the range from the first unverified block to the end of the
 //! stream, a v3 stripe its own sub-range, and a plain v1 attempt's
-//! one-byte confirmation grants the whole stream. A plain attempt
-//! trails its payload with one MD5, the paper's stream. A ranged attempt
-//! carries its evidence in band: each block is followed by its MD5, and
-//! the trailer is the MD5 of those block digests (a hash list), so each
-//! payload byte is hashed once at each end. Both ends walk the body
-//! through the one frame the grant fixes (see [`crate::header`]). Both
-//! ends hash a ranged attempt's blocks up to eight side by side
+//! one-byte confirmation grants the whole stream. Every attempt's
+//! evidence follows one rule over its range of 64 KiB blocks: the
+//! trailer is the MD5 of the blocks' MD5s (a hash list). A ranged
+//! attempt also sends each block's MD5 after the block; the paper's v1
+//! stream sends none, so its trailer alone judges it. Both ends walk the
+//! body through the one frame the grant fixes (see [`crate::header`]),
+//! and hash each payload byte once, up to eight blocks side by side
 //! ([`lsl_digest::md5_many`]). The sender hashes each block once per
 //! session: a session's attempts, on every lane, read one table of
-//! block digests (`BlockDigests`), filled an aligned group of eight at
-//! a time the first time any attempt needs a digest in the group. The
-//! sink hashes blocks once they have landed. Its `Body` pattern-checks
-//! each payload run as it lands. A plain attempt's run streams into one
-//! MD5. A ranged attempt's block is copied aside and, once its in-band
-//! digest is in, staged sink-wide. The sink hashes the staged blocks
-//! together and certifies them in the order their digests landed: a
-//! match certifies the block into the session's [`BlockLedger`]. It does
+//! block digests (`BlockDigests`), filled an aligned group of eight at a
+//! time the first time any attempt needs a digest in the group. The
+//! sink's `Body` pattern-checks each payload run as it lands, copies
+//! each block aside and, once the block (and its in-band digest, if
+//! any) is in, stages it sink-wide. The sink hashes the staged blocks
+//! together and hands each to its attempt in the order they landed: the
+//! digest joins the attempt's hash list, and a ranged block whose
+//! digest matches certifies into the session's [`BlockLedger`]. It does
 //! so whenever [`LANES`] blocks are staged, and before anything reads a
 //! ledger or a hash list: a grant, an outcome, a trailer check, or
 //! [`SinkServer::session_certified`] and
 //! [`SinkServer::duplicate_blocks`]. So every such read sees what
-//! certifying each block as its digest lands would show. Every way an
-//! attempt ends is recorded as one [`TransferOutcome`].
+//! hashing each block as it lands would show. Every way an attempt ends
+//! is recorded as one [`TransferOutcome`].
 
 #[cfg(test)]
 use std::cell::Cell;
@@ -42,7 +42,7 @@ use std::rc::Rc;
 use std::sync::LazyLock;
 
 use bytes::Bytes;
-use lsl_digest::{md5_many, BlockLedger, Md5, DIGEST_LEN, LANES};
+use lsl_digest::{md5_many, BlockLedger, DIGEST_LEN, LANES};
 use lsl_netsim::{Dur, NodeId, Time};
 use lsl_tcp::{AppEvent, Net, SockEvent, SockId, TcpConfig};
 
@@ -173,8 +173,9 @@ pub struct BulkSender {
     frame: Frame,
     /// Body bytes the socket accepted.
     pos: u64,
-    /// Hashes the payload into its evidence. None in direct TCP mode.
-    hasher: Option<Hasher>,
+    /// The stream's block digests, which every piece of evidence reads
+    /// (None in direct TCP mode, and until a lone attempt's grant).
+    digests: Option<Rc<BlockDigests>>,
     /// The block-range request sent in the header (None = plain v1
     /// attempt, whose confirmation grants the whole stream).
     request: Option<Request>,
@@ -188,20 +189,6 @@ pub struct BulkSender {
     /// Payload bytes handed to `net.send`, accepted or not.
     #[cfg(test)]
     generated: u64,
-    /// Payload bytes fed to an MD5.
-    #[cfg(test)]
-    hashed: u64,
-}
-
-/// What an LSL attempt's sender hashes its payload into.
-enum Hasher {
-    /// A plain (v1) attempt: one MD5 over the whole stream, sent as the
-    /// trailer.
-    Whole(Md5),
-    /// A ranged (v2/v3) attempt: each granted block's MD5, read from
-    /// the stream's table and sent after its block; the trailer is the
-    /// hash list of those digests.
-    Blocks(Rc<BlockDigests>),
 }
 
 /// The sender's block digests for one stream, shared by every attempt
@@ -290,9 +277,29 @@ impl BlockDigests {
     }
 }
 
-/// A ranged attempt's trailer: the MD5 of its block digests.
+/// Every attempt's trailer: the MD5 of its blocks' digests, in order.
 fn hash_list(digests: &[[u8; DIGEST_LEN]]) -> [u8; DIGEST_LEN] {
     lsl_digest::md5(digests.as_flattened())
+}
+
+/// A v1 trailer built as the stream goes by, for the ends that see it
+/// as a run of bytes (`lsl-realnet`'s): the hash list of the blocks
+/// given so far, each call's blocks hashed [`LANES`] at a time.
+#[derive(Default)]
+pub struct HashList(Vec<[u8; DIGEST_LEN]>);
+
+impl HashList {
+    /// Hash the stream's next blocks: whole [`RESUME_BLOCK`]s, the last
+    /// of which may be short only at the end of the stream.
+    pub fn blocks(&mut self, data: &[u8]) {
+        let blocks: Vec<&[u8]> = data.chunks(RESUME_BLOCK as usize).collect();
+        self.0.extend(md5_many(&blocks));
+    }
+
+    /// The trailer of the blocks given so far.
+    pub fn trailer(&self) -> [u8; DIGEST_LEN] {
+        hash_list(&self.0)
+    }
 }
 
 /// The block range a certifying attempt asks the sink for.
@@ -378,7 +385,8 @@ impl BulkSender {
     /// Either way the attempt streams exactly the granted range, each
     /// block followed by its MD5, and trails it with the MD5 of those
     /// block digests. Without a request, the one-byte v1 confirmation
-    /// grants the whole stream, trailed by one MD5 over it.
+    /// grants the whole stream, trailed by the same hash list without
+    /// the in-band digests.
     #[allow(clippy::too_many_arguments)] // one-shot constructor mirroring the LSL API surface
     pub fn start(
         net: &mut Net,
@@ -432,12 +440,12 @@ impl BulkSender {
             .encode()
             .expect("route length asserted against MAX_HOPS above"),
         };
-        // A ranged attempt's table arrives with `sharing`, or is made
-        // for its grant alone when the grant arrives.
-        let (evidence, hasher) = match (mode, request) {
-            (SendMode::DirectTcp, _) => (Evidence::None, None),
-            (SendMode::Lsl, None) => (Evidence::Trailer, Some(Hasher::Whole(Md5::new()))),
-            (SendMode::Lsl, Some(_)) => (Evidence::Blocks, None),
+        // The table arrives with `sharing`, or is made for the grant
+        // alone when the grant arrives.
+        let evidence = match (mode, request) {
+            (SendMode::DirectTcp, _) => Evidence::None,
+            (SendMode::Lsl, None) => Evidence::Trailer,
+            (SendMode::Lsl, Some(_)) => Evidence::Blocks,
         };
         BulkSender {
             sock,
@@ -449,7 +457,7 @@ impl BulkSender {
             header_sent: 0,
             frame: Frame::new((0, stream_blocks(total)), total, evidence),
             pos: 0,
-            hasher,
+            digests: None,
             request,
             grant: None,
             confirm_buf: Vec::new(),
@@ -457,16 +465,14 @@ impl BulkSender {
             finished_at: None,
             #[cfg(test)]
             generated: 0,
-            #[cfg(test)]
-            hashed: 0,
         }
     }
 
-    /// Read this ranged attempt's block digests from `table`, the
-    /// session's, instead of a table of its own grant.
+    /// Read this attempt's block digests from `table`, the session's,
+    /// instead of a table of its own grant.
     pub(crate) fn sharing(mut self, table: &Rc<BlockDigests>) -> BulkSender {
-        if self.frame.evidence == Evidence::Blocks {
-            self.hasher = Some(Hasher::Blocks(Rc::clone(table)));
+        if self.frame.evidence != Evidence::None {
+            self.digests = Some(Rc::clone(table));
         }
         self
     }
@@ -595,9 +601,9 @@ impl BulkSender {
         };
         self.grant = Some((start, end));
         self.frame = Frame::new((start, end), self.total, self.frame.evidence);
-        if self.frame.evidence == Evidence::Blocks && self.hasher.is_none() {
+        if self.frame.evidence != Evidence::None && self.digests.is_none() {
             let table = BlockDigests::new(self.total, (start, end));
-            self.hasher = Some(Hasher::Blocks(Rc::new(table)));
+            self.digests = Some(Rc::new(table));
         }
         self.sent = self.frame.start;
         self.state = SenderState::Streaming;
@@ -629,13 +635,6 @@ impl BulkSender {
                         self.generated += len as u64;
                     }
                     let n = net.send(self.sock, &chunk);
-                    if let Some(Hasher::Whole(md5)) = &mut self.hasher {
-                        md5.update(&chunk[..n]);
-                        #[cfg(test)]
-                        {
-                            self.hashed += n as u64;
-                        }
-                    }
                     self.sent = offset + n as u64;
                     self.pos += n as u64;
                     if n < len {
@@ -643,8 +642,11 @@ impl BulkSender {
                     }
                     continue;
                 }
-                Piece::Digest { block, k } => self.block_digest(block)[k..].to_vec(),
-                Piece::Trailer(k) => self.trailer()[k..].to_vec(),
+                Piece::Digest { block, k } => self.table().block_digest(block)[k..].to_vec(),
+                Piece::Trailer(k) => {
+                    let grant = self.grant.expect("an attempt streams its grant");
+                    self.table().trailer(grant)[k..].to_vec()
+                }
                 Piece::End => break,
             };
             let n = net.send(self.sock, &Bytes::from(evidence));
@@ -657,31 +659,11 @@ impl BulkSender {
         net.close(self.sock);
     }
 
-    /// The digest of granted block `block`, from the stream's table.
-    fn block_digest(&mut self, block: u64) -> [u8; DIGEST_LEN] {
-        let Some(Hasher::Blocks(table)) = &self.hasher else {
-            unreachable!("only a ranged frame has block digests");
-        };
-        #[cfg(test)]
-        let before = table.bytes.get();
-        let digest = table.block_digest(block);
-        #[cfg(test)]
-        {
-            self.hashed += table.bytes.get() - before;
-        }
-        digest
-    }
-
-    /// The attempt's trailer: the MD5 of the payload for a plain
-    /// attempt, the hash list of its grant's block digests for a ranged
-    /// one.
-    fn trailer(&self) -> [u8; DIGEST_LEN] {
-        match self.hasher.as_ref().expect("a trailer has a hasher") {
-            Hasher::Whole(md5) => md5.clone().finalize(),
-            Hasher::Blocks(table) => {
-                table.trailer(self.grant.expect("a ranged attempt streams its grant"))
-            }
-        }
+    /// The stream's block digests, which every piece of evidence reads.
+    fn table(&self) -> &BlockDigests {
+        self.digests
+            .as_deref()
+            .expect("evidence is read from a table")
     }
 }
 
@@ -757,12 +739,12 @@ impl TransferOutcome {
 
 /// The body of one attempt at the sink: everything after the header (a
 /// raw TCP conn is all body), walked through its frame. Each payload
-/// run is pattern-checked. A plain attempt's payload is hashed into one
-/// MD5 as it lands. A ranged attempt copies each block's payload into a
-/// buffer and stages it with its in-band digest once that is in (see
-/// [`Staged`]). The staged blocks are hashed and checked later, in the
-/// order their digests landed, but always before a ledger or this
-/// body's hash list is read: a match certifies the block into the
+/// run is pattern-checked. An LSL attempt copies each block's payload
+/// into a buffer and stages it (see [`Staged`]) once it is in, with its
+/// in-band digest on a ranged attempt. The staged blocks are hashed
+/// later, in the order they landed, but always before a ledger or this
+/// body's hash list is read: each digest joins the hash list, and a
+/// ranged block that matches its in-band digest certifies into the
 /// session's [`BlockLedger`], so attempts and cascades certify
 /// independently of one another's arrival order.
 struct Body {
@@ -773,9 +755,7 @@ struct Body {
     pos: u64,
     /// Payload bytes consumed by *this* attempt.
     received: u64,
-    /// Hasher over a plain attempt's payload.
-    run: Md5,
-    /// The payload of the ranged block landing now, in a buffer from
+    /// The payload of the block landing now, in a buffer from
     /// [`Staged::buffer`].
     block: Option<Vec<u8>>,
     /// The digest or trailer being gathered.
@@ -802,7 +782,6 @@ impl Body {
             frame,
             pos: 0,
             received: 0,
-            run: Md5::new(),
             block: None,
             evidence: [0; DIGEST_LEN],
             list: Vec::new(),
@@ -830,40 +809,28 @@ impl Body {
             let data = &data[taken..];
             let n = match self.frame.at(self.pos) {
                 Piece::Payload { offset, left } => {
+                    // A v1 run has no digests to end its blocks: cut it
+                    // at each block end here.
+                    let left = left.min(RESUME_BLOCK - offset % RESUME_BLOCK);
                     let payload = &data[..left.min(data.len() as u64) as usize];
                     if self.content_ok {
                         self.content_ok = is_payload(offset, payload);
                     }
-                    match self.frame.evidence {
-                        Evidence::Trailer => {
-                            self.run.update(payload);
-                            #[cfg(test)]
-                            {
-                                self.hashed += payload.len() as u64;
-                            }
-                        }
-                        Evidence::Blocks => self
-                            .block
+                    if self.frame.evidence != Evidence::None {
+                        self.block
                             .get_or_insert_with(|| staged.buffer())
-                            .extend_from_slice(payload),
-                        Evidence::None => {}
+                            .extend_from_slice(payload);
                     }
                     self.received += payload.len() as u64;
+                    if self.frame.evidence == Evidence::Trailer && payload.len() as u64 == left {
+                        self.land(staged, sock, offset / RESUME_BLOCK, None);
+                    }
                     payload.len()
                 }
                 Piece::Digest { block, k } => {
                     let n = self.gather(k, data);
                     if k + n == DIGEST_LEN {
-                        let payload = self
-                            .block
-                            .take()
-                            .expect("a block's payload precedes its digest");
-                        staged.push(Landed {
-                            sock,
-                            block,
-                            payload,
-                            digest: self.evidence,
-                        });
+                        self.land(staged, sock, block, Some(self.evidence));
                     }
                     n
                 }
@@ -879,6 +846,23 @@ impl Body {
         taken
     }
 
+    /// Stage the block whose payload (and in-band `digest`, if any) is in.
+    fn land(
+        &mut self,
+        staged: &mut Staged,
+        sock: SockId,
+        block: u64,
+        digest: Option<[u8; DIGEST_LEN]>,
+    ) {
+        let payload = self.block.take().expect("a block's payload is in");
+        staged.push(Landed {
+            sock,
+            block,
+            payload,
+            digest,
+        });
+    }
+
     /// Copy evidence bytes from `k` on from the front of `data`; returns
     /// how many were taken.
     fn gather(&mut self, k: usize, data: &[u8]) -> usize {
@@ -887,12 +871,14 @@ impl Body {
         n
     }
 
-    /// A staged block of this attempt hashed to `own`, checked in the
-    /// order block digests landed at the sink: a match certifies the
-    /// block in the session ledger (a duplicate another cascade
-    /// delivered is counted and discarded); a mismatch freezes
-    /// certification for this connection, and the next attempt is
-    /// granted from the first block still missing.
+    /// A staged block of this attempt hashed to `own`, in the order
+    /// blocks landed at the sink. `own` joins the hash list. A v1 block
+    /// stops there: only its trailer judges it, and it has no ledger. A
+    /// ranged block that matches its in-band digest certifies in the
+    /// session ledger (a duplicate another cascade delivered is counted
+    /// and discarded); a mismatch freezes certification for this
+    /// connection, and the next attempt is granted from the first block
+    /// still missing.
     fn certify(
         &mut self,
         sessions: &mut BTreeMap<SessionId, SessionProgress>,
@@ -904,6 +890,9 @@ impl Body {
         {
             self.hashed += landed.payload.len() as u64;
         }
+        let Some(digest) = landed.digest else {
+            return;
+        };
         let session = self
             .header
             .as_ref()
@@ -913,22 +902,12 @@ impl Body {
             .get_mut(&session)
             .expect("a ranged attempt's session")
             .ledger;
-        if self.corrupt || own != landed.digest {
+        if self.corrupt || own != digest {
             self.corrupt = true;
         } else if ledger.certify(landed.block) {
             self.certified += 1;
         } else {
             lsl_obs::counter_add("sink.stripe.dup_block", session.0 as u64, 1);
-        }
-    }
-
-    /// What the trailer must be: the hash list of a ranged attempt (read
-    /// only once its staged blocks are certified), the payload's MD5 of
-    /// a plain one.
-    fn trailer_digest(&self) -> [u8; DIGEST_LEN] {
-        match self.frame.evidence {
-            Evidence::Blocks => hash_list(&self.list),
-            _ => self.run.clone().finalize(),
         }
     }
 
@@ -946,7 +925,7 @@ impl Body {
         // and nothing failed.
         let whole = self.frame.at(self.pos) == Piece::End;
         let digest_ok = (self.frame.evidence != Evidence::None)
-            .then(|| whole && !self.corrupt && self.trailer_digest() == self.evidence);
+            .then(|| whole && !self.corrupt && hash_list(&self.list) == self.evidence);
         let status = if self.received < owed {
             TransferStatus::Failed(SessionError::TruncatedStream)
         } else if digest_ok == Some(false) {
@@ -960,19 +939,19 @@ impl Body {
     }
 }
 
-/// A ranged block whose payload and in-band digest have landed at the
-/// sink, not yet hashed.
+/// A block whose payload (and in-band digest, if any) has landed at
+/// the sink, not yet hashed.
 struct Landed {
     sock: SockId,
     block: u64,
     payload: Vec<u8>,
-    /// The digest the block carried in band.
-    digest: [u8; DIGEST_LEN],
+    /// The digest a ranged block carried in band (None in v1).
+    digest: Option<[u8; DIGEST_LEN]>,
 }
 
 /// The sink's landed blocks, across all its conns, waiting to be hashed
-/// together: at most [`LANES`] of them (512 KiB), in the order their
-/// digests landed. [`Staged::certify`] empties it; the buffers go back
+/// together: at most [`LANES`] of them (512 KiB), in the order they
+/// landed. [`Staged::certify`] empties it; the buffers go back
 /// to a free list that later blocks are copied into.
 #[derive(Default)]
 struct Staged {
@@ -1010,7 +989,7 @@ impl Staged {
     }
 
     /// Hash every staged block in one [`md5_many`] call, then hand each
-    /// with its digest to `check`, in the order the digests landed.
+    /// with its digest to `check`, in the order they landed.
     fn certify(&mut self, mut check: impl FnMut(&Landed, [u8; DIGEST_LEN])) {
         if self.landed.is_empty() {
             return;
@@ -1066,7 +1045,7 @@ struct SessionProgress {
 }
 
 /// A verifying sink server: accepts transfers (LSL-framed or raw TCP),
-/// checks the payload pattern and the trailing MD5 digest, and records a
+/// checks the payload pattern and the hash-list trailer, and records a
 /// [`TransferOutcome`] per stream — failed attempts included, each with
 /// its typed [`TransferStatus`]. Sessions whose headers carry a
 /// [`Resume`] or [`StripeReq`] request additionally get per-block
@@ -1092,7 +1071,7 @@ pub struct SinkServer {
     /// count means a verified block was re-sent (the striped chaos
     /// contract machine-checks this).
     stripe_regrants: u64,
-    /// Ranged blocks landed on any conn and not yet certified.
+    /// Blocks landed on any conn and not yet hashed.
     staged: Staged,
     /// Payload bytes the recorded attempts fed to an MD5.
     #[cfg(test)]
@@ -1604,23 +1583,18 @@ mod tests {
     }
 
     /// An attempt's body as the sender frames it, for blocks
-    /// `[start, end)` of a `total`-byte stream: ranged, each block
-    /// followed by its MD5, then the MD5 of those digests; plain, the
-    /// payload and its MD5.
+    /// `[start, end)` of a `total`-byte stream: each block, followed by
+    /// its MD5 when ranged, then the MD5 of those block digests.
     fn framed(start: u64, end: u64, total: u64, ranged: bool) -> Vec<u8> {
-        let (lo, hi) = (block_offset(start, total), block_offset(end, total));
-        if !ranged {
-            let mut body = payload_chunk(lo, (hi - lo) as usize).to_vec();
-            body.extend_from_slice(&md5(&body));
-            return body;
-        }
         let (mut body, mut list) = (Vec::new(), Vec::new());
         for b in start..end {
             let (lo, hi) = (block_offset(b, total), block_offset(b + 1, total));
             let payload = payload_chunk(lo, (hi - lo) as usize);
             let digest = md5(&payload);
             body.extend_from_slice(&payload);
-            body.extend_from_slice(&digest);
+            if ranged {
+                body.extend_from_slice(&digest);
+            }
             list.extend_from_slice(&digest);
         }
         body.extend_from_slice(&md5(&list));
@@ -1840,6 +1814,34 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// [`HashList`], the real-socket ends' v1 trailer, is the
+        /// simulator's: whatever the length, and however the stream is
+        /// split into runs of whole blocks, its trailer is the sender
+        /// table's over `[0, total)` and ends the v1 body as framed.
+        #[test]
+        fn hash_list_is_the_v1_trailer(
+            total in 0u64..12 * RESUME_BLOCK,
+            splits in proptest::collection::vec(0u64..13, 0..4),
+        ) {
+            let blocks = stream_blocks(total);
+            let stream = payload_chunk(0, total as usize);
+            let mut bounds: Vec<u64> = splits.iter().map(|&b| block_offset(b, total)).collect();
+            bounds.extend([0, total]);
+            bounds.sort_unstable();
+            let mut list = HashList::default();
+            for run in bounds.windows(2) {
+                list.blocks(&stream[run[0] as usize..run[1] as usize]);
+            }
+            let table = BlockDigests::new(total, (0, blocks));
+            prop_assert_eq!(list.trailer(), table.trailer((0, blocks)));
+            let body = framed(0, blocks, total, false);
+            prop_assert_eq!(&body[body.len() - DIGEST_LEN..], &list.trailer()[..]);
+        }
+    }
+
     /// The paper's case 1 path, as `lsl_workloads::case1` builds it:
     /// campus access link, two lossy Abilene legs, and a depot one LAN
     /// hop off the Denver POP. Returns the topology, source, sink and
@@ -1952,6 +1954,13 @@ mod tests {
         (sender, sink, handled)
     }
 
+    impl BulkSender {
+        /// Payload bytes this attempt's table has hashed.
+        fn hashed(&self) -> u64 {
+            self.digests.as_ref().map_or(0, |t| t.bytes.get())
+        }
+    }
+
     /// The sender generates only what the socket takes: a 16 MiB case 1
     /// transfer, direct and via the depot, hands `net.send` no more
     /// payload than was sent, apart from the one byte per wakeup that a
@@ -1999,9 +2008,20 @@ mod tests {
             let (start, end) = sender.grant.expect("granted");
             let payload = block_offset(end, total) - block_offset(start, total);
             assert!(payload > 0);
-            assert_eq!(sender.hashed, payload, "sender, {request:?}");
+            assert_eq!(sender.hashed(), payload, "sender, {request:?}");
             assert_eq!(sink.hashed, payload, "sink, {request:?}");
         }
+    }
+
+    /// A 16-block v1 transfer is hashed in two groups of eight at each
+    /// end: two `md5_many` calls at the sender, two staged groups at
+    /// the sink, and the v1 header opened no session state there.
+    #[test]
+    fn a_sixteen_block_v1_transfer_is_hashed_eight_at_a_time_at_each_end() {
+        let (sender, sink, _) = case1_transfer(16 * RESUME_BLOCK, true, None);
+        assert_eq!(sender.table().calls.get(), 2);
+        assert_eq!(sink.staged.groups, [LANES, LANES]);
+        assert!(sink.sessions.is_empty());
     }
 
     /// A sink on a two-node LAN, fed by raw conns that a test drives
@@ -2105,6 +2125,43 @@ mod tests {
 
     /// Framed bytes per full block: its payload and its digest.
     const FRAMED: usize = RESUME_BLOCK as usize + DIGEST_LEN;
+
+    /// The v1 trailer is the hash list, not the paper's MD5 over the
+    /// whole stream: a v1 body trailed by that MD5 fails its digest, so
+    /// an end still on the old rule cannot pass, while the same payload
+    /// under the hash list completes. Neither opens session state.
+    #[test]
+    fn a_v1_body_trailed_by_the_whole_stream_md5_fails() {
+        let total = 3 * RESUME_BLOCK + 1000;
+        let header = LslHeader {
+            session: SessionId(1),
+            flags: HEADER_FLAG_DIGEST,
+            length: total,
+            resume: None,
+            stripe: None,
+            route: Vec::new(),
+        };
+        let new = framed(0, stream_blocks(total), total, false);
+        let payload = &new[..total as usize];
+        let old = [payload, &md5(payload)].concat();
+        let mut h = HandSink::new(None);
+        for body in [old, new] {
+            let sock = h.open(&header, &body);
+            h.finish(sock);
+        }
+        let outcomes = h.sink.take_outcomes();
+        let mismatch = TransferStatus::Failed(SessionError::DigestMismatch);
+        assert_eq!(
+            (outcomes[0].status, outcomes[0].digest_ok),
+            (mismatch, Some(false))
+        );
+        assert!(outcomes[0].content_ok);
+        assert_eq!(
+            (outcomes[1].status, outcomes[1].digest_ok),
+            (TransferStatus::Complete, Some(true))
+        );
+        assert!(h.sink.sessions.is_empty());
+    }
 
     /// Two striped conns carry block 1. Conn A's copy lands first, but
     /// conn B's digest completes first, so B certifies the block and A's
@@ -2259,14 +2316,14 @@ mod tests {
             let mut aborted_at = None;
             let (sender, _, _) = case1_run(TOTAL, true, request, RESUME_BLOCK, |s, net| {
                 assert!(
-                    s.hashed <= s.sent + (LANES as u64 - 1) * RESUME_BLOCK,
+                    s.hashed() <= s.sent + (LANES as u64 - 1) * RESUME_BLOCK,
                     "cut {cut}: hashed {} for {} sent",
-                    s.hashed,
+                    s.hashed(),
                     s.sent
                 );
                 if aborted_at.is_none() && s.sent >= cut * RESUME_BLOCK {
                     s.fail(net, SessionError::Stalled);
-                    aborted_at = Some(s.hashed);
+                    aborted_at = Some(s.hashed());
                 }
             });
             assert!(
@@ -2274,8 +2331,8 @@ mod tests {
                 "cut {cut}"
             );
             assert!(sender.sent < TOTAL, "cut {cut}: aborted mid-range");
-            assert_eq!(Some(sender.hashed), aborted_at, "cut {cut}");
-            assert!(sender.hashed < TOTAL, "cut {cut}");
+            assert_eq!(Some(sender.hashed()), aborted_at, "cut {cut}");
+            assert!(sender.hashed() < TOTAL, "cut {cut}");
         }
     }
 }

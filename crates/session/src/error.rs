@@ -134,7 +134,8 @@ pub enum SessionError {
     /// no progress for a full timeout window (e.g. a silently crashed
     /// depot the RTO has not yet condemned).
     Stalled,
-    /// The end-to-end MD5 over the delivered stream does not match.
+    /// The attempt's end-to-end evidence does not match: its hash-list
+    /// trailer, or a block's in-band MD5.
     DigestMismatch,
     /// A payload byte differs from the generator pattern.
     ContentMismatch,

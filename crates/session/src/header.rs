@@ -46,16 +46,21 @@
 //! 47      6n    hops
 //! ```
 //!
-//! The body after the header depends on the version. A v1 body is the
-//! paper's stream: `length` payload bytes, then (with the digest flag)
-//! one MD5 over all of them. A v2 or v3 body carries its evidence in
-//! band over the granted block range `[s, e)` of 64 KiB blocks (the
-//! stream's final block may be short):
+//! The body after the header covers a block range `[s, e)` of the
+//! stream's 64 KiB blocks (the final block may be short), and its
+//! trailer is always the hash list of those blocks. A v2 or v3 body
+//! covers the granted range and carries each block's MD5 in band:
 //!
 //! ```text
 //! block s payload, MD5(block s), …, block e-1 payload, MD5(block e-1),
 //! MD5(MD5(block s) ‖ … ‖ MD5(block e-1))      (the hash-list trailer)
 //! ```
+//!
+//! A v1 body is the paper's stream, the range `[0, total)` without the
+//! in-band digests: `length` payload bytes, then (with the digest flag)
+//! the same 16-byte hash list. The paper sends one MD5 over the stream
+//! there; the hash list is as long, so the stream's length and timing
+//! are the paper's, and any changed byte defeats it unless MD5 collides.
 //!
 //! The grant and `length` fix where each payload run, digest and the
 //! trailer begin. Both ends walk that layout through one private
@@ -314,7 +319,8 @@ impl LslHeader {
 pub(crate) enum Evidence {
     /// Nothing: direct TCP, or a digestless header.
     None,
-    /// One MD5 over the whole payload: the paper's v1 stream.
+    /// A hash-list trailer without in-band digests: the paper's v1
+    /// stream.
     Trailer,
     /// Each block's MD5 after the block, then the MD5 of those digests
     /// (the hash list): a v2 or v3 ranged attempt.

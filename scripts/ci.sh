@@ -26,6 +26,15 @@ if grep -rn expected_block_digest crates/*/src src; then
   echo "expected_block_digest is test-only (crates/session/tests/)"; exit 1
 fi
 
+echo "==> no whole-stream hasher"
+# Every attempt's trailer is the hash list of its 64 KiB blocks, hashed
+# eight at a time (md5_many), v1 included. A scalar MD5 over the whole
+# stream in the session or real-socket crates would bring back a second
+# evidence rule; their tests use the one-shot md5 function.
+if grep -rnw Md5 crates/session/src crates/realnet/src; then
+  echo "Md5 found: hash whole blocks with md5_many (or md5), not a whole-stream Md5"; exit 1
+fi
+
 echo "==> lsl-audit (static determinism analyzer, SARIF artifact)"
 # The analyzer must (a) pass clean, (b) emit a well-formed SARIF
 # artifact for CI annotation, and (c) stay fast enough to run on every
