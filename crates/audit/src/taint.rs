@@ -59,7 +59,7 @@ pub const SINK_NAMES: &[&str] = &[
     "record_obs_link_metrics",
     "fingerprint",
     "trailer_digest",
-    "certify_staged",
+    "block_digests",
     "block_digest",
     "schedule",
     "enqueue",

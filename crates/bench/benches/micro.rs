@@ -14,7 +14,8 @@
 //! 16 MiB case 1 transfer wall time, the 16 MiB one also as a ranged
 //! attempt that both ends certify block by block, a calm 1 MiB session
 //! striped over three cascades, MD5 throughput for
-//! one input and for eight 64 KiB inputs at a time, 16 MiB loopback
+//! one input and for eight 64 KiB inputs at a time, the block-digest
+//! rate of one lone 64 KiB block, 16 MiB loopback
 //! relay rate, campaign wall time at 1 and N jobs, and the ns/iter of
 //! the segment and LSL header codecs and of the NWS mixture update)
 //! that CI checks for shape and future PRs diff against. The
@@ -43,6 +44,8 @@ use lsl_workloads::{
 const TARGET_MEASURE_S: f64 = 0.25;
 /// Hard ceiling on the per-pass iteration count.
 const MAX_ITERS: u64 = 1 << 24;
+/// Timed calls of a warmed smoke row (see [`Bench::run_warmed`]).
+const SMOKE_RUNS: usize = 5;
 
 /// 1 MiB case 1 wall time recorded on this host immediately before
 /// the event-engine hot-path refactor (BTreeMap route table, BTreeSet
@@ -78,6 +81,10 @@ const BASELINE_RUN_WALL_S_1MB_STRIPED: f64 = 0.006955;
 /// it), on the same 2-core KVM VM: medians of six runs.
 const BASELINE_MD5_MB_PER_S: f64 = 475.1;
 const BASELINE_REALNET_RELAY_MB_PER_S: f64 = 193.2;
+/// One lone 64 KiB block's digest before the two-level block digest:
+/// the block was one input to `md5_many`, which hashed it alone on the
+/// scalar path, at the committed `md5_mb_per_s` of the run before.
+const BASELINE_BLOCK_DIGEST_MB_PER_S: f64 = 494.0;
 
 struct Bench {
     smoke: bool,
@@ -148,6 +155,32 @@ impl Bench {
         }
         ns_per_iter
     }
+
+    /// [`Bench::run`], except that a smoke run makes one warm-up call
+    /// and returns the median of [`SMOKE_RUNS`] timed calls after it:
+    /// for rows whose first call pays one-off costs (threads, sockets,
+    /// the first touch of buffers) as large as the work it measures.
+    fn run_warmed<T>(
+        &self,
+        name: &str,
+        bytes_per_iter: Option<u64>,
+        mut f: impl FnMut() -> T,
+    ) -> f64 {
+        if !self.smoke {
+            return self.run(name, bytes_per_iter, f);
+        }
+        black_box(f());
+        let mut ns: Vec<f64> = (0..SMOKE_RUNS)
+            .map(|_| {
+                let t0 = Instant::now();
+                black_box(f());
+                t0.elapsed().as_secs_f64() * 1e9
+            })
+            .collect();
+        ns.sort_by(|a, b| a.total_cmp(b));
+        println!("{name:<40} smoke ok (median of {SMOKE_RUNS}, warmed)");
+        ns[SMOKE_RUNS / 2]
+    }
 }
 
 /// MD5 at 1 KiB, 64 KiB and 1 MiB; returns the 1 MiB MB/s.
@@ -177,6 +210,20 @@ fn bench_md5_lanes(b: &Bench) -> f64 {
         || lsl_digest::md5_many(&inputs),
     );
     bytes as f64 * 1e3 / ns.max(1e-9)
+}
+
+/// The block digest of one lone 64 KiB block, what a sink computes as
+/// each block lands; returns MB/s. Its eight 8 KiB pieces fill the
+/// eight lanes, so it needs no other block to reach lane width.
+fn bench_block_digest(b: &Bench) -> f64 {
+    const BLOCK: usize = 64 << 10;
+    let data = vec![0xa5u8; BLOCK];
+    let ns = b.run_warmed(
+        &format!("block_digests/1x{BLOCK}"),
+        Some(BLOCK as u64),
+        || lsl_digest::block_digests(&[&data]),
+    );
+    BLOCK as f64 * 1e3 / ns.max(1e-9)
 }
 
 /// Segment and LSL header encode+decode round trips; returns
@@ -424,6 +471,9 @@ fn bench_forecasting(b: &Bench) -> f64 {
 
 /// 16 MiB sessions through one loopback `lsd` depot, digest and sync
 /// confirm on; returns MB/s. Big enough that the sink's MD5 pass shows.
+/// A smoke run takes the median of five sessions after a warm-up: one
+/// cold session's fixed costs (listener, depot threads, the first touch
+/// of the 16 MiB receive buffer) are about half its time.
 fn bench_realnet_relay(b: &Bench) -> f64 {
     use lsl_realnet::{LsdServer, LslListener, LslStream};
     use std::net::Ipv4Addr;
@@ -432,7 +482,7 @@ fn bench_realnet_relay(b: &Bench) -> f64 {
     let depot = LsdServer::spawn((Ipv4Addr::LOCALHOST, 0).into()).expect("spawn depot");
     let depot_addr = depot.addr();
     let payload = Arc::new(vec![0x5au8; SIZE]);
-    let ns = b.run(
+    let ns = b.run_warmed(
         "realnet_relay_16MB/loopback_cascade",
         Some(SIZE as u64),
         || {
@@ -537,6 +587,7 @@ fn write_json(smoke: bool, rows: &[(&str, f64, usize)]) {
         ("run_wall_s_1mb_striped", BASELINE_RUN_WALL_S_1MB_STRIPED, 6),
         ("md5_mb_per_s", BASELINE_MD5_MB_PER_S, 1),
         ("realnet_relay_mb_per_s", BASELINE_REALNET_RELAY_MB_PER_S, 1),
+        ("block_digest_mb_per_s", BASELINE_BLOCK_DIGEST_MB_PER_S, 1),
     ];
     let fields = |rows: &[(&str, f64, usize)], indent: &str| {
         rows.iter()
@@ -559,6 +610,7 @@ fn main() {
     let b = Bench::new();
     let md5_mb_per_s = bench_md5(&b);
     let md5_lanes_mb_per_s = bench_md5_lanes(&b);
+    let block_digest_mb_per_s = bench_block_digest(&b);
     let (segment_ns, header_ns) = bench_codecs(&b);
     let events_per_sec = bench_simulator_events(&b);
     let timer_events_per_sec = bench_simulator_timer_events(&b);
@@ -582,6 +634,7 @@ fn main() {
             ("run_wall_s_1mb_striped", striped_s, 6),
             ("md5_mb_per_s", md5_mb_per_s, 1),
             ("md5_lanes_mb_per_s", md5_lanes_mb_per_s, 1),
+            ("block_digest_mb_per_s", block_digest_mb_per_s, 1),
             ("realnet_relay_mb_per_s", realnet_relay_mb_per_s, 1),
             ("campaign_jobs", jobs_n as f64, 0),
             ("campaign_wall_s_jobs1", w1, 6),

@@ -2,21 +2,39 @@
 //!
 //! One MD5 is a serial chain: each of a block's 64 steps waits on the
 //! step before, so a lone hash runs at the latency of that chain and
-//! leaves most of the core idle. Independent inputs, such as a ranged
-//! attempt's 64 KiB blocks, have independent chains. With AVX2, eight
-//! of them run side by side, one per 32-bit lane of a 256-bit register:
-//! the same 64 steps, applied to eight chaining states at once. Each
-//! 64-byte chunk's message words are transposed so that register `k`
-//! holds word `k` of every lane's chunk. The lanes stop after the last
-//! whole chunk, and each lane's tail and padding are finished by the
-//! scalar [`Md5`](crate::Md5), resumed from that lane's chaining state.
-//! Lanes must be of one length, so each group of inputs is first split
-//! by length.
+//! leaves most of the core idle. Independent inputs, such as the 8 KiB
+//! pieces of a 64 KiB block (see [`crate::block_digests`]), have
+//! independent chains. With AVX2, eight of them run side by side, one
+//! per 32-bit lane of a 256-bit register: the same 64 steps, applied to
+//! eight chaining states at once. Each 64-byte chunk's message words are
+//! transposed so that register `k` holds word `k` of every lane's
+//! chunk. Lanes must be of one length, so each group of inputs is first
+//! split by length; the lanes of one length then share the tail's
+//! padding layout, so the tail and padding run through the lanes too.
+
+#[cfg(test)]
+use std::cell::Cell;
 
 use crate::md5::DIGEST_LEN;
 
 /// Inputs hashed side by side in one multi-lane pass.
 pub const LANES: usize = 8;
+
+#[cfg(test)]
+thread_local! {
+    /// Multi-lane passes run, and bytes hashed on the scalar path, by
+    /// [`md5_many`] on this thread.
+    pub(crate) static PASSES: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// Add `passes` and `bytes` to this thread's [`PASSES`].
+#[cfg(test)]
+fn count(passes: u64, bytes: u64) {
+    PASSES.with(|p| {
+        let (n, b) = p.get();
+        p.set((n + passes, b + bytes));
+    });
+}
 
 /// The MD5 of each input, in order, equal byte for byte to
 /// [`crate::md5`] of each.
@@ -25,8 +43,8 @@ pub const LANES: usize = 8;
 /// length. Two or more inputs of one length run in AVX2 lanes
 /// when the CPU has AVX2 (detected at run time); an input whose length
 /// no other in its group shares, or any input without AVX2, is hashed
-/// alone with the scalar [`Md5`](crate::Md5). So a stream's short last
-/// block costs a scalar pass for itself alone, not for its group.
+/// alone with the scalar [`Md5`](crate::Md5). So a block's short last
+/// piece costs a scalar pass for itself alone, not for its group.
 pub fn md5_many(inputs: &[&[u8]]) -> Vec<[u8; DIGEST_LEN]> {
     let lens: Vec<usize> = inputs.iter().map(|d| d.len()).collect();
     let mut out = vec![[0; DIGEST_LEN]; inputs.len()];
@@ -34,14 +52,18 @@ pub fn md5_many(inputs: &[&[u8]]) -> Vec<[u8; DIGEST_LEN]> {
         let group: Vec<&[u8]> = pass.iter().map(|&i| inputs[i]).collect();
         #[cfg(target_arch = "x86_64")]
         if group.len() > 1 && is_x86_feature_detected!("avx2") {
+            #[cfg(test)]
+            count(1, 0);
             // SAFETY: `is_x86_feature_detected!("avx2")` just found AVX2
             // on this CPU, the one requirement of `avx2::lanes`.
-            let states = unsafe { avx2::lanes(&group) };
-            for ((&i, data), state) in pass.iter().zip(&group).zip(states) {
-                out[i] = avx2::finish(data, state);
+            let digests = unsafe { avx2::lanes(&group) };
+            for (&i, digest) in pass.iter().zip(digests) {
+                out[i] = digest;
             }
             continue;
         }
+        #[cfg(test)]
+        count(0, (lens[pass[0]] * pass.len()) as u64);
         for (&i, digest) in pass.iter().zip(md5_each(&group)) {
             out[i] = digest;
         }
@@ -78,33 +100,45 @@ mod avx2 {
     use std::arch::x86_64::*;
 
     use super::LANES;
-    use crate::md5::{Md5, BLOCK_LEN, DIGEST_LEN, IV, K};
+    use crate::md5::{BLOCK_LEN, DIGEST_LEN, IV, K};
 
-    /// The digest of `data`, given the chaining state after its whole
-    /// 64-byte chunks: the tail and padding through a resumed [`Md5`].
-    pub(super) fn finish(data: &[u8], state: [u32; 4]) -> [u8; DIGEST_LEN] {
-        let whole = data.len() - data.len() % BLOCK_LEN;
-        let mut h = Md5::resume(state, whole as u64);
-        h.update(&data[whole..]);
-        h.finalize()
-    }
-
-    /// The chaining state of each input after the whole 64-byte chunks
-    /// of the shortest one, the inputs side by side in the eight 32-bit
-    /// lanes of AVX2 registers. Lanes past `inputs.len()` repeat the
-    /// first input and their states are discarded by the caller.
+    /// The MD5 of each input, all of one length, side by side in the
+    /// eight 32-bit lanes of AVX2 registers: the whole 64-byte chunks,
+    /// then the tail and padding, which take the same one or two chunks
+    /// in every lane. Lanes past `inputs.len()` repeat the first input
+    /// and their digests are discarded by the caller.
     #[target_feature(enable = "avx2")]
-    pub(super) fn lanes(inputs: &[&[u8]]) -> [[u32; 4]; LANES] {
+    pub(super) fn lanes(inputs: &[&[u8]]) -> [[u8; DIGEST_LEN]; LANES] {
         let mut lane: [&[u8]; LANES] = [&[]; LANES];
         for (i, l) in lane.iter_mut().enumerate() {
             *l = inputs.get(i).or(inputs.first()).copied().unwrap_or(&[]);
         }
-        let chunks = lane.iter().map(|d| d.len()).min().unwrap_or(0) / BLOCK_LEN;
+        let len = lane[0].len();
+        debug_assert!(lane.iter().all(|d| d.len() == len), "one length per pass");
+        let whole = len - len % BLOCK_LEN;
         let mut state = IV.map(|w| _mm256_set1_epi32(w.cast_signed()));
-        for c in 0..chunks {
-            compress(&mut state, &words(&lane, c * BLOCK_LEN));
+        for offset in (0..whole).step_by(BLOCK_LEN) {
+            compress(&mut state, &words(&lane, offset));
         }
-        let mut out = [[0u32; 4]; LANES];
+        // The tail, 0x80, zeros and the bit length: one chunk, or two
+        // when the tail leaves no room for the length's 8 bytes.
+        let tail = len - whole;
+        let padded = if tail < BLOCK_LEN - 8 {
+            BLOCK_LEN
+        } else {
+            2 * BLOCK_LEN
+        };
+        let mut last = [[0u8; 2 * BLOCK_LEN]; LANES];
+        for (buf, data) in last.iter_mut().zip(lane) {
+            buf[..tail].copy_from_slice(&data[whole..]);
+            buf[tail] = 0x80;
+            buf[padded - 8..padded].copy_from_slice(&(len as u64).wrapping_mul(8).to_le_bytes());
+        }
+        let last = last.each_ref().map(|b| &b[..]);
+        for offset in (0..padded).step_by(BLOCK_LEN) {
+            compress(&mut state, &words(&last, offset));
+        }
+        let mut out = [[0u8; DIGEST_LEN]; LANES];
         for (j, v) in state.into_iter().enumerate() {
             let mut w = [0u32; LANES];
             // SAFETY: `w` is eight `u32`s, the 32 bytes one unaligned
@@ -112,7 +146,7 @@ mod avx2 {
             // `md5_many` calls only after `is_x86_feature_detected!`.
             unsafe { _mm256_storeu_si256(w.as_mut_ptr().cast(), v) };
             for (o, x) in out.iter_mut().zip(w) {
-                o[j] = x;
+                o[4 * j..4 * j + 4].copy_from_slice(&x.to_le_bytes());
             }
         }
         out

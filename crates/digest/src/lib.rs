@@ -7,13 +7,15 @@
 //! the stream as it is produced/consumed without buffering it.
 //!
 //! A ranged attempt is certified block by block: each block carries its
-//! own MD5 and the trailer is the MD5 of those digests (a hash list), so
-//! a receiver learns *which* blocks are good, not only whether the whole
-//! range is. [`BlockLedger`] records which blocks of a session have
-//! certified, in any order. [`md5_many`] hashes up to [`LANES`]
-//! independent inputs (a sender's next blocks, a sink's landed ones)
-//! side by side in AVX2 lanes when the CPU has them, with results equal
-//! to [`md5`] of each.
+//! own digest and the trailer is the MD5 of those digests (a hash list),
+//! so a receiver learns *which* blocks are good, not only whether the
+//! whole range is. A block's digest is two-level: the MD5 of the MD5s
+//! of its [`PIECE`]-byte pieces ([`block_digests`], the one place the
+//! rule lives). A 64 KiB block is [`LANES`] pieces, which [`md5_many`]
+//! hashes side by side in AVX2 lanes when the CPU has them, so a lone
+//! block hashes at full lane width the moment it lands.
+//! [`BlockLedger`] records which blocks of a session have certified, in
+//! any order.
 
 mod lanes;
 mod ledger;
@@ -23,11 +25,35 @@ pub use lanes::{md5_many, LANES};
 pub use ledger::BlockLedger;
 pub use md5::{Md5, DIGEST_LEN};
 
+/// Bytes per piece of a block: a 64 KiB block is [`LANES`] pieces.
+pub const PIECE: usize = 8 << 10;
+
 /// One-shot MD5 of a byte slice.
 pub fn md5(data: &[u8]) -> [u8; DIGEST_LEN] {
     let mut h = Md5::new();
     h.update(data);
     h.finalize()
+}
+
+/// The digest of each block: the MD5 of the concatenated MD5s of its
+/// pieces, `block.chunks(PIECE)` (an empty block has none, so its
+/// digest is the MD5 of nothing). All pieces of all blocks go through
+/// one [`md5_many`] call, so each whole 64 KiB block is one multi-lane
+/// pass by itself, however many blocks are given; the blocks' lists of
+/// piece digests go through a second.
+pub fn block_digests(blocks: &[&[u8]]) -> Vec<[u8; DIGEST_LEN]> {
+    let pieces: Vec<&[u8]> = blocks.iter().flat_map(|b| b.chunks(PIECE)).collect();
+    let digests = md5_many(&pieces);
+    let mut rest = &digests[..];
+    let lists: Vec<&[u8]> = blocks
+        .iter()
+        .map(|block| {
+            let (list, after) = rest.split_at(block.len().div_ceil(PIECE));
+            rest = after;
+            list.as_flattened()
+        })
+        .collect();
+    md5_many(&lists)
 }
 
 /// Render a digest as lowercase hex, as `md5sum` would print it.
@@ -150,6 +176,61 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The block-digest rule from scratch: `md5` of the concatenated
+    /// `md5`s of the block's 8 KiB chunks, each through the scalar
+    /// hasher.
+    fn block_digest_reference(block: &[u8]) -> [u8; DIGEST_LEN] {
+        let list: Vec<u8> = block.chunks(8192).flat_map(md5).collect();
+        md5(&list)
+    }
+
+    /// A lone 64 KiB block takes one eight-lane pass (AVX2) and no
+    /// scalar pass over its payload: its eight pieces fill the lanes,
+    /// and only its 128-byte list of piece digests is hashed alone.
+    #[test]
+    fn a_lone_block_is_one_eight_lane_pass() {
+        let block: Vec<u8> = (0..64 << 10).map(|i| (i * 131 % 251) as u8).collect();
+        lanes::PASSES.with(|p| p.set((0, 0)));
+        let digest = block_digests(&[&block]);
+        assert_eq!(digest, [block_digest_reference(&block)]);
+        let list = (LANES * DIGEST_LEN) as u64;
+        let want = match cfg!(target_arch = "x86_64") && std::is_x86_feature_detected!("avx2") {
+            true => (1, list),
+            false => (0, block.len() as u64 + list),
+        };
+        assert_eq!(lanes::PASSES.with(|p| p.get()), want);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `block_digests` equals the scalar reference for blocks of
+        /// any length (0, under 64, not a multiple of 64, exactly
+        /// 64 KiB), however the blocks are split into calls.
+        #[test]
+        fn block_digests_equal_the_scalar_reference(
+            lens in proptest::collection::vec(
+                prop_oneof![Just(0usize), 1usize..64, 65usize..70_000, Just(64usize << 10)],
+                0..6,
+            ),
+            seed in any::<u8>(),
+            cuts in proptest::collection::vec(any::<proptest::sample::Index>(), 0..3),
+        ) {
+            let owned: Vec<Vec<u8>> = lens
+                .iter()
+                .enumerate()
+                .map(|(b, &len)| (0..len).map(|i| (i * 31 + b * 7) as u8 ^ seed).collect())
+                .collect();
+            let blocks: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
+            let want: Vec<_> = blocks.iter().map(|b| block_digest_reference(b)).collect();
+            let mut bounds: Vec<usize> = cuts.iter().map(|c| c.index(blocks.len() + 1)).collect();
+            bounds.extend([0, blocks.len()]);
+            bounds.sort_unstable();
+            let got: Vec<_> = bounds.windows(2).flat_map(|w| block_digests(&blocks[w[0]..w[1]])).collect();
+            prop_assert_eq!(got, want);
+        }
+    }
 
     proptest! {
         /// Incremental hashing over arbitrary chunkings equals one-shot.

@@ -51,17 +51,9 @@ impl Default for Md5 {
 impl Md5 {
     /// Fresh hasher with the RFC 1321 initialization vector.
     pub fn new() -> Self {
-        Md5::resume(IV, 0)
-    }
-
-    /// A hasher that has absorbed `len` bytes, a whole number of
-    /// blocks, whose chaining state is `state`: where a multi-lane pass
-    /// hands one lane over to finish its tail and padding.
-    pub(crate) fn resume(state: [u32; 4], len: u64) -> Self {
-        debug_assert!(len.is_multiple_of(BLOCK_LEN as u64));
         Md5 {
-            state,
-            len,
+            state: IV,
+            len: 0,
             buf: [0u8; BLOCK_LEN],
             buf_len: 0,
         }
@@ -103,19 +95,14 @@ impl Md5 {
 
     /// Apply RFC 1321 padding and return the digest, consuming the hasher.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
-        let bit_len = self.len.wrapping_mul(8);
-        // One 0x80 byte, then zeros until length ≡ 56 (mod 64).
-        self.update(&[0x80]);
-        // `update` adjusted self.len, but padding bytes must not count;
-        // the captured bit_len above is authoritative.
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        // Length in bits, little-endian. Feed via compress directly so we
-        // don't disturb the padding loop invariant.
-        self.buf[56..64].copy_from_slice(&bit_len.to_le_bytes());
-        let block = self.buf;
-        self.compress(&block);
+        // One 0x80 byte, zeros until length ≡ 56 (mod 64), then the
+        // message length in bits, little-endian, in one update.
+        let mut pad = [0u8; BLOCK_LEN + 8];
+        pad[0] = 0x80;
+        let zeros = (BLOCK_LEN + 55 - self.buf_len) % BLOCK_LEN;
+        pad[1 + zeros..9 + zeros].copy_from_slice(&self.len.wrapping_mul(8).to_le_bytes());
+        self.update(&pad[..9 + zeros]);
+        debug_assert_eq!(self.buf_len, 0, "padding ends on a block boundary");
 
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {

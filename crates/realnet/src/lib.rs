@@ -10,9 +10,11 @@
 //! * [`LslListener`] — sink side: accept sessions, verify the digest.
 //!
 //! The digest trailer is the simulator's v1 trailer: the MD5 of the
-//! stream's 64 KiB block MD5s (a hash list), built with
-//! `lsl_session::endpoint::HashList`, whole blocks hashed eight at a time
-//! (`lsl_digest::md5_many`).
+//! stream's 64 KiB block digests (a hash list), built with
+//! `lsl_session::endpoint::HashList`. Each block digest is
+//! `lsl_digest::block_digests`'s two-level rule, the MD5 of the MD5s of
+//! the block's eight 8 KiB pieces, so each whole block hashes at full
+//! AVX2 lane width by itself.
 //!
 //! Addressing: route hops are IPv4 socket addresses; the shared header's
 //! 32-bit node field carries the IPv4 address bits (`wire` converts).

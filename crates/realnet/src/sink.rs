@@ -304,12 +304,12 @@ mod tests {
         }
     }
 
-    /// The hash list of `payload`: the MD5 of its 64 KiB blocks' MD5s,
-    /// each hashed alone.
+    /// The hash list of `payload`: the MD5 of its 64 KiB blocks'
+    /// digests, each block hashed alone.
     fn hash_list(payload: &[u8]) -> [u8; 16] {
         let list: Vec<u8> = payload
             .chunks(RESUME_BLOCK as usize)
-            .flat_map(lsl_digest::md5)
+            .flat_map(|block| lsl_digest::block_digests(&[block])[0])
             .collect();
         lsl_digest::md5(&list)
     }

@@ -1024,11 +1024,11 @@ mod tests {
     }
 
     /// The session hashed each of its sixteen blocks exactly once at
-    /// the sender, in one `md5_many` call per group of eight.
+    /// the sender, in one `block_digests` call per group of eight.
     fn assert_hashed_once(client: &SessionClient) {
         let table = &client.digests;
         assert_eq!(table.bytes.get(), SIXTEEN, "bytes hashed");
-        assert_eq!(table.calls.get(), 16u64.div_ceil(8), "md5_many calls");
+        assert_eq!(table.calls.get(), 16u64.div_ceil(8), "block_digests calls");
     }
 
     /// A calm three-lane striped session: every lane carries chunks,

@@ -16,23 +16,21 @@
 //! attempt also sends each block's MD5 after the block; the paper's v1
 //! stream sends none, so its trailer alone judges it. Both ends walk the
 //! body through the one frame the grant fixes (see [`crate::header`]),
-//! and hash each payload byte once, up to eight blocks side by side
-//! ([`lsl_digest::md5_many`]). The sender hashes each block once per
-//! session: a session's attempts, on every lane, read one table of
-//! block digests (`BlockDigests`), filled an aligned group of eight at a
-//! time the first time any attempt needs a digest in the group. The
-//! sink's `Body` pattern-checks each payload run as it lands, copies
-//! each block aside and, once the block (and its in-band digest, if
-//! any) is in, stages it sink-wide. The sink hashes the staged blocks
-//! together and hands each to its attempt in the order they landed: the
-//! digest joins the attempt's hash list, and a ranged block whose
-//! digest matches certifies into the session's [`BlockLedger`]. It does
-//! so whenever [`LANES`] blocks are staged, and before anything reads a
-//! ledger or a hash list: a grant, an outcome, a trailer check, or
-//! [`SinkServer::session_certified`] and
-//! [`SinkServer::duplicate_blocks`]. So every such read sees what
-//! hashing each block as it lands would show. Every way an attempt ends
-//! is recorded as one [`TransferOutcome`].
+//! and hash each payload byte once. A block's digest is
+//! [`lsl_digest::block_digests`]'s two-level rule: the MD5 of the MD5s
+//! of its eight 8 KiB pieces, which run side by side in AVX2 lanes, so
+//! one block alone hashes at full lane width. The sender hashes each
+//! block once per session: a session's attempts, on every lane, read
+//! one table of block digests (`BlockDigests`), filled an aligned group
+//! of eight blocks at a time the first time any attempt needs a digest
+//! in the group. The sink's `Body` pattern-checks each payload run as it
+//! lands and copies each block aside. Once the block (and its in-band
+//! digest, if any) is in, the sink hashes it: the digest joins the
+//! attempt's hash list, and a ranged block whose digest matches
+//! certifies into the session's [`BlockLedger`] there and then. So
+//! blocks certify in the order they land, and every grant, outcome,
+//! trailer check or ledger read sees every block landed before it.
+//! Every way an attempt ends is recorded as one [`TransferOutcome`].
 
 #[cfg(test)]
 use std::cell::Cell;
@@ -42,7 +40,7 @@ use std::rc::Rc;
 use std::sync::LazyLock;
 
 use bytes::Bytes;
-use lsl_digest::{md5_many, BlockLedger, DIGEST_LEN, LANES};
+use lsl_digest::{block_digests, BlockLedger, DIGEST_LEN, LANES};
 use lsl_netsim::{Dur, NodeId, Time};
 use lsl_tcp::{AppEvent, Net, SockEvent, SockId, TcpConfig};
 
@@ -54,6 +52,9 @@ use crate::route::LslPath;
 /// Resume granularity: the sink certifies delivery in blocks of this
 /// many bytes, and grants resume offsets only at block boundaries.
 pub const RESUME_BLOCK: u64 = 64 * 1024;
+
+// A whole block is `LANES` pieces of its digest: one multi-lane pass.
+const _: () = assert!(RESUME_BLOCK as usize == LANES * lsl_digest::PIECE);
 
 /// Number of [`RESUME_BLOCK`]-sized blocks covering a `total`-byte
 /// stream (the last block may be short).
@@ -195,7 +196,7 @@ pub struct BulkSender {
 /// that sends its blocks. The blocks `[lo, hi)` it covers are split into
 /// aligned groups of [`LANES`], `[8g, 8g + 8) ∩ [lo, hi)`. A group is
 /// written once: the first lookup of any block in it hashes the whole
-/// group in one [`md5_many`] call, from the sender's own payload
+/// group in one [`block_digests`] call, from the sender's own payload
 /// ([`payload_chunk`] views, not the bytes a socket took), and every
 /// later lookup, from any attempt, is a read. A session's table covers
 /// the whole stream; a lone attempt's covers only its grant.
@@ -206,7 +207,7 @@ pub(crate) struct BlockDigests {
     /// Group `lo / LANES + i` at index `i`; block `b`'s digest at
     /// position `b % LANES`.
     groups: Box<[OnceCell<[[u8; DIGEST_LEN]; LANES]>]>,
-    /// `md5_many` calls made and payload bytes hashed.
+    /// `block_digests` calls made and payload bytes hashed.
     #[cfg(test)]
     pub(crate) calls: Cell<u64>,
     #[cfg(test)]
@@ -230,8 +231,8 @@ impl BlockDigests {
         }
     }
 
-    /// The MD5 of block `block`, hashing its group first if no attempt
-    /// has yet. This digest goes on the wire as the block's evidence.
+    /// The digest of block `block`, hashing its group first if no
+    /// attempt has yet. This digest goes on the wire as the block's evidence.
     pub(crate) fn block_digest(&self, block: u64) -> [u8; DIGEST_LEN] {
         debug_assert!(
             (self.lo..self.hi).contains(&block),
@@ -251,7 +252,7 @@ impl BlockDigests {
         hash_list(&digests)
     }
 
-    /// Hash group `g`'s blocks in one [`md5_many`] call.
+    /// Hash group `g`'s blocks in one [`block_digests`] call.
     fn hash_group(&self, g: u64) -> [[u8; DIGEST_LEN]; LANES] {
         let lanes = LANES as u64;
         let blocks = (g * lanes).max(self.lo)..((g + 1) * lanes).min(self.hi);
@@ -270,7 +271,7 @@ impl BlockDigests {
         }
         let views: Vec<&[u8]> = payload.iter().map(|p| &p[..]).collect();
         let mut group = [[0; DIGEST_LEN]; LANES];
-        for (b, digest) in blocks.zip(md5_many(&views)) {
+        for (b, digest) in blocks.zip(block_digests(&views)) {
             group[(b % lanes) as usize] = digest;
         }
         group
@@ -284,7 +285,7 @@ fn hash_list(digests: &[[u8; DIGEST_LEN]]) -> [u8; DIGEST_LEN] {
 
 /// A v1 trailer built as the stream goes by, for the ends that see it
 /// as a run of bytes (`lsl-realnet`'s): the hash list of the blocks
-/// given so far, each call's blocks hashed [`LANES`] at a time.
+/// given so far, each block's digest from [`block_digests`].
 #[derive(Default)]
 pub struct HashList(Vec<[u8; DIGEST_LEN]>);
 
@@ -293,7 +294,7 @@ impl HashList {
     /// of which may be short only at the end of the stream.
     pub fn blocks(&mut self, data: &[u8]) {
         let blocks: Vec<&[u8]> = data.chunks(RESUME_BLOCK as usize).collect();
-        self.0.extend(md5_many(&blocks));
+        self.0.extend(block_digests(&blocks));
     }
 
     /// The trailer of the blocks given so far.
@@ -740,12 +741,10 @@ impl TransferOutcome {
 /// The body of one attempt at the sink: everything after the header (a
 /// raw TCP conn is all body), walked through its frame. Each payload
 /// run is pattern-checked. An LSL attempt copies each block's payload
-/// into a buffer and stages it (see [`Staged`]) once it is in, with its
-/// in-band digest on a ranged attempt. The staged blocks are hashed
-/// later, in the order they landed, but always before a ledger or this
-/// body's hash list is read: each digest joins the hash list, and a
-/// ranged block that matches its in-band digest certifies into the
-/// session's [`BlockLedger`], so attempts and cascades certify
+/// into a buffer and hashes it once it is in, with its in-band digest
+/// on a ranged attempt: the digest joins the hash list, and a ranged
+/// block that matches its in-band digest certifies into the session's
+/// [`BlockLedger`] as it lands, so attempts and cascades certify
 /// independently of one another's arrival order.
 struct Body {
     /// None for raw TCP. Boxed so the conn state stays small.
@@ -755,9 +754,9 @@ struct Body {
     pos: u64,
     /// Payload bytes consumed by *this* attempt.
     received: u64,
-    /// The payload of the block landing now, in a buffer from
-    /// [`Staged::buffer`].
-    block: Option<Vec<u8>>,
+    /// The payload of the block landing now (kept for the next block
+    /// once hashed).
+    block: Vec<u8>,
     /// The digest or trailer being gathered.
     evidence: [u8; DIGEST_LEN],
     /// The sink's own digest of each block checked so far: the hash
@@ -782,7 +781,7 @@ impl Body {
             frame,
             pos: 0,
             received: 0,
-            block: None,
+            block: Vec::new(),
             evidence: [0; DIGEST_LEN],
             list: Vec::new(),
             certified: 0,
@@ -800,12 +799,11 @@ impl Body {
         h.stripe.map(|_| self.frame.blocks())
     }
 
-    /// Take in the front of one read, walking the frame; returns the
-    /// bytes taken. It stops early once a landed block fills `staged`,
-    /// so the caller can certify the group before reading on.
-    fn feed(&mut self, staged: &mut Staged, sock: SockId, data: &[u8]) -> usize {
+    /// Take in one read, walking the frame; each block that lands is
+    /// hashed and certified into `sessions` there and then.
+    fn feed(&mut self, sessions: &mut BTreeMap<SessionId, SessionProgress>, data: &[u8]) {
         let mut taken = 0;
-        while taken < data.len() && !staged.is_full() {
+        while taken < data.len() {
             let data = &data[taken..];
             let n = match self.frame.at(self.pos) {
                 Piece::Payload { offset, left } => {
@@ -817,20 +815,21 @@ impl Body {
                         self.content_ok = is_payload(offset, payload);
                     }
                     if self.frame.evidence != Evidence::None {
-                        self.block
-                            .get_or_insert_with(|| staged.buffer())
-                            .extend_from_slice(payload);
+                        if self.block.is_empty() {
+                            self.block.reserve(RESUME_BLOCK as usize);
+                        }
+                        self.block.extend_from_slice(payload);
                     }
                     self.received += payload.len() as u64;
                     if self.frame.evidence == Evidence::Trailer && payload.len() as u64 == left {
-                        self.land(staged, sock, offset / RESUME_BLOCK, None);
+                        self.land(sessions, offset / RESUME_BLOCK, None);
                     }
                     payload.len()
                 }
                 Piece::Digest { block, k } => {
                     let n = self.gather(k, data);
                     if k + n == DIGEST_LEN {
-                        self.land(staged, sock, block, Some(self.evidence));
+                        self.land(sessions, block, Some(self.evidence));
                     }
                     n
                 }
@@ -843,24 +842,6 @@ impl Body {
             self.pos += n as u64;
             taken += n;
         }
-        taken
-    }
-
-    /// Stage the block whose payload (and in-band `digest`, if any) is in.
-    fn land(
-        &mut self,
-        staged: &mut Staged,
-        sock: SockId,
-        block: u64,
-        digest: Option<[u8; DIGEST_LEN]>,
-    ) {
-        let payload = self.block.take().expect("a block's payload is in");
-        staged.push(Landed {
-            sock,
-            block,
-            payload,
-            digest,
-        });
     }
 
     /// Copy evidence bytes from `k` on from the front of `data`; returns
@@ -871,26 +852,28 @@ impl Body {
         n
     }
 
-    /// A staged block of this attempt hashed to `own`, in the order
-    /// blocks landed at the sink. `own` joins the hash list. A v1 block
-    /// stops there: only its trailer judges it, and it has no ledger. A
-    /// ranged block that matches its in-band digest certifies in the
-    /// session ledger (a duplicate another cascade delivered is counted
-    /// and discarded); a mismatch freezes certification for this
+    /// Block `block`'s payload (and in-band `digest`, if any) is in:
+    /// hash it, and its digest joins the hash list. A v1 block stops
+    /// there: only its trailer judges it, and it has no ledger. A ranged
+    /// block that matches its in-band digest certifies in the session
+    /// ledger (a duplicate another cascade delivered is counted and
+    /// discarded); a mismatch freezes certification for this
     /// connection, and the next attempt is granted from the first block
     /// still missing.
-    fn certify(
+    fn land(
         &mut self,
         sessions: &mut BTreeMap<SessionId, SessionProgress>,
-        landed: &Landed,
-        own: [u8; DIGEST_LEN],
+        block: u64,
+        digest: Option<[u8; DIGEST_LEN]>,
     ) {
+        let own = block_digests(&[&self.block])[0];
         self.list.push(own);
         #[cfg(test)]
         {
-            self.hashed += landed.payload.len() as u64;
+            self.hashed += self.block.len() as u64;
         }
-        let Some(digest) = landed.digest else {
+        self.block.clear();
+        let Some(digest) = digest else {
             return;
         };
         let session = self
@@ -904,7 +887,7 @@ impl Body {
             .ledger;
         if self.corrupt || own != digest {
             self.corrupt = true;
-        } else if ledger.certify(landed.block) {
+        } else if ledger.certify(block) {
             self.certified += 1;
         } else {
             lsl_obs::counter_add("sink.stripe.dup_block", session.0 as u64, 1);
@@ -912,8 +895,7 @@ impl Body {
     }
 
     /// The stream ended: judge the attempt — its status and whether its
-    /// evidence matched (every staged block certified first, so its
-    /// hash list is whole). Most-specific failure first: a short payload
+    /// evidence matched. Most-specific failure first: a short payload
     /// explains bad evidence, bad evidence trumps a content scan.
     fn verdict(&self) -> (TransferStatus, Option<bool>) {
         let owed = match &self.header {
@@ -936,74 +918,6 @@ impl Body {
             TransferStatus::Complete
         };
         (status, digest_ok)
-    }
-}
-
-/// A block whose payload (and in-band digest, if any) has landed at
-/// the sink, not yet hashed.
-struct Landed {
-    sock: SockId,
-    block: u64,
-    payload: Vec<u8>,
-    /// The digest a ranged block carried in band (None in v1).
-    digest: Option<[u8; DIGEST_LEN]>,
-}
-
-/// The sink's landed blocks, across all its conns, waiting to be hashed
-/// together: at most [`LANES`] of them (512 KiB), in the order they
-/// landed. [`Staged::certify`] empties it; the buffers go back
-/// to a free list that later blocks are copied into.
-#[derive(Default)]
-struct Staged {
-    landed: Vec<Landed>,
-    free: Vec<Vec<u8>>,
-    /// Most blocks and payload bytes ever staged at once.
-    #[cfg(test)]
-    high_water: (usize, usize),
-    /// How many blocks each [`Staged::certify`] hashed.
-    #[cfg(test)]
-    groups: Vec<usize>,
-}
-
-impl Staged {
-    fn is_full(&self) -> bool {
-        self.landed.len() == LANES
-    }
-
-    /// An empty buffer for a landing block's payload.
-    fn buffer(&mut self) -> Vec<u8> {
-        self.free
-            .pop()
-            .unwrap_or_else(|| Vec::with_capacity(RESUME_BLOCK as usize))
-    }
-
-    fn push(&mut self, landed: Landed) {
-        debug_assert!(!self.is_full(), "a full stage is certified first");
-        self.landed.push(landed);
-        #[cfg(test)]
-        {
-            let bytes = self.landed.iter().map(|l| l.payload.len()).sum();
-            self.high_water.0 = self.high_water.0.max(self.landed.len());
-            self.high_water.1 = self.high_water.1.max(bytes);
-        }
-    }
-
-    /// Hash every staged block in one [`md5_many`] call, then hand each
-    /// with its digest to `check`, in the order they landed.
-    fn certify(&mut self, mut check: impl FnMut(&Landed, [u8; DIGEST_LEN])) {
-        if self.landed.is_empty() {
-            return;
-        }
-        #[cfg(test)]
-        self.groups.push(self.landed.len());
-        let views: Vec<&[u8]> = self.landed.iter().map(|l| &l.payload[..]).collect();
-        let digests = md5_many(&views);
-        for (landed, own) in self.landed.drain(..).zip(digests) {
-            check(&landed, own);
-            let mut buf = landed.payload;
-            buf.clear();
-            self.free.push(buf);
-        }
     }
 }
 
@@ -1071,8 +985,6 @@ pub struct SinkServer {
     /// count means a verified block was re-sent (the striped chaos
     /// contract machine-checks this).
     stripe_regrants: u64,
-    /// Blocks landed on any conn and not yet hashed.
-    staged: Staged,
     /// Payload bytes the recorded attempts fed to an MD5.
     #[cfg(test)]
     hashed: u64,
@@ -1098,7 +1010,6 @@ impl SinkServer {
             idle: None,
             timer_armed: false,
             stripe_regrants: 0,
-            staged: Staged::default(),
             #[cfg(test)]
             hashed: 0,
         }
@@ -1121,11 +1032,8 @@ impl SinkServer {
     }
 
     /// Session-wide verified block count, in any order (0 when the
-    /// session is unknown or never requested a range). Certifies the
-    /// staged blocks first, so the count includes every block whose
-    /// digest has landed.
-    pub fn session_certified(&mut self, session: SessionId) -> u64 {
-        self.certify_staged();
+    /// session is unknown or never requested a range).
+    pub fn session_certified(&self, session: SessionId) -> u64 {
         self.sessions
             .get(&session)
             .map_or(0, |p| p.ledger.verified_count())
@@ -1133,10 +1041,8 @@ impl SinkServer {
 
     /// Duplicate block deliveries discarded for `session` — the cost of
     /// redundant (k-of-n) tail dispatch, which the striped campaign
-    /// accounts for explicitly. Certifies the staged blocks first, like
-    /// [`SinkServer::session_certified`].
-    pub fn duplicate_blocks(&mut self, session: SessionId) -> u64 {
-        self.certify_staged();
+    /// accounts for explicitly.
+    pub fn duplicate_blocks(&self, session: SessionId) -> u64 {
         self.sessions
             .get(&session)
             .map_or(0, |p| p.ledger.duplicates())
@@ -1195,7 +1101,7 @@ impl SinkServer {
             SockEvent::Error(e) => self.fail_conn(net, *sock, SessionError::Tcp(*e)),
             SockEvent::Closed => {
                 net.release(*sock);
-                if let Some(conn) = self.remove_conn(*sock) {
+                if let Some(conn) = self.conns.remove(sock) {
                     self.release_session_conn(*sock, &conn.state);
                 }
             }
@@ -1256,63 +1162,16 @@ impl SinkServer {
         }
     }
 
-    /// Hash and check every staged block (see [`Staged::certify`]), each
-    /// against its conn, which is still in `conns`.
-    fn certify_staged(&mut self) {
-        let (conns, sessions) = (&mut self.conns, &mut self.sessions);
-        self.staged.certify(|landed, own| {
-            let Some(SinkConn {
-                state: SinkConnState::Body(body),
-                ..
-            }) = conns.get_mut(&landed.sock)
-            else {
-                unreachable!("a conn leaves only after its staged blocks are certified");
-            };
-            body.certify(sessions, landed, own);
-        });
-    }
-
-    /// Take `sock`'s conn out of the table, certifying the staged blocks
-    /// first: its outcome and its session's ledger must count them.
-    fn remove_conn(&mut self, sock: SockId) -> Option<SinkConn> {
-        self.certify_staged();
-        self.conns.remove(&sock)
-    }
-
-    /// Feed body bytes to `sock`'s conn, certifying the staged blocks
-    /// whenever [`LANES`] of them have landed (the stage may be full on
-    /// entry, when the caller fed the front of a read itself).
-    fn feed(&mut self, sock: SockId, mut data: &[u8]) {
-        loop {
-            if self.staged.is_full() {
-                self.certify_staged();
-            }
-            if data.is_empty() {
-                return;
-            }
-            let Some(SinkConn {
-                state: SinkConnState::Body(body),
-                ..
-            }) = self.conns.get_mut(&sock)
-            else {
-                return;
-            };
-            data = &data[body.feed(&mut self.staged, sock, data)..];
-        }
-    }
-
     /// Record a failed attempt as a typed outcome and drop the
     /// connection state.
     fn fail_conn(&mut self, net: &mut Net, sock: SockId, err: SessionError) {
-        if let Some(conn) = self.remove_conn(sock) {
+        if let Some(conn) = self.conns.remove(&sock) {
             self.record(net, sock, &conn, TransferStatus::Failed(err), None);
         }
     }
 
     /// Record how the attempt on `sock` ended — the one place an outcome
-    /// is built — and detach the conn from its session. The conn has
-    /// left `conns` through [`SinkServer::remove_conn`], so every block
-    /// it landed is certified.
+    /// is built — and detach the conn from its session.
     fn record(
         &mut self,
         net: &Net,
@@ -1370,10 +1229,7 @@ impl SinkServer {
                     LslHeader::decode(buf).map(|h| h.map(|(h, used)| (h, buf.split_off(used))))
                 }
                 SinkConnState::Body(body) => {
-                    // The conn is at hand, so feed it here; `feed`
-                    // certifies a full stage and takes the rest.
-                    let taken = body.feed(&mut self.staged, sock, &chunk);
-                    self.feed(sock, &chunk[taken..]);
+                    body.feed(&mut self.sessions, &chunk);
                     Ok(None)
                 }
             };
@@ -1389,7 +1245,7 @@ impl SinkServer {
         }
         // EOF: finalize.
         if net.at_eof(sock) {
-            let conn = self.remove_conn(sock).expect("present");
+            let conn = self.conns.remove(&sock).expect("present");
             net.close(sock);
             let SinkConnState::Body(body) = &conn.state else {
                 let eof = TransferStatus::Failed(SessionError::Wire(WireError::TruncatedHeader));
@@ -1463,8 +1319,6 @@ impl SinkServer {
             };
             Body::new(Some(header), frame)
         } else {
-            // The grant reads the ledger.
-            self.certify_staged();
             if header.resume.is_some() {
                 // A new attempt supersedes any lingering conn of the same
                 // session (e.g. one whose death the sink has not noticed).
@@ -1518,10 +1372,11 @@ impl SinkServer {
             debug_assert_eq!(n, len);
             Body::new(Some(header), frame)
         };
+        let mut body = Box::new(body);
+        body.feed(&mut self.sessions, leftover);
         if let Some(conn) = self.conns.get_mut(&sock) {
-            conn.state = SinkConnState::Body(Box::new(body));
+            conn.state = SinkConnState::Body(body);
         }
-        self.feed(sock, leftover);
         Ok(())
     }
 }
@@ -1584,13 +1439,13 @@ mod tests {
 
     /// An attempt's body as the sender frames it, for blocks
     /// `[start, end)` of a `total`-byte stream: each block, followed by
-    /// its MD5 when ranged, then the MD5 of those block digests.
+    /// its digest when ranged, then the MD5 of those block digests.
     fn framed(start: u64, end: u64, total: u64, ranged: bool) -> Vec<u8> {
         let (mut body, mut list) = (Vec::new(), Vec::new());
         for b in start..end {
             let (lo, hi) = (block_offset(b, total), block_offset(b + 1, total));
             let payload = payload_chunk(lo, (hi - lo) as usize);
-            let digest = md5(&payload);
+            let digest = block_digests(&[&payload])[0];
             body.extend_from_slice(&payload);
             if ranged {
                 body.extend_from_slice(&digest);
@@ -1617,8 +1472,8 @@ mod tests {
 
     /// Feed `body` to a fresh sink body for blocks `[start, end)` of a
     /// `total`-byte stream (ranged as a stripe, or a plain v1 attempt),
-    /// cut into reads at `cuts`, certifying staged blocks as the sink
-    /// does; returns it and the session ledger's verified blocks.
+    /// cut into reads at `cuts`; returns it and the session ledger's
+    /// verified blocks.
     fn sink_body(
         (start, end, total): (u64, u64, u64),
         ranged: bool,
@@ -1645,26 +1500,12 @@ mod tests {
         let mut sink = Body::new(Some(header), Frame::new((start, end), total, evidence));
         let mut sessions = BTreeMap::new();
         sessions.insert(session, SessionProgress::default());
-        let mut staged = Staged::default();
-        let sock = SockId {
-            node: NodeId(0),
-            idx: 0,
-        };
-        let mut certify = |sink: &mut Body, staged: &mut Staged| {
-            staged.certify(|landed, own| sink.certify(&mut sessions, landed, own));
-        };
         let mut rest = body;
         for cut in cuts.iter().copied().chain([body.len()]) {
-            let (mut piece, after) = rest.split_at(cut.min(rest.len()));
-            while !piece.is_empty() {
-                piece = &piece[sink.feed(&mut staged, sock, piece)..];
-                if staged.is_full() {
-                    certify(&mut sink, &mut staged);
-                }
-            }
+            let (piece, after) = rest.split_at(cut.min(rest.len()));
+            sink.feed(&mut sessions, piece);
             rest = after;
         }
-        certify(&mut sink, &mut staged);
         let ledger = &sessions[&session].ledger;
         let verified = (0..stream_blocks(total)).filter(|&b| ledger.is_verified(b));
         (sink, verified.collect())
@@ -1769,10 +1610,10 @@ mod tests {
 
         /// Whether or not the stream's last block is short, and in
         /// whatever order attempts look blocks up, every digest a table
-        /// returns is that block's MD5, and the trailer of any grant
-        /// inside the table is the hash list of those MD5s. Each group
-        /// is hashed in one call, the first time one of its blocks is
-        /// looked up.
+        /// returns is that block's digest, and the trailer of any grant
+        /// inside the table is the hash list of those digests. Each
+        /// group is hashed in one call, the first time one of its blocks
+        /// is looked up.
         #[test]
         fn table_digests_are_the_blocks_md5s(
             blocks in 1u64..14,
@@ -1788,7 +1629,7 @@ mod tests {
             let total = (blocks - 1) * RESUME_BLOCK + if short { cut } else { RESUME_BLOCK };
             let md5_of = |b: u64| {
                 let lo = block_offset(b, total);
-                md5(&payload_chunk(lo, (block_offset(b + 1, total) - lo) as usize))
+                block_digests(&[&payload_chunk(lo, (block_offset(b + 1, total) - lo) as usize)])[0]
             };
             let (x, y) = (bounds.0.index(blocks as usize + 1), bounds.1.index(blocks as usize + 1));
             let (lo, hi) = (x.min(y) as u64, x.max(y) as u64);
@@ -1982,11 +1823,11 @@ mod tests {
 
     /// Each certifying payload byte is hashed once at each end: MD5
     /// bytes per payload byte are exactly 1.0 at the sender and at the
-    /// sink, for a plain v1 attempt, a resume and a stripe. (The hash
-    /// list adds 16 bytes of hashing per block on top.) The 20-block
-    /// resume ending in a short block is hashed in groups of 8, 8 and
-    /// 4 at both ends; in the last, three full blocks share the lanes
-    /// and the short one is hashed alone.
+    /// sink, for a plain v1 attempt, a resume and a stripe. (The
+    /// two-level block digest and the hash list add 16 bytes of hashing
+    /// per piece and per block on top.) The 20-block resume ending in a
+    /// short block is hashed in groups of 8, 8 and 4 at the sender, and
+    /// a block at a time, as each lands, at the sink.
     #[test]
     fn each_certifying_byte_is_hashed_once_at_each_end() {
         const SHORT: u64 = 4 * RESUME_BLOCK + 1000;
@@ -2013,14 +1854,15 @@ mod tests {
         }
     }
 
-    /// A 16-block v1 transfer is hashed in two groups of eight at each
-    /// end: two `md5_many` calls at the sender, two staged groups at
-    /// the sink, and the v1 header opened no session state there.
+    /// A 16-block v1 transfer is hashed in two groups of eight at the
+    /// sender (two `block_digests` calls) and a block at a time at the
+    /// sink, each block once; the v1 header opened no session state
+    /// there.
     #[test]
-    fn a_sixteen_block_v1_transfer_is_hashed_eight_at_a_time_at_each_end() {
+    fn a_sixteen_block_v1_transfer_hashes_each_block_once_at_each_end() {
         let (sender, sink, _) = case1_transfer(16 * RESUME_BLOCK, true, None);
         assert_eq!(sender.table().calls.get(), 2);
-        assert_eq!(sink.staged.groups, [LANES, LANES]);
+        assert_eq!(sink.hashed, 16 * RESUME_BLOCK);
         assert!(sink.sessions.is_empty());
     }
 
@@ -2096,14 +1938,14 @@ mod tests {
             }
         }
 
-        /// Staging held at most `LANES` blocks (512 KiB) at once.
-        fn assert_staging_bounded(&self) {
-            let (blocks, bytes) = self.sink.staged.high_water;
-            assert!(blocks <= LANES, "{blocks} blocks staged");
-            assert!(
-                bytes as u64 <= LANES as u64 * RESUME_BLOCK,
-                "{bytes} bytes staged"
-            );
+        /// Whole blocks the sink has hashed so far, on recorded
+        /// attempts and live conns alike.
+        fn blocks_hashed(&self) -> u64 {
+            let live = self.sink.conns.values().map(|c| match &c.state {
+                SinkConnState::Body(body) => body.hashed,
+                SinkConnState::ReadingHeader(_) => 0,
+            });
+            (self.sink.hashed + live.sum::<u64>()) / RESUME_BLOCK
         }
     }
 
@@ -2166,11 +2008,10 @@ mod tests {
     /// Two striped conns carry block 1. Conn A's copy lands first, but
     /// conn B's digest completes first, so B certifies the block and A's
     /// copy is the duplicate: certification follows the order in which
-    /// digests land, as if each block certified on its digest's arrival.
-    /// The three blocks staged meanwhile are hashed as one group when A
-    /// ends.
+    /// digests land: each block is hashed and certified on its digest's
+    /// arrival, once.
     #[test]
-    fn staged_blocks_certify_in_digest_landing_order() {
+    fn blocks_certify_in_digest_landing_order() {
         let total = 3 * RESUME_BLOCK;
         let mut h = HandSink::new(None);
         let a_frame = framed(0, 2, total, true);
@@ -2188,7 +2029,7 @@ mod tests {
         );
         h.send(a, &a_frame[..FRAMED + RESUME_BLOCK as usize]);
         h.send(b, &b_frame[..FRAMED]);
-        assert_eq!(h.sink.staged.landed.len(), 2, "A's block 0, B's block 1");
+        assert_eq!(h.blocks_hashed(), 2, "A's block 0, B's block 1");
         h.send(a, &a_frame[FRAMED + RESUME_BLOCK as usize..]);
         h.finish(a);
         h.send(b, &b_frame[FRAMED..]);
@@ -2201,15 +2042,14 @@ mod tests {
         assert_eq!(summary, [(true, 1, 2), (true, 2, 3)]);
         assert_eq!(h.sink.duplicate_blocks(SessionId(1)), 1);
         assert_eq!(h.sink.session_certified(SessionId(1)), 3);
-        assert_eq!(h.sink.staged.groups, [3, 1]);
-        h.assert_staging_bounded();
+        assert_eq!(h.blocks_hashed(), 4);
     }
 
-    /// A flipped in-band digest in the middle of a staged group fails
-    /// only its own conn: its later blocks in the same group do not
-    /// certify, and the other session's blocks staged between them do.
+    /// A flipped in-band digest fails only its own conn: its later
+    /// blocks do not certify, and the other session's blocks landed
+    /// between them do. Every block is hashed as it lands.
     #[test]
-    fn a_bad_digest_in_a_staged_group_fails_only_its_own_conn() {
+    fn a_bad_digest_fails_only_its_own_conn() {
         let mut h = HandSink::new(None);
         let mut a_frame = framed(0, 5, 5 * RESUME_BLOCK, true);
         a_frame[FRAMED + RESUME_BLOCK as usize + 3] ^= 0x01;
@@ -2219,7 +2059,7 @@ mod tests {
         h.send(a, &a_frame[..3 * FRAMED]);
         h.send(b, &b_frame);
         h.send(a, &a_frame[3 * FRAMED..]);
-        assert_eq!(h.sink.staged.groups, [LANES], "A 0-2, B 0-2, A 3-4");
+        assert_eq!(h.blocks_hashed(), 8, "A 0-2, B 0-2, A 3-4");
         h.finish(a);
         h.finish(b);
         let outcomes = h.sink.take_outcomes();
@@ -2235,15 +2075,13 @@ mod tests {
         assert_eq!(outcomes[1].blocks_certified, 3);
         assert_eq!(h.sink.session_certified(SessionId(1)), 1);
         assert_eq!(h.sink.session_certified(SessionId(2)), 3);
-        h.assert_staging_bounded();
     }
 
-    /// A conn ended with blocks still staged, by a resume that
-    /// supersedes it or by the idle watchdog, has them certified before
-    /// its outcome is built: the outcome, and the superseding attempt's
-    /// grant, count them.
+    /// A conn ended mid-range, by a resume that supersedes it or by the
+    /// idle watchdog, has its landed blocks certified: the outcome, and
+    /// the superseding attempt's grant, count them.
     #[test]
-    fn a_superseded_or_stalled_conn_counts_its_staged_blocks() {
+    fn a_superseded_or_stalled_conn_counts_its_landed_blocks() {
         let total = 5 * RESUME_BLOCK;
         let body = framed(0, 5, total, true);
         for watchdog in [false, true] {
@@ -2261,22 +2099,21 @@ mod tests {
                 (3, 3, 3),
                 "watchdog {watchdog}"
             );
-            assert_eq!(h.sink.staged.groups, [3], "watchdog {watchdog}");
-            h.assert_staging_bounded();
+            assert_eq!(h.blocks_hashed(), 3, "watchdog {watchdog}");
         }
     }
 
-    /// A grant and the public ledger reads count staged blocks: a
-    /// stripe opened while a resume's first three blocks are staged is
+    /// A grant and the public ledger reads count every landed block: a
+    /// stripe opened once a resume's first three blocks have landed is
     /// granted from block 3, and `session_certified` then counts a
-    /// fourth block that is still staged.
+    /// fourth block the moment it lands.
     #[test]
-    fn grants_and_ledger_reads_count_staged_blocks() {
+    fn grants_and_ledger_reads_count_landed_blocks() {
         let total = 5 * RESUME_BLOCK;
         let body = framed(0, 5, total, true);
         let mut h = HandSink::new(None);
         let a = h.open(&ranged(1, total, None), &body[..3 * FRAMED]);
-        assert_eq!(h.sink.staged.landed.len(), 3);
+        assert_eq!(h.blocks_hashed(), 3);
         let b = h.open(&ranged(1, total, Some((0, 5))), &[]);
         assert_eq!(
             h.grant(b),
@@ -2285,22 +2122,19 @@ mod tests {
         h.send(a, &body[3 * FRAMED..4 * FRAMED]);
         assert_eq!(h.sink.session_certified(SessionId(1)), 4);
         assert_eq!(h.sink.duplicate_blocks(SessionId(1)), 0);
-        assert_eq!(h.sink.staged.groups, [3, 1]);
+        assert_eq!(h.blocks_hashed(), 4);
         assert!(h.sink.outcomes().is_empty(), "both conns still open");
         assert_eq!(h.sink.stripe_regrants(), 0);
     }
 
-    /// A 16-block resume is hashed at the sink in two groups of eight,
-    /// with never more than `LANES` blocks staged.
+    /// A 16-block resume is hashed at the sink a block at a time,
+    /// each block once, and all sixteen certify.
     #[test]
-    fn a_sixteen_block_resume_is_certified_in_two_groups_of_eight() {
+    fn a_sixteen_block_resume_hashes_each_block_once_at_the_sink() {
         let request = Some(Request::Resume(Resume::fresh()));
         let (_, sink, _) = case1_transfer(16 * RESUME_BLOCK, true, request);
-        assert_eq!(sink.staged.groups, [LANES, LANES]);
-        assert_eq!(
-            sink.staged.high_water,
-            (LANES, LANES * RESUME_BLOCK as usize)
-        );
+        assert_eq!(sink.hashed, 16 * RESUME_BLOCK);
+        assert_eq!(sink.session_certified(SessionId(1)), 16);
     }
 
     /// A ranged attempt hashes ahead no further than the end of its

@@ -483,17 +483,17 @@ fn hand_attempt_to(
     reply
 }
 
-/// The MD5 block `block` of a `total`-byte stream carries when the
+/// The digest block `block` of a `total`-byte stream carries when the
 /// stream follows the generator pattern (its final block may be short).
 fn expected_block_digest(block: u64, total: u64) -> [u8; 16] {
     const B: u64 = lsl_session::RESUME_BLOCK;
     let start = (block * B).min(total);
     let len = B.min(total - start);
-    lsl_digest::md5(&payload_chunk(start, len as usize))
+    lsl_digest::block_digests(&[&payload_chunk(start, len as usize)])[0]
 }
 
 /// A ranged attempt's body as the sender frames it: each of blocks
-/// `[start, end)` followed by its MD5, then the hash-list trailer (the
+/// `[start, end)` followed by its digest, then the hash-list trailer (the
 /// MD5 of those digests).
 fn ranged_frame(start: u64, end: u64, total: u64) -> Vec<u8> {
     const B: u64 = lsl_session::RESUME_BLOCK;

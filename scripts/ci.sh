@@ -27,12 +27,21 @@ if grep -rn expected_block_digest crates/*/src src; then
 fi
 
 echo "==> no whole-stream hasher"
-# Every attempt's trailer is the hash list of its 64 KiB blocks, hashed
-# eight at a time (md5_many), v1 included. A scalar MD5 over the whole
+# Every attempt's trailer is the hash list of its 64 KiB blocks' digests
+# (lsl_digest::block_digests), v1 included. A scalar MD5 over the whole
 # stream in the session or real-socket crates would bring back a second
 # evidence rule; their tests use the one-shot md5 function.
 if grep -rnw Md5 crates/session/src crates/realnet/src; then
-  echo "Md5 found: hash whole blocks with md5_many (or md5), not a whole-stream Md5"; exit 1
+  echo "Md5 found: hash whole blocks with block_digests (or md5), not a whole-stream Md5"; exit 1
+fi
+
+echo "==> one block-digest rule"
+# A block's digest is the MD5 of its 8 KiB pieces' MD5s, and only
+# lsl_digest::block_digests computes it. An md5_many call over whole
+# blocks in the session or real-socket crates would be a second,
+# incompatible block digest.
+if grep -rnw md5_many crates/session/src crates/realnet/src; then
+  echo "md5_many found: hash blocks with lsl_digest::block_digests"; exit 1
 fi
 
 echo "==> lsl-audit (static determinism analyzer, SARIF artifact)"
@@ -148,7 +157,7 @@ for key in netsim_events_per_sec netsim_timer_events_per_sec \
            run_wall_s_1mb_direct run_wall_s_1mb_depot \
            run_wall_s_16mb_direct run_wall_s_16mb_depot run_wall_s_16mb_ranged \
            run_wall_s_1mb_striped \
-           md5_mb_per_s md5_lanes_mb_per_s \
+           md5_mb_per_s md5_lanes_mb_per_s block_digest_mb_per_s \
            realnet_relay_mb_per_s campaign_jobs campaign_wall_s_jobs1 campaign_wall_s_jobsN \
            segment_encode_decode_ns lsl_header_encode_decode_ns nws_mixture_update_x100_ns \
            baseline; do
@@ -167,8 +176,10 @@ echo "==> bench regression gate (smoke rate vs committed BENCH_netsim.json)"
 # committed figure — so it only trips on structural regressions (an
 # accidental O(n) scan, a lost fast path), never on machine noise. The
 # 16 MiB loopback relay rate (real sockets, digest verified as it
-# arrives) and the eight-lane MD5 rate (a lost AVX2 path reads about
-# 15% of committed) are held to the same 50% rule. The
+# arrives; the smoke figure is the median of five sessions after one
+# warm-up), the eight-lane MD5 rate (a lost AVX2 path reads about 15%
+# of committed) and the digest rate of one lone 64 KiB block (its eight
+# pieces fill the lanes) are held to the same 50% rule. The
 # 16 MiB case 1 wall times (direct, via the depot, and the ranged
 # attempt both ends certify block by block) and the calm 1 MiB session
 # striped over three cascades get the same rule the other way up: a
@@ -180,7 +191,7 @@ import json, sys
 smoke, committed = (json.load(open(p)) for p in sys.argv[1:3])
 ok = True
 for key in ("netsim_events_per_sec", "netsim_timer_events_per_sec",
-            "realnet_relay_mb_per_s", "md5_lanes_mb_per_s"):
+            "realnet_relay_mb_per_s", "md5_lanes_mb_per_s", "block_digest_mb_per_s"):
     got, want = smoke[key], committed[key]
     if got < 0.5 * want:
         print(f"regression: smoke {key} = {got:.0f} < 50% of committed {want:.0f}")
